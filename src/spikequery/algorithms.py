@@ -8,18 +8,21 @@ random directions and extracts the same Ritz maximizer from whatever
 subspace it happened to observe.  The Ritz computation itself runs on
 (query, response) pairs alone: orthonormalizing the queries while applying
 the identical linear operations to the responses yields the compressed
-quadratic form B^T M B without ever touching M.
+quadratic form H = B^T M B without ever touching M.  It is incremental:
+each accepted pair costs one two-pass Gram-Schmidt step against the basis
+so far (the oracle's kernel) and adds one row and column to H, so a run of
+T queries costs O(T^2 d) in all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .instances import Seed, as_rng, make_spiked, sample_uniform_sphere, spectral_norm
-from .oracle import QuerySession, open_session
+from .oracle import QuerySession, _orthogonalize, open_session
 
 #: Residual norm below which the Krylov space has closed (Lanczos breakdown).
 BREAKDOWN_TOL = 1e-10
@@ -55,43 +58,72 @@ class AlgorithmConfig:
             object.__setattr__(self, "init", init)
 
 
+class _RitzAccumulator:
+    """Incremental Rayleigh-Ritz over the span of (query, response) pairs.
+
+    Keeps the orthonormal basis Q (rows), its images MQ and the symmetrized
+    compressed form H = (Q MQ^T + MQ Q^T)/2, preallocated for ``capacity``
+    directions (at most d).  ``add`` orthogonalizes a query against Q and
+    carries its response through the same combinations, then appends one
+    row to Q and MQ and one row and column to H; a query whose residual
+    falls below BREAKDOWN_TOL adds nothing.
+    """
+
+    def __init__(self, d: int, capacity: int):
+        rows = min(capacity, d)
+        self._Q = np.empty((rows, d))
+        self._MQ = np.empty((rows, d))
+        self._H = np.empty((rows, rows))
+        self._k = 0
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        """v with its component in the span of the accepted queries removed."""
+        return _orthogonalize(self._Q[: self._k], v)[0]
+
+    def add(self, v: np.ndarray, w: np.ndarray) -> None:
+        k = self._k
+        if k == self._Q.shape[0]:
+            return  # the basis already spans every direction it can hold
+        r, img = _orthogonalize(self._Q[:k], v, self._MQ[:k], w)
+        rnorm = np.linalg.norm(r)
+        if rnorm < BREAKDOWN_TOL:
+            return
+        self._Q[k] = r / rnorm
+        self._MQ[k] = img / rnorm
+        h = (self._MQ[: k + 1] @ self._Q[k] + self._Q[: k + 1] @ self._MQ[k]) / 2.0
+        self._H[k, : k + 1] = h
+        self._H[: k + 1, k] = h
+        self._k = k + 1
+
+    def top(self) -> Tuple[Optional[np.ndarray], float]:
+        """Top Ritz vector lifted to R^d and its Ritz value; (None, -inf)
+        while no direction has been accepted."""
+        k = self._k
+        if k == 0:
+            return None, -np.inf
+        vals, vecs = np.linalg.eigh(self._H[:k, :k])
+        v_hat = vecs[:, -1] @ self._Q[:k]
+        v_hat /= np.linalg.norm(v_hat)
+        return v_hat, float(vals[-1])
+
+
 def ritz_from_pairs(
     queries: Sequence[np.ndarray], responses: Sequence[np.ndarray]
 ) -> Tuple[Optional[np.ndarray], float]:
     """Rayleigh-Ritz maximizer over the span of observed query directions.
 
-    Orthonormalizes the queries by modified Gram-Schmidt while carrying the
-    responses through the same linear combinations, producing basis vectors
-    b_j and their images M b_j.  Returns the top eigenvector of the
-    compressed form lifted back to R^d, plus its Ritz value.  Returns
-    (None, -inf) if no direction survives orthonormalization.
+    Feeds every (query, response) pair to a Ritz accumulator, which
+    orthonormalizes the queries while carrying the responses through the
+    same linear combinations.  Returns the top eigenvector of the
+    compressed form B^T M B lifted back to R^d, plus its Ritz value.
+    Returns (None, -inf) if no direction survives orthonormalization.
     """
-    basis: List[np.ndarray] = []
-    images: List[np.ndarray] = []
-    for v, w in zip(queries, responses):
-        r = v.astype(float, copy=True)
-        img = w.astype(float, copy=True)
-        for _ in range(2):
-            for b, mb in zip(basis, images):
-                c = b @ r
-                r -= c * b
-                img -= c * mb
-        rnorm = np.linalg.norm(r)
-        if rnorm < BREAKDOWN_TOL:
-            continue
-        basis.append(r / rnorm)
-        images.append(img / rnorm)
-    if not basis:
+    if len(queries) == 0:
         return None, -np.inf
-    B = np.column_stack(basis)
-    MB = np.column_stack(images)
-    H = B.T @ MB
-    H = (H + H.T) / 2.0
-    vals, vecs = np.linalg.eigh(H)
-    y = vecs[:, -1]
-    v_hat = B @ y
-    v_hat /= np.linalg.norm(v_hat)
-    return v_hat, float(vals[-1])
+    acc = _RitzAccumulator(np.shape(queries[0])[0], len(queries))
+    for v, w in zip(queries, responses):
+        acc.add(v, w)
+    return acc.top()
 
 
 def _initial_vector(config: AlgorithmConfig, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,22 +159,16 @@ def iterate_candidates(
             yield v.copy()
         return
 
+    ritz = _RitzAccumulator(d, T)
     if config.kind == "lanczos":
-        queries: List[np.ndarray] = []
-        responses: List[np.ndarray] = []
         direction = v
         for _ in range(T):
             w = session.query(direction)
-            queries.append(direction)
-            responses.append(w)
-            v_hat, _ = ritz_from_pairs(queries, responses)
-            yield v_hat
+            ritz.add(direction, w)
+            yield ritz.top()[0]
             # next direction: response orthogonalized against all prior
             # queries (full reorthogonalization), unit-normalized
-            r = w.astype(float, copy=True)
-            for _ in range(2):
-                for q in queries:
-                    r -= (q @ r) * q
+            r = ritz.residual(w)
             rnorm = np.linalg.norm(r)
             if rnorm < BREAKDOWN_TOL:
                 return  # Krylov space closed
@@ -150,15 +176,10 @@ def iterate_candidates(
         return
 
     # random-nonadaptive: i.i.d. sphere queries, Ritz over the observed span
-    queries = []
-    responses = []
     for _ in range(T):
         direction = sample_uniform_sphere(d, rng)
-        w = session.query(direction)
-        queries.append(direction)
-        responses.append(w)
-        v_hat, _ = ritz_from_pairs(queries, responses)
-        yield v_hat
+        ritz.add(direction, session.query(direction))
+        yield ritz.top()[0]
 
 
 def _run(session: QuerySession, config: AlgorithmConfig) -> np.ndarray:

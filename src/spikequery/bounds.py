@@ -250,6 +250,15 @@ class BoundReport:
     constants: Dict[str, object]
 
 
+#: Largest x with math.exp(x) finite.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _exp(x: float) -> float:
+    """math.exp that saturates at inf instead of raising OverflowError."""
+    return math.inf if x > _LOG_FLOAT_MAX else math.exp(x)
+
+
 def _upper_bound_report(kind, raw, params, constants, force_vacuous=False) -> BoundReport:
     vacuous = bool(raw >= 1.0 or force_vacuous)
     return BoundReport(
@@ -266,16 +275,27 @@ def estimation_success_bound(
     d: int, eta: float, lam: float, T: int, c1: float = C1_ESTIMATION_DEFAULT
 ) -> BoundReport:
     """Upper bound on the probability any T-query algorithm reaches spike
-    overlap eta: (2/(1 - 1/e)) * exp(-d*eta / (4 (c1 lam^2)^T))."""
-    if eta < 0:
+    overlap eta: (2/(1 - 1/e)) * exp(-d*eta / (4 (c1 lam^2)^T)).
+
+    The exponent is evaluated in log space, so no T overflows it."""
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    if not eta >= 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    if lam < 1:
-        raise ValueError(f"lam must be >= 1, got {lam}")
+    if not (1 <= lam < math.inf):
+        raise ValueError(f"lam must be >= 1 and finite, got {lam}")
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    raw = (2.0 / (1.0 - math.exp(-1.0))) * math.exp(
-        -d * eta / (4.0 * (c1 * lam**2) ** T)
-    )
+    if not (0 < c1 < math.inf):
+        raise ValueError(f"c1 must be positive and finite, got {c1}")
+    if eta == 0:
+        exponent = 0.0
+    else:
+        exponent = _exp(
+            math.log(d) + math.log(eta) - math.log(4.0)
+            - T * (math.log(c1) + 2.0 * math.log(lam))
+        )
+    raw = (2.0 / (1.0 - math.exp(-1.0))) * math.exp(-exponent)
     return _upper_bound_report(
         "estimation_success",
         raw,
@@ -315,16 +335,24 @@ def detection_tv_bound(
     after T queries: sqrt(2) (c1 lam)^T d^{-1/4} (sqrt(log(d/(c1 lam)^T)) + 4).
 
     The inner log is clamped at 0 when (c1 lam)^T > d; the bound is outside
-    its validity region there and is reported vacuous.
+    its validity region there and is reported vacuous.  The growth term is
+    evaluated in log space, so no T overflows it; raw saturates at inf.
     """
-    if lam <= 2:
-        raise ValueError(f"lam must exceed 2, got {lam}")
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    if not (2 < lam < math.inf):
+        raise ValueError(f"lam must exceed 2 and be finite, got {lam}")
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    growth = (c1 * lam) ** T
-    clamped = growth > d
-    log_term = 0.0 if clamped else math.log(d / growth)
-    raw = math.sqrt(2.0) * growth / d**0.25 * (math.sqrt(log_term) + 4.0)
+    if not (0 < c1 < math.inf):
+        raise ValueError(f"c1 must be positive and finite, got {c1}")
+    log_growth = T * (math.log(c1) + math.log(lam))
+    clamped = log_growth > math.log(d)
+    log_term = 0.0 if clamped else math.log(d) - log_growth
+    raw = _exp(
+        0.5 * math.log(2.0) + log_growth - 0.25 * math.log(d)
+        + math.log(math.sqrt(log_term) + 4.0)
+    )
     return _upper_bound_report(
         "detection_tv",
         raw,

@@ -172,9 +172,10 @@ def spectrum(M: np.ndarray, dim_cap: int = SPECTRUM_DIM_CAP) -> SpectrumSummary:
 def spectral_norm(M: np.ndarray) -> float:
     """Operator norm of a symmetric matrix.
 
-    Uses the dense solver at small d and an iterative extreme-eigenvalue
-    solve (deterministic start vector) at large d; the two agree to
-    machine precision on symmetric input.
+    Uses the dense solver at small d and, at large d, one iterative solve
+    for the largest-magnitude eigenvalue (deterministic start vector), which
+    is the operator norm by definition; the two agree to machine precision
+    on symmetric input.
     """
     M = _require_symmetric(M)
     d = M.shape[0]
@@ -182,9 +183,7 @@ def spectral_norm(M: np.ndarray) -> float:
         vals = np.linalg.eigvalsh(M)
         return float(max(abs(vals[0]), abs(vals[-1])))
     v0 = np.full(d, 1.0 / np.sqrt(d))
-    hi = eigsh(M, k=1, which="LA", v0=v0, tol=0)[0][0]
-    lo = eigsh(M, k=1, which="SA", v0=v0, tol=0)[0][0]
-    return float(max(abs(hi), abs(lo)))
+    return float(abs(eigsh(M, k=1, which="LM", v0=v0, tol=0)[0][0]))
 
 
 class Membership(NamedTuple):
@@ -203,8 +202,11 @@ def check_membership(M: np.ndarray, gamma: float) -> Membership:
     """Test lam_1(M) = ||M|| > 0 and |lam_j| <= gamma * lam_1 for all j >= 2."""
     if not (0 <= gamma < 1):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    summary = spectrum(M)
-    vals = summary.eigenvalues
+    return _membership_of_spectrum(spectrum(M).eigenvalues, gamma)
+
+
+def _membership_of_spectrum(vals: np.ndarray, gamma: float) -> Membership:
+    """The eigenratio-class test on eigenvalues sorted descending."""
     lam1 = vals[0]
     if lam1 <= 0 or abs(vals[-1]) > lam1:
         return Membership(False, 1)

@@ -4,13 +4,13 @@ An algorithm interacts with a hidden symmetric matrix M only through
 ``query(session, v) -> Mv`` for unit vectors v, up to a budget of T calls,
 then commits to a final unit vector via ``finalize``.  Alongside the raw
 responses the session maintains the equivalent reduced view: queries are
-orthonormalized on the fly (modified Gram-Schmidt with one
-re-orthogonalization pass), and each step records the new basis direction
-b_i together with the projected response P_{i-1} M b_i, where P_{i-1}
-projects onto the orthogonal complement of the earlier basis.  Raw
-responses are exactly recoverable from the projected records, so the two
-views carry the same information; ``reconstruct_raw_responses`` realizes
-that round trip.
+orthonormalized on the fly (classical Gram-Schmidt, two passes, as block
+products against a preallocated basis array), and each step records the new
+basis direction b_i together with the projected response P_{i-1} M b_i,
+where P_{i-1} projects onto the orthogonal complement of the earlier basis.
+Raw responses are exactly recoverable from the projected records, so the
+two views carry the same information; ``reconstruct_raw_responses``
+realizes that round trip.
 
 The session object deliberately exposes no handle to M or to the planted
 spike: scoring against ground truth takes the instance as an explicit
@@ -93,6 +93,31 @@ def _check_query_vector(v: np.ndarray, d: int, what: str = "query") -> np.ndarra
     return v
 
 
+def _orthogonalize(
+    Q: np.ndarray,
+    v: np.ndarray,
+    images: Optional[np.ndarray] = None,
+    w: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Residual of v against the orthonormal rows of Q, by classical
+    Gram-Schmidt in two passes (CGS2), each pass one block ``Q @ r`` and one
+    ``c @ Q`` product.
+
+    When images and w are given, the same combinations of the rows of images
+    are subtracted from w: with images[j] = M Q[j] and w = M v, the second
+    return value is M applied to the residual.  Returns fresh arrays; the
+    inputs are not modified.
+    """
+    r = np.array(v, dtype=float)
+    img = None if w is None else np.array(w, dtype=float)
+    for _ in range(2):
+        c = Q @ r
+        r -= c @ Q
+        if img is not None:
+            img -= c @ images
+    return r, img
+
+
 class QuerySession:
     """Single-owner mutable state for one algorithm run against one matrix."""
 
@@ -106,8 +131,10 @@ class QuerySession:
         self._budget = int(budget)
         self._queries: List[np.ndarray] = []
         self._raw_responses: List[np.ndarray] = []
-        self._basis: List[np.ndarray] = []
-        self._basis_images: List[np.ndarray] = []
+        # basis rows 0.._basis_size-1 are in use; the basis of R^d never
+        # holds more than d vectors, whatever the budget
+        self._basis = np.empty((min(self._budget, self._dim), self._dim))
+        self._basis_size = 0
         self._step_basis: List[Optional[int]] = []  # step -> basis index or None
         self._projected: List[np.ndarray] = []
         self._final: Optional[np.ndarray] = None
@@ -138,13 +165,11 @@ class QuerySession:
 
     @property
     def basis_size(self) -> int:
-        return len(self._basis)
+        return self._basis_size
 
     def basis(self) -> np.ndarray:
         """Orthonormalized query directions accumulated so far, as columns."""
-        if not self._basis:
-            return np.zeros((self._dim, 0))
-        return np.column_stack(self._basis)
+        return self._basis[: self._basis_size].T.copy()
 
     # ------------------------------------------------------------- operations
 
@@ -156,26 +181,20 @@ class QuerySession:
         v = _check_query_vector(v, self._dim)
         w = self._apply(v)
 
-        # modified Gram-Schmidt with one re-orthogonalization pass
-        r = v.copy()
-        for b in self._basis:
-            r -= (b @ r) * b
-        for b in self._basis:
-            r -= (b @ r) * b
+        k = self._basis_size
+        prior = self._basis[:k]
+        r, _ = _orthogonalize(prior, v)
         rnorm = np.linalg.norm(r)
 
-        if rnorm < DEGENERATE_TOL:
+        if rnorm < DEGENERATE_TOL or k == self._basis.shape[0]:
             self._step_basis.append(None)
             self._projected.append(np.zeros(self._dim))
         else:
             b_new = r / rnorm
-            mb = self._apply(b_new)
-            proj = mb.copy()
-            for b in self._basis:
-                proj -= (b @ proj) * b
-            self._basis.append(b_new)
-            self._basis_images.append(mb)
-            self._step_basis.append(len(self._basis) - 1)
+            proj, _ = _orthogonalize(prior, self._apply(b_new))
+            self._basis[k] = b_new
+            self._basis_size = k + 1
+            self._step_basis.append(k)
             self._projected.append(proj)
 
         self._queries.append(v.copy())

@@ -30,12 +30,13 @@ from .bounds import (
 from .divergences import TruncationEvent
 from .instances import (
     Seed,
+    _membership_of_spectrum,
     as_rng,
-    check_membership,
     make_spiked,
     sample_goe,
     sample_uniform_sphere,
     spectral_norm,
+    spectrum,
     trial_seed,
 )
 from .oracle import open_session
@@ -357,11 +358,12 @@ def verify_reduction_events(
     for i in range(n):
         t_rng = as_rng(trial_seed(seed, i))
         inst = make_spiked(d, lam, seed=t_rng)
-        vals = np.linalg.eigvalsh(inst.matrix)
-        top = float(vals[-1])
-        rest = float(np.max(np.abs(vals[:-1])))
+        # one eigendecomposition serves both spectral items
+        vals = spectrum(inst.matrix).eigenvalues  # descending
+        top = float(vals[0])
+        rest = float(np.max(np.abs(vals[1:])))
         item1 = top >= lam - dev and rest <= kd_hat + dev
-        item2 = check_membership(inst.matrix, gamma).is_member
+        item2 = _membership_of_spectrum(vals, gamma).is_member
 
         session = open_session(inst, budget=min(lanczos_budget, d))
         v_hat = RUNNERS["lanczos"](session, AlgorithmConfig(kind="lanczos", seed=t_rng))

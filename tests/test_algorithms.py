@@ -218,6 +218,32 @@ class TestIterateCandidates:
             assert np.array_equal(a, b)
 
 
+class TestIncrementalRitz:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["lanczos", "random"])
+    def test_candidates_match_from_scratch_ritz(self, kind, seed):
+        d, T = 200, 64
+        inst = make_spiked(d, 3.0, seed=seed)
+        m = inst.matrix
+        norm = spectral_norm(m)
+        session = open_session(inst, budget=T)
+        config = AlgorithmConfig(kind=kind, seed=seed + 100)
+        candidates = list(iterate_candidates(session, config))
+        assert len(candidates) == T
+        steps = session.finalize(candidates[-1]).steps
+        queries = np.column_stack([st.query for st in steps])
+        for t, cand in enumerate(candidates, start=1):
+            basis, _ = np.linalg.qr(queries[:, :t])
+            vals, vecs = np.linalg.eigh(basis.T @ m @ basis)
+            assert overlap(cand, basis @ vecs[:, -1]) >= 1.0 - 1e-10
+            assert abs(rayleigh(m, cand) - vals[-1]) <= 1e-10 * norm
+        vec, val = ritz_from_pairs(
+            [st.query for st in steps], [st.raw_response for st in steps]
+        )
+        assert overlap(vec, candidates[-1]) >= 1.0 - 1e-10
+        assert abs(val - vals[-1]) <= 1e-10 * norm
+
+
 class TestQueriesToTarget:
     def test_target_domain(self):
         with pytest.raises(ValueError, match="target"):

@@ -330,6 +330,55 @@ def test_detection_error_informative_at_T0():
     assert not r.vacuous
 
 
+# Whole-domain contracts: each bound returns a value in [0, 1] that is
+# monotone in T, or raises ValueError; no T overflows the growth factor.
+_finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.one_of(st.integers(-2, 10**4), st.integers(1, 10**30)),
+    eta=st.one_of(st.floats(0.0, 1.0), _finite_or_not),
+    lam=st.one_of(st.floats(1.0, 1e3), _finite_or_not),
+    T=st.integers(-1, 5000),
+)
+def test_estimation_bound_total_on_domain(d, eta, lam, T):
+    try:
+        lo = estimation_success_bound(d, eta, lam, T)
+        hi = estimation_success_bound(d, eta, lam, T + 1)
+    except ValueError:
+        return
+    assert 0.0 <= lo.value <= hi.value <= 1.0
+    assert lo.vacuous == (lo.raw >= 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.one_of(st.integers(-2, 10**4), st.integers(1, 10**30)),
+    lam=st.one_of(st.floats(2.0, 1e3), _finite_or_not),
+    T=st.integers(-1, 5000),
+)
+def test_detection_tv_bound_total_on_domain(d, lam, T):
+    try:
+        lo = detection_tv_bound(d, lam, T)
+        hi = detection_tv_bound(d, lam, T + 1)
+    except ValueError:
+        return
+    assert 0.0 <= lo.value <= hi.value <= 1.0
+    assert lo.raw <= hi.raw
+    if lo.raw >= 1.0:
+        assert lo.vacuous
+
+
+def test_bounds_saturate_instead_of_overflowing():
+    tv = detection_tv_bound(1000, 8.0, 400)
+    assert tv.raw == math.inf and tv.value == 1.0 and tv.vacuous
+    est = estimation_success_bound(1000, 0.5, 8.0, 400)
+    assert est.value == 1.0 and est.vacuous
+    err = detection_error_bound(1000, 8.0, 400, 0.01)
+    assert err.value == 0.0 and err.vacuous
+
+
 # ---------------------------------------------------------------- min_queries
 
 def test_min_queries_threshold_domain():

@@ -231,6 +231,17 @@ class TestBounds:
         assert det and "lam must exceed 2" in det[0][-1]
         assert any(r[0] == "chi-schedule-exact" for r in rows)
 
+    def test_long_sweep_saturates_without_traceback(self, capsys):
+        # (c1*lam)^T passes the float range at T = 203
+        code, out, err = run_main(
+            ["bounds", "--d", "1000", "--lambda", "8", "--T-range", "0:400"], capsys)
+        assert code == 0
+        assert "Traceback" not in err and "Error" not in err
+        _, rows = parse_csv(out)
+        tv = [r for r in rows if r[0] == "detection-tv"]
+        assert len(tv) == 401
+        assert all(0.0 <= float(r[2]) <= 1.0 for r in tv)
+
     def test_constant_override_echoed(self, capsys):
         code, out, _ = run_main(
             ["bounds", "--d", "1000", "--lambda", "8", "--T", "2",

@@ -203,6 +203,17 @@ def test_spectral_norm_matches_dense_at_large_d():
     assert abs(spectral_norm(inst.matrix) - dense) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1100, 2048])
+@pytest.mark.parametrize("lam", [0.0, 3.0])
+def test_iterative_spectral_norm_matches_dense(lam, d, seed):
+    # null instances have a two-sided spectrum whose extremes nearly tie in
+    # magnitude; spiked ones have a separated top eigenvalue
+    M = make_spiked(d, lam, seed=seed).matrix
+    dense = float(np.max(np.abs(np.linalg.eigvalsh(M))))
+    assert abs(spectral_norm(M) - dense) <= 1e-12 * dense
+
+
 # ----------------------------------------------------------- check_membership
 
 def test_membership_examples():

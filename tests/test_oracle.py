@@ -1,5 +1,7 @@
 """Unit tests for the budgeted query oracle and transcript mechanics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,44 @@ def test_basis_orthonormal_random_paths(seed, T):
         query(sess, _unit(rng.standard_normal(d)))
     B = sess.basis()
     assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= 1e-8
+
+
+def test_power_session_round_trips_through_near_dependent_queries():
+    # power iterates converge, so late queries lie within 1e-6 of the span
+    # of the earlier ones; their basis directions come from tiny residuals
+    d, T = 1000, 40
+    inst = make_spiked(d, 3.0, seed=5)
+    sess = open_session(inst, budget=T)
+    v = sample_uniform_sphere(d, seed=6)
+    residuals = []
+    for _ in range(T):
+        B = sess.basis()
+        residuals.append(np.linalg.norm(v - B @ (B.T @ v)))
+        v = _unit(query(sess, v))
+    t = finalize(sess, v)
+    fresh = [r for r, st in zip(residuals, t.steps) if not st.degenerate]
+    assert min(fresh) < 1e-6
+    for st, w in zip(t.steps, reconstruct_raw_responses(t)):
+        assert np.linalg.norm(st.raw_response - w) <= 1e-8
+    B = sess.basis()
+    assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= 1e-8
+
+
+def test_basis_storage_capped_at_dimension():
+    d, budget = 6, 100_000
+    tracemalloc.start()
+    try:
+        sess = open_session(sample_goe(d, seed=12), budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget * d * 8 // 100  # not one basis row per budgeted query
+    rng = np.random.default_rng(13)
+    for _ in range(d + 3):
+        query(sess, _unit(rng.standard_normal(d)))
+    assert sess.basis_size == d
+    B = sess.basis()
+    assert np.max(np.abs(B.T @ B - np.eye(d))) <= 1e-8
 
 
 # --------------------------------------------------------------------- score
