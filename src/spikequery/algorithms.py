@@ -145,6 +145,15 @@ def iterate_candidates(
     vector it would finalize with if stopped there).  Stops after the
     configured budget, or earlier on Krylov breakdown.
     """
+    for candidate, _ in _candidates(session, config):
+        yield candidate
+
+
+def _candidates(
+    session: QuerySession, config: AlgorithmConfig
+) -> Iterator[Tuple[np.ndarray, Optional[float]]]:
+    """iterate_candidates, each candidate paired with its Ritz value (None
+    for power iteration, which has no Ritz problem)."""
     d = session.dim
     rng = as_rng(config.seed)
     T = session.remaining if config.budget is None else min(config.budget, session.remaining)
@@ -156,7 +165,7 @@ def iterate_candidates(
             y = w + config.shift * v
             norm = np.linalg.norm(y)
             v = y / norm if norm > 0 else v
-            yield v.copy()
+            yield v.copy(), None
         return
 
     ritz = _RitzAccumulator(d, T)
@@ -165,7 +174,7 @@ def iterate_candidates(
         for _ in range(T):
             w = session.query(direction)
             ritz.add(direction, w)
-            yield ritz.top()[0]
+            yield ritz.top()
             # next direction: response orthogonalized against all prior
             # queries (full reorthogonalization), unit-normalized
             r = ritz.residual(w)
@@ -179,20 +188,23 @@ def iterate_candidates(
     for _ in range(T):
         direction = sample_uniform_sphere(d, rng)
         ritz.add(direction, session.query(direction))
-        yield ritz.top()[0]
+        yield ritz.top()
 
 
-def _run(session: QuerySession, config: AlgorithmConfig) -> np.ndarray:
+def _run(
+    session: QuerySession, config: AlgorithmConfig
+) -> Tuple[np.ndarray, Optional[float]]:
+    """Run to the end, finalize the session, and return the output with its
+    Ritz value (None for power iteration)."""
     budget = session.remaining if config.budget is None else min(config.budget, session.remaining)
-    v_hat = None
+    v_hat, value = None, None
     made = 0
-    for candidate in iterate_candidates(session, config):
-        v_hat = candidate
+    for v_hat, value in _candidates(session, config):
         made += 1
     if v_hat is None:
         raise ValueError("algorithm produced no candidate (empty budget?)")
     session.finalize(v_hat, early_termination=made < budget)
-    return v_hat
+    return v_hat, value
 
 
 def run_power(session: QuerySession, config: AlgorithmConfig) -> np.ndarray:
@@ -201,7 +213,7 @@ def run_power(session: QuerySession, config: AlgorithmConfig) -> np.ndarray:
         config = AlgorithmConfig(
             "power", config.budget, config.seed, config.init, config.shift
         )
-    return _run(session, config)
+    return _run(session, config)[0]
 
 
 def run_lanczos(session: QuerySession, config: AlgorithmConfig) -> np.ndarray:
@@ -212,14 +224,14 @@ def run_lanczos(session: QuerySession, config: AlgorithmConfig) -> np.ndarray:
     """
     if config.kind != "lanczos":
         config = AlgorithmConfig("lanczos", config.budget, config.seed, config.init)
-    return _run(session, config)
+    return _run(session, config)[0]
 
 
 def run_random_nonadaptive(session: QuerySession, config: AlgorithmConfig) -> np.ndarray:
     """Non-adaptive baseline: i.i.d. random queries, Ritz over what they span."""
     if config.kind != "random":
         config = AlgorithmConfig("random", config.budget, config.seed, config.init)
-    return _run(session, config)
+    return _run(session, config)[0]
 
 
 RUNNERS = {

@@ -210,8 +210,9 @@ def chi_tau_schedule(d: int, lam: float, delta: float, T: int) -> ChiTauSchedule
     tau_1 = 2 (sqrt(log(1/delta)) + 1)^2; the exact entries solve
     (1/2)(sqrt(tau_k) - sqrt 2)^2 = lam^2 sum_{i<k} tau_i + (k-1) tau_1,
     and the closed form is tau_1 * (2 lam^2 c(delta, lam))^{k-1}, which
-    dominates the exact sequence entrywise.  An algorithm violating the
-    schedule at any step has probability mass at most 2 delta/(1 - delta).
+    dominates the exact sequence entrywise; closed-form entries beyond the
+    float range are inf.  An algorithm violating the schedule at any step
+    has probability mass at most 2 delta/(1 - delta).
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -222,7 +223,8 @@ def chi_tau_schedule(d: int, lam: float, delta: float, T: int) -> ChiTauSchedule
         rhs = lam**2 * sum(exact) + (k - 1) * tau1
         exact.append((math.sqrt(2.0) + math.sqrt(2.0 * rhs)) ** 2)
     growth = 2.0 * lam**2 * c
-    closed = tau1 * growth ** np.arange(T + 1)
+    with np.errstate(over="ignore"):
+        closed = tau1 * growth ** np.arange(T + 1)
     params = {"d": d, "lam": lam, "delta": delta, "T": T, "c_factor": c,
               "violation_mass": 2.0 * delta / (1.0 - delta)}
     return ChiTauSchedules(
@@ -310,6 +312,10 @@ def main_theorem_bound(
     """Upper bound on the probability any T-query algorithm achieves
     Rayleigh quotient (1-eps)||M|| on an eigenratio-gamma instance:
     12 * exp(-(d/4) F(eps,gamma)^2 (c1*gamma)^{2T})."""
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    if not (0 < c1 < math.inf):
+        raise ValueError(f"c1 must be positive and finite, got {c1}")
     if not (0 < gamma < 1.0 / c1):
         raise ValueError(f"hypothesis violated: gamma must lie in (0, 1/c1) = (0, {1.0 / c1}), got {gamma}")
     if not (0 < gamma < 1):

@@ -15,7 +15,7 @@ and dominant, every other eigenvalue at most gamma times it in magnitude).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.sparse.linalg import eigsh
@@ -24,6 +24,21 @@ Seed = Union[None, int, np.integer, np.random.Generator, np.random.SeedSequence]
 
 #: Largest dimension the dense eigendecomposition oracle accepts by default.
 SPECTRUM_DIM_CAP = 8192
+
+#: Edge of the square tiles in which the d x d passes below walk the matrix.
+#: A tile and its mirror image across the diagonal are read together, so a
+#: transposed read stays in cache instead of striding through the whole
+#: matrix.  Measured with one thread at d in {1000, 1500, 2000, 2048, 3000,
+#: 4000}, 128 is within a third of the faster of 64 and 256 at every d, where
+#: 64 is 2x slower at d = 2000 and 256 is 1.6x slower at d = 2048.  At
+#: d = 4096 64 is 2x faster than 128, and 128 still beats one whole-matrix
+#: comparison 2.6x.
+TILE = 128
+
+#: Largest dimension at which spectral_norm runs the dense eigensolver.  Above
+#: it one Lanczos solve for the largest-magnitude eigenvalue is as fast or
+#: faster, also on null instances, whose extreme eigenvalues nearly tie.
+DENSE_NORM_MAX_DIM = 256
 
 #: Conservative value of E||W||/sqrt(d) for GOE noise, used by threshold
 #: formulas that need a concrete constant.  The empirical estimate at
@@ -43,13 +58,32 @@ def trial_seed(seed: int, trial: int) -> int:
     return (int(seed) ^ int(trial)) & 0xFFFFFFFFFFFFFFFF
 
 
+def _mirror_tiles(d: int) -> Iterator[Tuple[slice, slice]]:
+    """Index slices (I, J) of the tiles on and above the diagonal of a d x d
+    matrix; tile (J, I) is the mirror image of tile (I, J)."""
+    for i in range(0, d, TILE):
+        for j in range(i, d, TILE):
+            yield slice(i, i + TILE), slice(j, j + TILE)
+
+
+def _row_blocks(d: int) -> Iterator[slice]:
+    """Index slices of consecutive blocks of TILE rows of a d-row matrix."""
+    for i in range(0, d, TILE):
+        yield slice(i, i + TILE)
+
+
+def _is_symmetric(M: np.ndarray) -> bool:
+    """array_equal(M, M.T) for a square M, compared one tile pair at a time."""
+    return all(np.array_equal(M[I, J], M[J, I].T) for I, J in _mirror_tiles(M.shape[0]))
+
+
 def _require_symmetric(M: np.ndarray, name: str = "M") -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} has non-finite entries")
-    if not np.array_equal(M, M.T):
+    if not _is_symmetric(M):
         raise ValueError(f"{name} must be exactly symmetric")
     return M
 
@@ -65,13 +99,19 @@ def sample_goe(d: int, seed: Seed = None) -> np.ndarray:
 
     Built as (X + X^T)/sqrt(2) for X with i.i.d. standard normal entries,
     which is exactly symmetric in floating point and has the stated
-    entrywise variances.
+    entrywise variances.  X is symmetrized in place, one tile and its mirror
+    at a time, so the draw is the only d x d array allocated.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     rng = as_rng(seed)
     x = rng.standard_normal((d, d))
-    return (x + x.T) / np.sqrt(2.0)
+    for I, J in _mirror_tiles(d):
+        s = x[I, J] + x[J, I].T
+        x[I, J] = s
+        x[J, I] = s.T
+    x /= np.sqrt(2.0)
+    return x
 
 
 def sample_uniform_sphere(d: int, seed: Seed = None) -> np.ndarray:
@@ -107,8 +147,21 @@ class SpikedInstance:
         if abs(np.linalg.norm(theta) - 1.0) > 1e-12:
             raise ValueError("theta must be a unit vector (tol 1e-12)")
         d = theta.shape[0]
-        expected = self.lam * np.outer(theta, theta) + noise / np.sqrt(d)
-        if np.max(np.abs(matrix - expected)) > 1e-10:
+        if noise.shape != (d, d) or matrix.shape != (d, d):
+            raise ValueError(
+                f"noise {noise.shape} and matrix {matrix.shape} must be d x d "
+                f"for theta of length d = {d}"
+            )
+        # max |matrix - (lam theta theta^T + noise/sqrt(d))|, a block of rows
+        # at a time; np.max keeps a NaN, as one whole-matrix pass would
+        scale = np.sqrt(d)
+        worst = []
+        for rows in _row_blocks(d):
+            diff = self.lam * np.outer(theta[rows], theta)
+            diff += noise[rows] / scale
+            diff -= matrix[rows]
+            worst.append(np.max(np.abs(diff, out=diff)))
+        if np.max(worst) > 1e-10:
             raise ValueError("matrix does not equal lam*theta theta^T + noise/sqrt(d)")
 
     @property
@@ -117,7 +170,12 @@ class SpikedInstance:
 
 
 def make_spiked(d: int, lam: float, seed: Seed = None) -> SpikedInstance:
-    """Sample theta uniform on the sphere, W from the GOE, and assemble M."""
+    """Sample theta uniform on the sphere, W from the GOE, and assemble M.
+
+    M is noise/sqrt(d) with lam theta theta^T added in place, a block of rows
+    at a time.  Both terms are exactly symmetric in floating point, and so is
+    their sum.
+    """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if lam < 0 or not np.isfinite(lam):
@@ -125,8 +183,9 @@ def make_spiked(d: int, lam: float, seed: Seed = None) -> SpikedInstance:
     rng = as_rng(seed)
     theta = sample_uniform_sphere(d, rng)
     noise = sample_goe(d, rng)
-    matrix = lam * np.outer(theta, theta) + noise / np.sqrt(d)
-    matrix = (matrix + matrix.T) / 2.0
+    matrix = noise / np.sqrt(d)
+    for rows in _row_blocks(d):
+        matrix[rows] += lam * np.outer(theta[rows], theta)
     return SpikedInstance(theta=theta, lam=float(lam), noise=noise, matrix=matrix)
 
 
@@ -172,14 +231,14 @@ def spectrum(M: np.ndarray, dim_cap: int = SPECTRUM_DIM_CAP) -> SpectrumSummary:
 def spectral_norm(M: np.ndarray) -> float:
     """Operator norm of a symmetric matrix.
 
-    Uses the dense solver at small d and, at large d, one iterative solve
-    for the largest-magnitude eigenvalue (deterministic start vector), which
-    is the operator norm by definition; the two agree to machine precision
-    on symmetric input.
+    Uses the dense solver up to d = DENSE_NORM_MAX_DIM (256) and, above it,
+    one iterative Lanczos solve for the largest-magnitude eigenvalue
+    (deterministic start vector), which is the operator norm by definition;
+    the two agree to about 1e-14 relative on symmetric input.
     """
     M = _require_symmetric(M)
     d = M.shape[0]
-    if d <= 1024:
+    if d <= DENSE_NORM_MAX_DIM:
         vals = np.linalg.eigvalsh(M)
         return float(max(abs(vals[0]), abs(vals[-1])))
     v0 = np.full(d, 1.0 / np.sqrt(d))

@@ -19,7 +19,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import ALGORITHM_KINDS, AlgorithmConfig, RUNNERS, ritz_from_pairs
+from .algorithms import ALGORITHM_KINDS, AlgorithmConfig, RUNNERS, _run
 from .bounds import (
     KD_ASYMPTOTIC,
     chi_tau_schedule,
@@ -125,6 +125,21 @@ def _concrete_seed(seed: Seed) -> int:
     return int(seed)
 
 
+def _goe_batch(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """m GOE draws (X + X^T)/sqrt(2) stacked as an (m, d, d) array.
+
+    X is symmetrized in place a slab of draws at a time (numpy buffers the
+    overlapping transposed operand, one slab at most), so the draw itself
+    is the only full-size array allocated.
+    """
+    x = rng.standard_normal((m, d, d))
+    slab = max(1, int(2e6 // (d * d)))
+    for k in range(0, m, slab):
+        x[k : k + slab] += x[k : k + slab].transpose(0, 2, 1)
+    x /= math.sqrt(2.0)
+    return x
+
+
 # ---------------------------------------------------------------- the checks
 
 def verify_sphere_tail(
@@ -201,11 +216,11 @@ def verify_conditional_law(
     done = 0
     while done < n:
         m = min(chunk, n - done)
-        x = rng.standard_normal((m, d, d))
-        w = (x + x.transpose(0, 2, 1)) / math.sqrt(2.0)
+        w = _goe_batch(rng, m, d)
         for i, v in enumerate(queries):
             resp = (w @ v) / math.sqrt(d) + lam * (u @ v) * u
             responses[i][done : done + m] = resp @ projectors[i].T
+        del w  # free this chunk before the next one is drawn
         done += m
 
     rows = []
@@ -272,10 +287,10 @@ def verify_gauss_quadratic(
     done = 0
     while done < n:
         m = min(chunk, n - done)
-        x = rng.standard_normal((m, d, d))
-        w = (x + x.transpose(0, 2, 1)) / math.sqrt(2.0)
+        w = _goe_batch(rng, m, d)
         y1 = w @ v1
         y2 = w @ v2
+        del w  # free this chunk before the next one is drawn
         acc += np.einsum("ia,ib->ab", y1, y2)
         done += m
     emp = acc / n
@@ -492,11 +507,8 @@ def verify_detection_gap(
         stats = []
         for inst in (null_inst, alt_inst):
             session = open_session(inst, budget=min(T, d))
-            RUNNERS["lanczos"](session, AlgorithmConfig(kind="lanczos", seed=t_rng))
-            t = session.transcript
-            _, ritz = ritz_from_pairs(
-                [s.query for s in t.steps], [s.raw_response for s in t.steps]
-            )
+            # the statistic is the run's own final Ritz value
+            _, ritz = _run(session, AlgorithmConfig(kind="lanczos", seed=t_rng))
             stats.append(ritz)
         if stats[0] >= threshold:
             type1 += 1

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikequery.bounds import (
@@ -368,6 +368,31 @@ def test_detection_tv_bound_total_on_domain(d, lam, T):
     assert lo.raw <= hi.raw
     if lo.raw >= 1.0:
         assert lo.vacuous
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.one_of(st.integers(-(10**30), 10**4), st.integers(1, 10**30)),
+    gamma=st.one_of(st.floats(0.0, 0.2), _finite_or_not),
+    eps=st.one_of(st.floats(0.0, 1.0), _finite_or_not),
+    T=st.integers(-1, 5000),
+    c1=st.one_of(
+        st.just(C1_MAIN_DEFAULT), st.floats(-1.0, 0.0), st.floats(1e-3, 10.0), _finite_or_not
+    ),
+)
+@example(d=10**5, gamma=0.05, eps=0.1, T=2, c1=0.0)
+@example(d=10**5, gamma=0.05, eps=0.1, T=2, c1=-1.0)
+@example(d=10**5, gamma=0.05, eps=0.1, T=2, c1=math.nan)
+@example(d=10**5, gamma=0.05, eps=0.1, T=2, c1=math.inf)
+@example(d=-(10**30), gamma=0.05, eps=0.1, T=0, c1=C1_MAIN_DEFAULT)
+def test_main_theorem_bound_total_on_domain(d, gamma, eps, T, c1):
+    try:
+        lo = main_theorem_bound(d, gamma, eps, T, c1=c1)
+        hi = main_theorem_bound(d, gamma, eps, T + 1, c1=c1)
+    except ValueError:
+        return
+    assert 0.0 <= lo.value <= hi.value <= 1.0
+    assert lo.vacuous == (lo.raw >= 1.0)
 
 
 def test_bounds_saturate_instead_of_overflowing():

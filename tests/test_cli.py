@@ -2,6 +2,8 @@
 shapes, header echoes, reproducibility (including across --jobs), output
 routing, and exit codes (0 pass, 1 check failure, 2 usage/regime error)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,21 @@ class TestBounds:
         tv = [r for r in rows if r[0] == "detection-tv"]
         assert len(tv) == 401
         assert all(0.0 <= float(r[2]) <= 1.0 for r in tv)
+
+    def test_long_schedule_saturates_without_warnings(self, capsys):
+        # the chi-squared closed form passes the float range well before T=400
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(
+                ["bounds", "--d", "1000", "--lambda", "8", "--delta", "0.05",
+                 "--T", "400"], capsys)
+        assert code == 0
+        assert err == ""
+        _, rows = parse_csv(out)
+        closed = [float(r[2]) for r in rows if r[0] == "chi-schedule-closed"]
+        assert len(closed) == 401
+        assert closed[-1] == float("inf")
+        assert all(b >= a for a, b in zip(closed, closed[1:]))
 
     def test_constant_override_echoed(self, capsys):
         code, out, _ = run_main(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
+from spikequery import instances
 from spikequery import (
     Membership,
     SpikedInstance,
@@ -140,10 +141,71 @@ def test_spiked_invariants_enforced():
         )
 
 
+@pytest.mark.parametrize("lam", [0.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 257, 1000])
+def test_spiked_matrix_bit_identical_to_reference_formula(d, lam):
+    # the formula make_spiked used before in-place assembly: theta, then the
+    # GOE noise from the same generator, M = lam theta theta^T + noise/sqrt(d),
+    # then (M + M^T)/2
+    rng = np.random.default_rng(17)
+    theta = sample_uniform_sphere(d, rng)
+    x = rng.standard_normal((d, d))
+    noise = (x + x.T) / np.sqrt(2.0)
+    m = lam * np.outer(theta, theta) + noise / np.sqrt(d)
+    reference = (m + m.T) / 2.0
+    inst = make_spiked(d, lam, seed=17)
+    assert np.array_equal(inst.theta, theta)
+    assert np.array_equal(inst.noise, noise)
+    assert np.array_equal(inst.matrix, reference)
+
+
+def test_spiked_rejects_dimension_mismatch():
+    inst = make_spiked(6, 1.0, seed=0)
+    with pytest.raises(ValueError):
+        SpikedInstance(theta=np.array([1.0]), lam=1.0, noise=inst.noise, matrix=inst.matrix)
+
+
 def test_spiked_arrays_immutable():
     inst = make_spiked(10, 1.0, seed=1)
     with pytest.raises(ValueError):
         inst.matrix[0, 0] = 99.0
+
+
+# ------------------------------------------------------ blocked symmetry check
+
+_T = instances.TILE
+
+
+def test_symmetry_kernel_accepts_symmetric():
+    for d in (1, 2, _T - 1, _T, _T + 1, 2 * _T + 37):
+        M = sample_goe(d, seed=d)
+        assert instances._is_symmetric(M)
+        instances._require_symmetric(M)
+
+
+@pytest.mark.parametrize(
+    "d, i, j",
+    [
+        (2 * _T + 37, 3, 5),  # inside a diagonal tile
+        (2 * _T + 37, 5, 3),  # same tile, below the diagonal
+        (2 * _T + 37, 2, _T + 9),  # off-diagonal tile, above
+        (2 * _T + 37, _T + 9, 2),  # its mirror tile
+        (2 * _T + 37, 2 * _T + 36, 2 * _T + 1),  # ragged last diagonal tile
+        (2 * _T + 37, 0, 2 * _T + 36),  # ragged last column of tiles
+        (2 * _T + 37, 2 * _T + 36, _T - 1),  # ragged last row of tiles
+        (7, 6, 0),  # smaller than one tile
+        (2, 0, 1),
+    ],
+)
+def test_symmetry_kernel_rejects_one_flipped_entry(d, i, j):
+    M = sample_goe(d, seed=d)
+    M[i, j] += 1.0  # (j, i) keeps its value
+    assert not np.array_equal(M, M.T)
+    assert not instances._is_symmetric(M)
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        instances._require_symmetric(M)
+    with pytest.raises(ValueError):
+        spectral_norm(M)
 
 
 # ------------------------------------------------------------------- spectrum
@@ -204,7 +266,7 @@ def test_spectral_norm_matches_dense_at_large_d():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("d", [1100, 2048])
+@pytest.mark.parametrize("d", [300, 1000, 1100, 2048])
 @pytest.mark.parametrize("lam", [0.0, 3.0])
 def test_iterative_spectral_norm_matches_dense(lam, d, seed):
     # null instances have a two-sided spectrum whose extremes nearly tie in
