@@ -144,6 +144,9 @@ class SpikedInstance:
         object.__setattr__(self, "matrix", matrix)
         if self.lam < 0 or not np.isfinite(self.lam):
             raise ValueError(f"spike strength must be finite and >= 0, got {self.lam}")
+        # a NaN slips past both tolerance tests below, which compare with >
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta has non-finite entries")
         if abs(np.linalg.norm(theta) - 1.0) > 1e-12:
             raise ValueError("theta must be a unit vector (tol 1e-12)")
         d = theta.shape[0]

@@ -127,6 +127,32 @@ class TestExitCodes:
         assert code == 2
         assert "sphere-tail" in err
 
+    @pytest.mark.parametrize(
+        "valid, usage_error",
+        [
+            (["simulate", "--alg", "power", "--d", "20", "--lambda", "3",
+              "--T", "2", "--trials", "2"],
+             ["simulate", "--alg", "power", "--d", "20", "--lambda", "3",
+              "--T", "0"]),
+            (["bounds", "--d", "1000", "--lambda", "8", "--T", "2"],
+             ["bounds", "--d", "1000", "--lambda", "8"]),
+            (["verify", "--check", "gauss-quadratic", "--d", "5", "--n", "20000"],
+             ["verify", "--check", "sphere-tail", "--n", "100"]),
+            (["scaling", "--alg", "power", "--d-grid", "128", "--lambda", "8",
+              "--trials", "2"],
+             ["scaling", "--alg", "power", "--d-grid", "128", "--lambda", "1.5"]),
+        ],
+        ids=["simulate", "bounds", "verify", "scaling"],
+    )
+    def test_exit_code_contract(self, valid, usage_error, capsys):
+        code, out, err = run_main(valid, capsys)
+        assert code == 0
+        assert out and "Traceback" not in err
+        code, _, err = run_main(usage_error, capsys)
+        assert code == 2
+        assert any(line.startswith("error:") for line in err.splitlines())
+        assert "Traceback" not in err
+
     def test_failing_check_exits_one(self, capsys, monkeypatch, tmp_path):
         bad = McReport(
             "kd", 5, 0, rows=(McRow("rigged", 2.0, 1.0, 0.0, False),)

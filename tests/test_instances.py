@@ -165,6 +165,18 @@ def test_spiked_rejects_dimension_mismatch():
         SpikedInstance(theta=np.array([1.0]), lam=1.0, noise=inst.noise, matrix=inst.matrix)
 
 
+def test_spiked_rejects_nan_theta():
+    inst = make_spiked(5, 1.0, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        SpikedInstance(
+            theta=np.full(5, np.nan), lam=1.0, noise=inst.noise, matrix=inst.matrix
+        )
+    one_nan = inst.theta.copy()
+    one_nan[2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        SpikedInstance(theta=one_nan, lam=1.0, noise=inst.noise, matrix=inst.matrix)
+
+
 def test_spiked_arrays_immutable():
     inst = make_spiked(10, 1.0, seed=1)
     with pytest.raises(ValueError):

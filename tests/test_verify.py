@@ -10,6 +10,7 @@ on the conditional response laws.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spikequery.bounds import chi_tau_schedule
 from spikequery.divergences import TruncationEvent, gaussian_kl
 from spikequery.instances import as_rng, make_spiked, sample_goe, sample_uniform_sphere
 from spikequery.oracle import open_session
+from spikequery import verify
 from spikequery.verify import (
     CHECKS,
     CSV_HEADER,
@@ -301,6 +303,93 @@ class TestReproducibility:
         a = run_check("kd", quick=True, seed=20, overrides={"d_grid": (120,), "n": 10})
         b = run_check("kd", quick=True, seed=20, overrides={"d_grid": (120,), "n": 10})
         assert reports_to_csv([a]) == reports_to_csv([b])
+
+
+def _whole_chunk_matvecs(rng, m, d, vectors):
+    """Reference: all m GOE matrices of a chunk drawn as one (m, d, d)
+    array, symmetrized, divided, then one stacked matvec per vector."""
+    w = rng.standard_normal((m, d, d))
+    for x in w:
+        x += x.T.copy()
+    w /= math.sqrt(2.0)
+    return [w @ v for v in vectors]
+
+
+def _chunk_and_step(d):
+    """(draws per chunk of the GOE checks, draws per slab) at dimension d."""
+    return max(1, int(2e7 // (d * d))), max(1, verify.SLAB // (d * d))
+
+
+class TestStreamedDrawsBitIdentical:
+    """The streamed checks give the reports of the whole-chunk draw."""
+
+    def test_shapes_cover_the_edges(self):
+        chunk, step = _chunk_and_step(50)
+        assert 1000 < chunk and 1000 % step  # a partial last slab
+        chunk, step = _chunk_and_step(30)
+        assert 1000 < chunk and 1000 % step
+        chunk, step = _chunk_and_step(190)
+        assert step == 1 and chunk < 600 < 2 * chunk  # one draw a slab, 2 chunks
+        assert 10_007 % (verify.SLAB // 200) and 10_000 % (verify.SLAB // 60)
+
+    @pytest.mark.parametrize("d, n", [(50, 1000), (190, 600), (50, 1)])
+    def test_gauss_quadratic(self, d, n, monkeypatch):
+        rng = as_rng(50)
+        v1, v2 = unit(rng.standard_normal(d)), unit(rng.standard_normal(d))
+        streamed = verify_gauss_quadratic(d, n, v1, v2, seed=51)
+        monkeypatch.setattr(verify, "_goe_matvecs", _whole_chunk_matvecs)
+        reference = verify_gauss_quadratic(d, n, v1, v2, seed=51)
+        assert streamed.rows == reference.rows
+        assert reports_to_csv([streamed]) == reports_to_csv([reference])
+
+    @pytest.mark.parametrize("d, n", [(30, 1000), (190, 600)])
+    def test_conditional_law_spiked_two_queries(self, d, n, monkeypatch):
+        rng = as_rng(52)
+        q, _ = np.linalg.qr(rng.standard_normal((d, 2)))
+        queries = [q[:, 0], q[:, 1]]
+        spike = unit(rng.standard_normal(d))
+        args = (d, n, queries, 1.5, spike)
+        streamed = verify_conditional_law(*args, seed=53)
+        monkeypatch.setattr(verify, "_goe_matvecs", _whole_chunk_matvecs)
+        reference = verify_conditional_law(*args, seed=53)
+        assert streamed.rows == reference.rows
+        assert reports_to_csv([streamed]) == reports_to_csv([reference])
+
+    # a slab smaller than a row (150 < 200) holds one row
+    @pytest.mark.parametrize(
+        "d, n, slab",
+        [(200, 10_007, None), (60, 10_000, None), (200, 500, 150), (200, 1, None)],
+    )
+    def test_sphere_overlaps(self, d, n, slab, monkeypatch):
+        if slab is not None:
+            monkeypatch.setattr(verify, "SLAB", slab)
+        g = as_rng(54).standard_normal((n, d))
+        reference = np.abs(g[:, 0]) / np.linalg.norm(g, axis=1)
+        assert np.array_equal(verify._sphere_overlaps(as_rng(54), n, d), reference)
+
+    def test_sphere_tail_report(self):
+        d, n = 200, 10_007
+        g = as_rng(55).standard_normal((n, d))
+        overlaps = np.abs(g[:, 0]) / np.linalg.norm(g, axis=1)
+        scaled = math.sqrt(d) * overlaps
+        t_grid = (0.5, 1.0, 1.5, 2.0)
+        expected = [float(np.mean(scaled >= math.sqrt(2.0) + t)) for t in t_grid]
+        expected.append(float(np.mean(overlaps >= math.sqrt(2.0 / d))))
+        rep = verify_sphere_tail(d, n, t_grid, seed=55)
+        assert [r.empirical for r in rep.rows] == expected
+
+
+@pytest.mark.parametrize("name", ["gauss-quadratic", "conditional-law", "sphere-tail"])
+def test_quick_check_memory_peak(name):
+    # one chunk of GOE draws held as one array is 160 MB, the quick
+    # sphere-tail draw as one (n, d) array 32 MB
+    tracemalloc.start()
+    try:
+        run_check(name, quick=True, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 class TestLipschitzTailInvariant:
