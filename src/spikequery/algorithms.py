@@ -11,13 +11,15 @@ the identical linear operations to the responses yields the compressed
 quadratic form H = B^T M B without ever touching M.  It is incremental:
 each accepted pair costs one two-pass Gram-Schmidt step against the basis
 so far (the oracle's kernel) and adds one row and column to H, so a run of
-T queries costs O(T^2 d) in all.
+T queries costs O(T^2 d) in all.  A run that only needs its output solves
+the Ritz problem once, after the last query; ``iterate_candidates`` solves
+it after every query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,15 +147,17 @@ def iterate_candidates(
     vector it would finalize with if stopped there).  Stops after the
     configured budget, or earlier on Krylov breakdown.
     """
-    for candidate, _ in _candidates(session, config):
-        yield candidate
+    for candidate in _steps(session, config):
+        yield candidate()[0]
 
 
-def _candidates(
+def _steps(
     session: QuerySession, config: AlgorithmConfig
-) -> Iterator[Tuple[np.ndarray, Optional[float]]]:
-    """iterate_candidates, each candidate paired with its Ritz value (None
-    for power iteration, which has no Ritz problem)."""
+) -> Iterator[Callable[[], Tuple[np.ndarray, Optional[float]]]]:
+    """Make the configured algorithm's queries, yielding after each one a
+    callable that computes the current candidate and its Ritz value (None
+    for power iteration, which has no Ritz problem).  The callable reads the
+    algorithm's state, so it is valid only until the generator resumes."""
     d = session.dim
     rng = as_rng(config.seed)
     T = session.remaining if config.budget is None else min(config.budget, session.remaining)
@@ -165,7 +169,7 @@ def _candidates(
             y = w + config.shift * v
             norm = np.linalg.norm(y)
             v = y / norm if norm > 0 else v
-            yield v.copy(), None
+            yield lambda v=v: (v.copy(), None)
         return
 
     ritz = _RitzAccumulator(d, T)
@@ -174,7 +178,7 @@ def _candidates(
         for _ in range(T):
             w = session.query(direction)
             ritz.add(direction, w)
-            yield ritz.top()
+            yield ritz.top
             # next direction: response orthogonalized against all prior
             # queries (full reorthogonalization), unit-normalized
             r = ritz.residual(w)
@@ -188,19 +192,21 @@ def _candidates(
     for _ in range(T):
         direction = sample_uniform_sphere(d, rng)
         ritz.add(direction, session.query(direction))
-        yield ritz.top()
+        yield ritz.top
 
 
 def _run(
     session: QuerySession, config: AlgorithmConfig
 ) -> Tuple[np.ndarray, Optional[float]]:
     """Run to the end, finalize the session, and return the output with its
-    Ritz value (None for power iteration)."""
+    Ritz value (None for power iteration).  The candidate is computed once,
+    after the last query."""
     budget = session.remaining if config.budget is None else min(config.budget, session.remaining)
-    v_hat, value = None, None
+    candidate = None
     made = 0
-    for v_hat, value in _candidates(session, config):
+    for candidate in _steps(session, config):
         made += 1
+    v_hat, value = (None, None) if candidate is None else candidate()
     if v_hat is None:
         raise ValueError("algorithm produced no candidate (empty budget?)")
     session.finalize(v_hat, early_termination=made < budget)

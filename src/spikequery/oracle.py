@@ -2,15 +2,19 @@
 
 An algorithm interacts with a hidden symmetric matrix M only through
 ``query(session, v) -> Mv`` for unit vectors v, up to a budget of T calls,
-then commits to a final unit vector via ``finalize``.  Alongside the raw
-responses the session maintains the equivalent reduced view: queries are
-orthonormalized on the fly (classical Gram-Schmidt, two passes, as block
-products against a preallocated basis array), and each step records the new
-basis direction b_i together with the projected response P_{i-1} M b_i,
-where P_{i-1} projects onto the orthogonal complement of the earlier basis.
-Raw responses are exactly recoverable from the projected records, so the
-two views carry the same information; ``reconstruct_raw_responses``
-realizes that round trip.
+then commits to a final unit vector via ``finalize``.  Each charged query
+applies M once, to v.  Alongside the raw responses the session maintains
+the equivalent reduced view: queries are orthonormalized on the fly
+(classical Gram-Schmidt, two passes, as block products against a
+preallocated basis array), and each step i that adds a basis direction b_i
+has a projected response P_{i-1} M b_i, where P_{i-1} projects onto the
+orthogonal complement of the earlier basis.  The projected responses are
+computed when first read (``projected_view``, ``finalize``): the images of
+all basis directions not yet imaged come from one block product with M,
+and each is then projected against the directions before it.  Raw
+responses are exactly recoverable from the projected records, so the two
+views carry the same information; ``reconstruct_raw_responses`` realizes
+that round trip.
 
 The session object deliberately exposes no handle to M or to the planted
 spike: scoring against ground truth takes the instance as an explicit
@@ -119,7 +123,13 @@ def _orthogonalize(
 
 
 class QuerySession:
-    """Single-owner mutable state for one algorithm run against one matrix."""
+    """Single-owner mutable state for one algorithm run against one matrix.
+
+    ``query`` records the raw query and response and extends the basis; the
+    projected response of each basis direction waits until it is read.  The
+    basis and the projected responses are preallocated (min(budget, d), d)
+    arrays, so the stored reduced view never exceeds d rows.
+    """
 
     def __init__(self, matrix: np.ndarray, budget: int):
         if budget < 1:
@@ -136,7 +146,10 @@ class QuerySession:
         self._basis = np.empty((min(self._budget, self._dim), self._dim))
         self._basis_size = 0
         self._step_basis: List[Optional[int]] = []  # step -> basis index or None
-        self._projected: List[np.ndarray] = []
+        # row j holds P_{j-1} M b_j for j < _projected_size; the rows from
+        # _projected_size to _basis_size are computed on the next read
+        self._projected = np.empty_like(self._basis)
+        self._projected_size = 0
         self._final: Optional[np.ndarray] = None
         self._early_termination = False
         self._transcript: Optional[Transcript] = None
@@ -188,18 +201,26 @@ class QuerySession:
 
         if rnorm < DEGENERATE_TOL or k == self._basis.shape[0]:
             self._step_basis.append(None)
-            self._projected.append(np.zeros(self._dim))
         else:
-            b_new = r / rnorm
-            proj, _ = _orthogonalize(prior, self._apply(b_new))
-            self._basis[k] = b_new
+            self._basis[k] = r / rnorm
             self._basis_size = k + 1
             self._step_basis.append(k)
-            self._projected.append(proj)
 
         self._queries.append(v.copy())
         self._raw_responses.append(w)
         return w.copy()
+
+    def _project_pending(self) -> None:
+        """Fill the projected responses of the basis rows added since the
+        last read: their images under M in one block product, then each
+        image orthogonalized against the basis rows before it."""
+        lo, hi = self._projected_size, self._basis_size
+        if lo == hi:
+            return
+        images = self._apply(self._basis[lo:hi].T).T
+        for j in range(lo, hi):
+            self._projected[j] = _orthogonalize(self._basis[:j], images[j - lo])[0]
+        self._projected_size = hi
 
     def projected_view(self, i: int) -> ProjectedStep:
         """Reduced view of step i (1-based): new basis direction, projected response."""
@@ -207,8 +228,9 @@ class QuerySession:
             raise IndexError(f"step index {i} out of range 1..{self.queries_made}")
         idx = self._step_basis[i - 1]
         if idx is None:
-            return ProjectedStep(None, self._projected[i - 1].copy(), True)
-        return ProjectedStep(self._basis[idx].copy(), self._projected[i - 1].copy(), False)
+            return ProjectedStep(None, np.zeros(self._dim), True)
+        self._project_pending()
+        return ProjectedStep(self._basis[idx].copy(), self._projected[idx].copy(), False)
 
     def finalize(self, v_hat: np.ndarray, early_termination: bool = False) -> Transcript:
         if self.finalized:
@@ -216,6 +238,7 @@ class QuerySession:
         v_hat = _check_query_vector(v_hat, self._dim, what="final output")
         self._final = v_hat.copy()
         self._early_termination = bool(early_termination)
+        self._project_pending()
         steps = []
         for k in range(self.queries_made):
             idx = self._step_basis[k]
@@ -225,7 +248,9 @@ class QuerySession:
                     query=_frozen(self._queries[k]),
                     raw_response=_frozen(self._raw_responses[k]),
                     basis_vector=None if idx is None else _frozen(self._basis[idx]),
-                    projected_response=_frozen(self._projected[k]),
+                    projected_response=_frozen(
+                        np.zeros(self._dim) if idx is None else self._projected[idx]
+                    ),
                     degenerate=idx is None,
                 )
             )

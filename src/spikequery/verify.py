@@ -235,6 +235,8 @@ def verify_conditional_law(
     slack; a literal 3-sigma cap on the max of d^2 entries would false-fail
     with probability approaching one as d grows.
     """
+    if n < 2:
+        raise ValueError(f"need n >= 2 for sample covariances, got {n}")
     if query_sequence is None:
         query_sequence = [np.eye(d)[0], np.eye(d)[1]]
     queries = [np.asarray(v, dtype=float) for v in query_sequence]

@@ -281,3 +281,39 @@ class TestQueriesToTarget:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             queries_to_target("subspace", 16, 2.0, 0.5)
+
+
+class TestOneRitzSolve:
+    def test_lanczos_run_solves_ritz_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        inst = make_spiked(200, 3.0, seed=61)
+        session = open_session(inst, budget=64)
+        run_lanczos(session, AlgorithmConfig(kind="lanczos", seed=5))
+        assert session.queries_made == 64
+        assert calls == [(64, 64)]
+
+    @pytest.mark.parametrize(
+        "kind, d, T",
+        [("power", 200, 64), ("lanczos", 200, 64), ("random", 200, 64),
+         ("lanczos", 30, 40)],
+        ids=["power", "lanczos", "random", "lanczos-breakdown"],
+    )
+    def test_run_output_is_last_candidate(self, kind, d, T):
+        inst = make_spiked(d, 3.0, seed=67)
+        session_a = open_session(inst, budget=T)
+        out = RUNNERS[kind](session_a, AlgorithmConfig(kind=kind, seed=9))
+        session_b = open_session(inst, budget=T)
+        candidates = list(iterate_candidates(session_b, AlgorithmConfig(kind=kind, seed=9)))
+        assert session_a.queries_made == len(candidates)
+        assert np.array_equal(out, candidates[-1])
+        if (kind, d) == ("lanczos", 30):
+            # the Krylov space of R^30 closes before the budget is spent
+            assert len(candidates) < T
+            assert session_a.transcript.early_termination

@@ -121,11 +121,13 @@ class TestExitCodes:
         assert "error:" in err and "d=128" in err
 
     def test_verify_check_regime_error_exits_two(self, capsys):
-        code, _, err = run_main(
-            ["verify", "--check", "sphere-tail", "--n", "100"], capsys
-        )
-        assert code == 2
-        assert "sphere-tail" in err
+        # n=1 would divide conditional-law's sample covariances by n-1=0
+        for check, n in (("sphere-tail", "100"), ("conditional-law", "1")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run_main(["verify", "--check", check, "--n", n], capsys)
+            assert code == 2
+            assert check in err
 
     @pytest.mark.parametrize(
         "valid, usage_error",

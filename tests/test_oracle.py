@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spikequery import make_spiked, sample_goe, sample_uniform_sphere, spectrum
 from spikequery.oracle import (
     BudgetExhaustedError,
+    QuerySession,
     SessionFinalizedError,
     finalize,
     open_session,
@@ -276,6 +277,126 @@ def test_basis_storage_capped_at_dimension():
     assert sess.basis_size == d
     B = sess.basis()
     assert np.max(np.abs(B.T @ B - np.eye(d))) <= 1e-8
+
+
+# ----------------------------------------------- matvecs and lazy images
+
+class CountingMatrix(np.ndarray):
+    """A view of a matrix that records how many vectors each ``@`` applies it to."""
+
+    def __matmul__(self, other):
+        other = np.asarray(other)
+        self.columns.append(1 if other.ndim == 1 else other.shape[-1])
+        return np.matmul(self.view(np.ndarray), other)
+
+
+def _counting(M):
+    view = M.view(CountingMatrix)
+    view.columns = []
+    return view
+
+
+def test_each_query_applies_matrix_once():
+    d = 20
+    M = _counting(sample_goe(d, seed=21))
+    # QuerySession directly: open_session would strip the subclass
+    sess = QuerySession(M, budget=8)
+    rng = np.random.default_rng(22)
+    v = _unit(rng.standard_normal(d))
+    for k in range(8):
+        if k not in (2, 5):  # steps 3 and 6 repeat a query exactly
+            v = _unit(rng.standard_normal(d))
+        query(sess, v)
+        assert M.columns == [1] * (k + 1)
+    assert sess.basis_size == 6
+    finalize(sess, v)
+    assert M.columns == [1] * 8 + [6]  # one block product for the basis images
+
+
+def test_images_computed_once_across_a_mid_session_read():
+    d = 20
+    M = _counting(sample_goe(d, seed=23))
+    sess = QuerySession(M, budget=7)
+    rng = np.random.default_rng(24)
+    for _ in range(4):
+        query(sess, _unit(rng.standard_normal(d)))
+    projected_view(sess, 2)
+    projected_view(sess, 4)
+    assert M.columns == [1] * 4 + [4]
+    for _ in range(3):
+        query(sess, _unit(rng.standard_normal(d)))
+    finalize(sess, _unit(rng.standard_normal(d)))
+    assert M.columns == [1] * 4 + [4] + [1] * 3 + [3]
+
+
+def _reference_projected(M, steps):
+    """Per step: M b_i one vector at a time, then two classical Gram-Schmidt
+    passes against b_1..b_{i-1}; the zero vector for degenerate steps."""
+    out, basis = [], []
+    for st in steps:
+        if st.degenerate:
+            out.append(np.zeros(M.shape[0]))
+            continue
+        y = M @ st.basis_vector
+        if basis:
+            Q = np.array(basis)
+            for _ in range(2):
+                y = y - (Q @ y) @ Q
+        out.append(y)
+        basis.append(st.basis_vector)
+    return out
+
+
+def _assert_projected_match_reference(M, t):
+    norm = np.max(np.abs(np.linalg.eigvalsh(M)))
+    for st, ref in zip(t.steps, _reference_projected(M, t.steps)):
+        assert np.linalg.norm(st.projected_response - ref) <= 1e-12 * norm
+        if st.degenerate:
+            assert np.array_equal(st.projected_response, np.zeros(t.dim))
+
+
+def test_lazy_projected_responses_match_reference():
+    d = 30
+    M = sample_goe(d, seed=25)
+    sess = open_session(M, budget=10)
+    rng = np.random.default_rng(26)
+    v = _unit(rng.standard_normal(d))
+    early = []
+    for k in range(10):
+        if k not in (3, 7):  # exact repeats: degenerate steps
+            v = _unit(rng.standard_normal(d))
+        query(sess, v)
+        if k == 4:  # read mid-session, then keep querying
+            early = [projected_view(sess, i) for i in range(1, 6)]
+    t = finalize(sess, v)
+    assert [st.degenerate for st in t.steps].count(True) == 2
+    _assert_projected_match_reference(M, t)
+    for st, view in zip(t.steps, early):
+        assert np.array_equal(st.projected_response, view.response)
+        assert view.degenerate == st.degenerate
+
+
+def test_lazy_projected_responses_beyond_dimension():
+    d, budget = 6, 10
+    M = sample_goe(d, seed=27)
+    sess = open_session(M, budget=budget)
+    rng = np.random.default_rng(28)
+    for _ in range(budget):
+        query(sess, _unit(rng.standard_normal(d)))
+    t = finalize(sess, _unit(rng.standard_normal(d)))
+    assert [st.degenerate for st in t.steps] == [False] * d + [True] * (budget - d)
+    _assert_projected_match_reference(M, t)
+
+
+def test_lazy_projected_responses_of_near_dependent_power_session():
+    d, T = 1000, 40
+    inst = make_spiked(d, 3.0, seed=5)
+    sess = open_session(inst, budget=T)
+    v = sample_uniform_sphere(d, seed=6)
+    for _ in range(T):
+        v = _unit(query(sess, v))
+    t = finalize(sess, v)
+    _assert_projected_match_reference(inst.matrix, t)
 
 
 # --------------------------------------------------------------------- score
