@@ -37,7 +37,8 @@ class AlgorithmConfig:
     """Which algorithm to run and how to initialize it.
 
     budget None means "use the whole session budget".  init None draws the
-    starting vector uniformly from the sphere; a supplied init must be unit.
+    starting vector uniformly from the sphere; a supplied init must be a
+    finite unit vector.
     shift adds shift*v to each power-method response before normalizing
     (spectral shift by a multiple of the identity, computed client-side).
     """
@@ -55,6 +56,8 @@ class AlgorithmConfig:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.init is not None:
             init = np.asarray(self.init, dtype=float)
+            if not np.all(np.isfinite(init)):
+                raise ValueError("supplied init has non-finite entries")
             if abs(np.linalg.norm(init) - 1.0) > 1e-8:
                 raise ValueError("supplied init must be unit norm")
             object.__setattr__(self, "init", init)

@@ -10,11 +10,16 @@ with theta uniform on the unit sphere and W symmetric Gaussian noise
 instances, exposes a full-eigendecomposition oracle for ground truth, and
 checks membership in the bounded-eigenratio class (top eigenvalue positive
 and dominant, every other eigenvalue at most gamma times it in magnitude).
+
+An instance stores theta and M, one d x d array; W is not kept.
+``make_spiked`` builds M in the buffer of the GOE draw and skips the checks
+that hold by construction; a ``SpikedInstance`` built by hand is checked in
+full, against W too when it is passed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -28,12 +33,25 @@ SPECTRUM_DIM_CAP = 8192
 #: Edge of the square tiles in which the d x d passes below walk the matrix.
 #: A tile and its mirror image across the diagonal are read together, so a
 #: transposed read stays in cache instead of striding through the whole
-#: matrix.  Measured with one thread at d in {1000, 1500, 2000, 2048, 3000,
-#: 4000}, 128 is within a third of the faster of 64 and 256 at every d, where
-#: 64 is 2x slower at d = 2000 and 256 is 1.6x slower at d = 2048.  At
-#: d = 4096 64 is 2x faster than 128, and 128 still beats one whole-matrix
-#: comparison 2.6x.
+#: matrix.  ``_tile`` halves it when d is a multiple of 2048.
 TILE = 128
+
+
+def _tile(d: int) -> int:
+    """Tile edge for a d x d pass: TILE, or TILE / 2 when d is a multiple
+    of 2048.
+
+    A row stride that is a multiple of 16 KiB maps the rows of a tile onto
+    few cache sets, and 128 rows then evict each other.  Measured with one
+    thread on a Xeon with 2 MiB L2 per core, GOE symmetrization plus one
+    ``_is_symmetric`` pass take, with 128-wide vs 64-wide tiles: 21.6 vs
+    18.3 ms at d = 2048, 209 vs 94 ms at d = 4096, 265 vs 246 ms at
+    d = 6144 and 960 vs 826 ms at d = 8192; at d in {1000, 1500, 2000,
+    3000} 128 is 17-27% faster than 64.  The values written do not depend
+    on the tile.
+    """
+    return TILE // 2 if d % 2048 == 0 else TILE
+
 
 #: Largest dimension at which spectral_norm runs the dense eigensolver.  Above
 #: it one Lanczos solve for the largest-magnitude eigenvalue is as fast or
@@ -61,15 +79,17 @@ def trial_seed(seed: int, trial: int) -> int:
 def _mirror_tiles(d: int) -> Iterator[Tuple[slice, slice]]:
     """Index slices (I, J) of the tiles on and above the diagonal of a d x d
     matrix; tile (J, I) is the mirror image of tile (I, J)."""
-    for i in range(0, d, TILE):
-        for j in range(i, d, TILE):
-            yield slice(i, i + TILE), slice(j, j + TILE)
+    t = _tile(d)
+    for i in range(0, d, t):
+        for j in range(i, d, t):
+            yield slice(i, i + t), slice(j, j + t)
 
 
 def _row_blocks(d: int) -> Iterator[slice]:
-    """Index slices of consecutive blocks of TILE rows of a d-row matrix."""
-    for i in range(0, d, TILE):
-        yield slice(i, i + TILE)
+    """Index slices of consecutive blocks of _tile(d) rows of a d-row matrix."""
+    t = _tile(d)
+    for i in range(0, d, t):
+        yield slice(i, i + t)
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
@@ -99,18 +119,19 @@ def sample_goe(d: int, seed: Seed = None) -> np.ndarray:
 
     Built as (X + X^T)/sqrt(2) for X with i.i.d. standard normal entries,
     which is exactly symmetric in floating point and has the stated
-    entrywise variances.  X is symmetrized in place, one tile and its mirror
-    at a time, so the draw is the only d x d array allocated.
+    entrywise variances.  X is symmetrized and scaled in place, one tile and
+    its mirror at a time, so the draw is the only d x d array allocated.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     rng = as_rng(seed)
     x = rng.standard_normal((d, d))
+    root2 = np.sqrt(2.0)
     for I, J in _mirror_tiles(d):
         s = x[I, J] + x[J, I].T
+        s /= root2
         x[I, J] = s
         x[J, I] = s.T
-    x /= np.sqrt(2.0)
     return x
 
 
@@ -128,33 +149,45 @@ def sample_uniform_sphere(d: int, seed: Seed = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpikedInstance:
-    """A planted-spike matrix M = lam * theta theta^T + noise / sqrt(d)."""
+    """A planted-spike matrix M = lam * theta theta^T + W / sqrt(d).
+
+    Only theta and M are stored; the GOE draw W is not kept.  ``make_spiked``
+    builds its instances through a trusted path that only freezes theta and
+    M: symmetry, finiteness and the sum hold there by construction.  An
+    instance built by hand is checked in full: theta a finite 1-D unit
+    vector, lam finite and >= 0, matrix finite, exactly symmetric and d x d.
+    The optional init-only ``noise`` is checked the same way when passed,
+    and matrix must then equal lam theta theta^T + noise / sqrt(d) (tol
+    1e-10); it is not stored.
+    """
 
     theta: np.ndarray
     lam: float
-    noise: np.ndarray
     matrix: np.ndarray = field(repr=False)
+    noise: InitVar[Optional[np.ndarray]] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, noise: Optional[np.ndarray]):
+        if noise is not None:
+            noise = _require_symmetric(noise, "noise")
         theta = _frozen(self.theta)
-        noise = _frozen(_require_symmetric(self.noise, "noise"))
         matrix = _frozen(_require_symmetric(self.matrix, "matrix"))
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "matrix", matrix)
         if self.lam < 0 or not np.isfinite(self.lam):
             raise ValueError(f"spike strength must be finite and >= 0, got {self.lam}")
+        if theta.ndim != 1:
+            raise ValueError(f"theta must be a 1-D vector, got shape {theta.shape}")
         # a NaN slips past both tolerance tests below, which compare with >
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta has non-finite entries")
         if abs(np.linalg.norm(theta) - 1.0) > 1e-12:
             raise ValueError("theta must be a unit vector (tol 1e-12)")
         d = theta.shape[0]
-        if noise.shape != (d, d) or matrix.shape != (d, d):
-            raise ValueError(
-                f"noise {noise.shape} and matrix {matrix.shape} must be d x d "
-                f"for theta of length d = {d}"
-            )
+        for name, a in (("matrix", matrix), ("noise", noise)):
+            if a is not None and a.shape != (d, d):
+                raise ValueError(f"{name} {a.shape} must be d x d for theta of length d = {d}")
+        if noise is None:
+            return
         # max |matrix - (lam theta theta^T + noise/sqrt(d))|, a block of rows
         # at a time; np.max keeps a NaN, as one whole-matrix pass would
         scale = np.sqrt(d)
@@ -167,6 +200,16 @@ class SpikedInstance:
         if np.max(worst) > 1e-10:
             raise ValueError("matrix does not equal lam*theta theta^T + noise/sqrt(d)")
 
+    @classmethod
+    def _trusted(cls, theta: np.ndarray, lam: float, matrix: np.ndarray) -> "SpikedInstance":
+        """An instance from parts that satisfy every invariant by
+        construction: theta and matrix are frozen, not checked."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "theta", _frozen(theta))
+        object.__setattr__(inst, "lam", lam)
+        object.__setattr__(inst, "matrix", _frozen(matrix))
+        return inst
+
     @property
     def dim(self) -> int:
         return self.theta.shape[0]
@@ -175,9 +218,12 @@ class SpikedInstance:
 def make_spiked(d: int, lam: float, seed: Seed = None) -> SpikedInstance:
     """Sample theta uniform on the sphere, W from the GOE, and assemble M.
 
-    M is noise/sqrt(d) with lam theta theta^T added in place, a block of rows
-    at a time.  Both terms are exactly symmetric in floating point, and so is
-    their sum.
+    M is built in the buffer of the GOE draw: a block of rows at a time, W
+    is divided by sqrt(d) in place and lam theta theta^T added, so M is the
+    only d x d array.  Both terms are exactly symmetric in floating point,
+    and so is their sum; the entries are finite, and theta is a unit
+    vector.  The instance is therefore returned without the O(d^2) checks a
+    hand-built ``SpikedInstance`` runs.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -185,11 +231,13 @@ def make_spiked(d: int, lam: float, seed: Seed = None) -> SpikedInstance:
         raise ValueError(f"spike strength must be finite and >= 0, got {lam}")
     rng = as_rng(seed)
     theta = sample_uniform_sphere(d, rng)
-    noise = sample_goe(d, rng)
-    matrix = noise / np.sqrt(d)
+    matrix = sample_goe(d, rng)
+    scale = np.sqrt(d)
     for rows in _row_blocks(d):
-        matrix[rows] += lam * np.outer(theta[rows], theta)
-    return SpikedInstance(theta=theta, lam=float(lam), noise=noise, matrix=matrix)
+        block = matrix[rows]
+        block /= scale
+        block += lam * np.outer(theta[rows], theta)
+    return SpikedInstance._trusted(theta, float(lam), matrix)
 
 
 @dataclass(frozen=True)
@@ -284,6 +332,9 @@ def rayleigh(M: np.ndarray, v: np.ndarray) -> float:
     """Rayleigh quotient v^T M v for a unit vector v (tol 1e-8)."""
     M = _require_symmetric(M)
     v = np.asarray(v, dtype=float)
+    # a NaN slips past the tolerance test, which compares with >
+    if not np.all(np.isfinite(v)):
+        raise ValueError("rayleigh requires a finite vector")
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise ValueError("rayleigh requires a unit vector (tol 1e-8)")
     return float(v @ M @ v)

@@ -8,13 +8,14 @@ the equivalent reduced view: queries are orthonormalized on the fly
 (classical Gram-Schmidt, two passes, as block products against a
 preallocated basis array), and each step i that adds a basis direction b_i
 has a projected response P_{i-1} M b_i, where P_{i-1} projects onto the
-orthogonal complement of the earlier basis.  The projected responses are
-computed when first read (``projected_view``, ``finalize``): the images of
-all basis directions not yet imaged come from one block product with M,
-and each is then projected against the directions before it.  Raw
-responses are exactly recoverable from the projected records, so the two
-views carry the same information; ``reconstruct_raw_responses`` realizes
-that round trip.
+orthogonal complement of the earlier basis.  Projected responses are
+computed only when read (``projected_view`` on an open session,
+``TranscriptStep.projected_response`` on a sealed one), never by
+``finalize``: the images of all basis directions not yet imaged come from
+one block product with M, and each is then projected against the
+directions before it.  Raw responses are exactly recoverable from the
+projected records, so the two views carry the same information;
+``reconstruct_raw_responses`` realizes that round trip.
 
 The session object deliberately exposes no handle to M or to the planted
 spike: scoring against ground truth takes the instance as an explicit
@@ -24,8 +25,8 @@ argument.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,19 +59,62 @@ class ProjectedStep(NamedTuple):
     degenerate: bool
 
 
+class _ProjectedResponses:
+    """The basis of a session and the projected responses of its rows,
+    filled on read.
+
+    Rows 0..size-1 of ``basis`` are in use; row j of ``rows`` holds
+    P_{j-1} M b_j for j < ``done``.  ``read`` first fills the rows from
+    ``done`` to ``size``.
+    """
+
+    def __init__(self, apply: Callable[[np.ndarray], np.ndarray], n_rows: int, d: int):
+        self.apply = apply
+        self.basis = np.empty((n_rows, d))
+        self.size = 0
+        self.rows = np.empty_like(self.basis)
+        self.done = 0
+
+    def read(self, j: int) -> np.ndarray:
+        """Row j, after imaging the rows added since the last read in one
+        block product with M and orthogonalizing each image against the
+        rows before it."""
+        lo, hi = self.done, self.size
+        if lo < hi:
+            images = self.apply(self.basis[lo:hi].T).T
+            for i in range(lo, hi):
+                self.rows[i] = _orthogonalize(self.basis[:i], images[i - lo])[0]
+            self.done = hi
+        return self.rows[j]
+
+
 @dataclass(frozen=True)
 class TranscriptStep:
+    """One sealed query.  ``projected_response`` is computed on first read
+    (with every other pending step of the session, in one block product);
+    it is the zero vector for a degenerate step."""
+
     step: int
     query: np.ndarray
     raw_response: np.ndarray
     basis_vector: Optional[np.ndarray]
-    projected_response: np.ndarray
     degenerate: bool
+    _images: _ProjectedResponses = field(repr=False, compare=False)
+    _index: Optional[int] = field(repr=False, compare=False)
+
+    @property
+    def projected_response(self) -> np.ndarray:
+        if self._index is None:
+            return _frozen(np.zeros(self.query.shape[0]))
+        return _frozen(self._images.read(self._index))
 
 
 @dataclass(frozen=True)
 class Transcript:
-    """Sealed record of a finished session: all steps plus the final output."""
+    """Sealed record of a finished session: all steps plus the final output.
+
+    It keeps the session's handle to M, from which its projected responses
+    are computed when read."""
 
     steps: Tuple[TranscriptStep, ...]
     final_output: np.ndarray
@@ -141,15 +185,11 @@ class QuerySession:
         self._budget = int(budget)
         self._queries: List[np.ndarray] = []
         self._raw_responses: List[np.ndarray] = []
-        # basis rows 0.._basis_size-1 are in use; the basis of R^d never
-        # holds more than d vectors, whatever the budget
-        self._basis = np.empty((min(self._budget, self._dim), self._dim))
-        self._basis_size = 0
+        # the basis of R^d never holds more than d vectors, whatever the budget
+        self._images = _ProjectedResponses(
+            self._apply, min(self._budget, self._dim), self._dim
+        )
         self._step_basis: List[Optional[int]] = []  # step -> basis index or None
-        # row j holds P_{j-1} M b_j for j < _projected_size; the rows from
-        # _projected_size to _basis_size are computed on the next read
-        self._projected = np.empty_like(self._basis)
-        self._projected_size = 0
         self._final: Optional[np.ndarray] = None
         self._early_termination = False
         self._transcript: Optional[Transcript] = None
@@ -178,11 +218,11 @@ class QuerySession:
 
     @property
     def basis_size(self) -> int:
-        return self._basis_size
+        return self._images.size
 
     def basis(self) -> np.ndarray:
         """Orthonormalized query directions accumulated so far, as columns."""
-        return self._basis[: self._basis_size].T.copy()
+        return self._images.basis[: self._images.size].T.copy()
 
     # ------------------------------------------------------------- operations
 
@@ -194,33 +234,20 @@ class QuerySession:
         v = _check_query_vector(v, self._dim)
         w = self._apply(v)
 
-        k = self._basis_size
-        prior = self._basis[:k]
-        r, _ = _orthogonalize(prior, v)
+        basis, k = self._images.basis, self._images.size
+        r, _ = _orthogonalize(basis[:k], v)
         rnorm = np.linalg.norm(r)
 
-        if rnorm < DEGENERATE_TOL or k == self._basis.shape[0]:
+        if rnorm < DEGENERATE_TOL or k == basis.shape[0]:
             self._step_basis.append(None)
         else:
-            self._basis[k] = r / rnorm
-            self._basis_size = k + 1
+            basis[k] = r / rnorm
+            self._images.size = k + 1
             self._step_basis.append(k)
 
         self._queries.append(v.copy())
         self._raw_responses.append(w)
         return w.copy()
-
-    def _project_pending(self) -> None:
-        """Fill the projected responses of the basis rows added since the
-        last read: their images under M in one block product, then each
-        image orthogonalized against the basis rows before it."""
-        lo, hi = self._projected_size, self._basis_size
-        if lo == hi:
-            return
-        images = self._apply(self._basis[lo:hi].T).T
-        for j in range(lo, hi):
-            self._projected[j] = _orthogonalize(self._basis[:j], images[j - lo])[0]
-        self._projected_size = hi
 
     def projected_view(self, i: int) -> ProjectedStep:
         """Reduced view of step i (1-based): new basis direction, projected response."""
@@ -229,16 +256,16 @@ class QuerySession:
         idx = self._step_basis[i - 1]
         if idx is None:
             return ProjectedStep(None, np.zeros(self._dim), True)
-        self._project_pending()
-        return ProjectedStep(self._basis[idx].copy(), self._projected[idx].copy(), False)
+        return ProjectedStep(self._images.basis[idx].copy(), self._images.read(idx).copy(), False)
 
     def finalize(self, v_hat: np.ndarray, early_termination: bool = False) -> Transcript:
+        """Seal the session with its final output.  No projected response is
+        computed here; each is computed when the transcript step is read."""
         if self.finalized:
             raise SessionFinalizedError("session already finalized")
         v_hat = _check_query_vector(v_hat, self._dim, what="final output")
         self._final = v_hat.copy()
         self._early_termination = bool(early_termination)
-        self._project_pending()
         steps = []
         for k in range(self.queries_made):
             idx = self._step_basis[k]
@@ -247,11 +274,10 @@ class QuerySession:
                     step=k + 1,
                     query=_frozen(self._queries[k]),
                     raw_response=_frozen(self._raw_responses[k]),
-                    basis_vector=None if idx is None else _frozen(self._basis[idx]),
-                    projected_response=_frozen(
-                        np.zeros(self._dim) if idx is None else self._projected[idx]
-                    ),
+                    basis_vector=None if idx is None else _frozen(self._images.basis[idx]),
                     degenerate=idx is None,
+                    _images=self._images,
+                    _index=idx,
                 )
             )
         self._transcript = Transcript(

@@ -47,6 +47,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="unit"):
             AlgorithmConfig(init=np.array([1.0, 1.0]))
 
+    def test_init_must_be_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            AlgorithmConfig(init=np.full(4, np.nan))
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             AlgorithmConfig(budget=-1)

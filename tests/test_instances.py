@@ -102,9 +102,17 @@ def test_sphere_rejects_zero_dim():
 
 # ---------------------------------------------------------------- make_spiked
 
+def _noise_of(d, seed):
+    """The GOE draw inside make_spiked(d, lam, seed), regenerated from the
+    same generator: theta is drawn first, then the noise."""
+    rng = np.random.default_rng(seed)
+    sample_uniform_sphere(d, rng)
+    return sample_goe(d, rng)
+
+
 def test_spiked_lambda_zero_is_pure_noise():
     inst = make_spiked(30, 0.0, seed=3)
-    assert np.max(np.abs(inst.matrix - inst.noise / np.sqrt(30))) <= 1e-15
+    assert np.max(np.abs(inst.matrix - _noise_of(30, 3) / np.sqrt(30))) <= 1e-15
 
 
 def test_spiked_reproducible_theta():
@@ -128,17 +136,15 @@ def test_spiked_top_eigenvalue_bracket():
 
 def test_spiked_invariants_enforced():
     inst = make_spiked(20, 1.5, seed=0)
+    noise = _noise_of(20, 0)
     assert abs(np.linalg.norm(inst.theta) - 1.0) <= 1e-12
-    recon = inst.lam * np.outer(inst.theta, inst.theta) + inst.noise / np.sqrt(20)
+    recon = inst.lam * np.outer(inst.theta, inst.theta) + noise / np.sqrt(20)
     assert np.max(np.abs(inst.matrix - recon)) <= 1e-10
+    SpikedInstance(theta=inst.theta, lam=inst.lam, noise=noise, matrix=inst.matrix)
     with pytest.raises(ValueError):
-        SpikedInstance(
-            theta=inst.theta * 2.0, lam=inst.lam, noise=inst.noise, matrix=inst.matrix
-        )
+        SpikedInstance(theta=inst.theta * 2.0, lam=inst.lam, noise=noise, matrix=inst.matrix)
     with pytest.raises(ValueError):
-        SpikedInstance(
-            theta=inst.theta, lam=inst.lam, noise=inst.noise, matrix=inst.matrix + 1.0
-        )
+        SpikedInstance(theta=inst.theta, lam=inst.lam, noise=noise, matrix=inst.matrix + 1.0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 3.0])
@@ -155,26 +161,51 @@ def test_spiked_matrix_bit_identical_to_reference_formula(d, lam):
     reference = (m + m.T) / 2.0
     inst = make_spiked(d, lam, seed=17)
     assert np.array_equal(inst.theta, theta)
-    assert np.array_equal(inst.noise, noise)
     assert np.array_equal(inst.matrix, reference)
+    assert instances._is_symmetric(inst.matrix)
+    assert np.all(np.isfinite(inst.matrix))
 
 
 def test_spiked_rejects_dimension_mismatch():
     inst = make_spiked(6, 1.0, seed=0)
+    noise = _noise_of(6, 0)
     with pytest.raises(ValueError):
-        SpikedInstance(theta=np.array([1.0]), lam=1.0, noise=inst.noise, matrix=inst.matrix)
+        SpikedInstance(theta=np.array([1.0]), lam=1.0, noise=noise, matrix=inst.matrix)
 
 
 def test_spiked_rejects_nan_theta():
     inst = make_spiked(5, 1.0, seed=0)
+    noise = _noise_of(5, 0)
     with pytest.raises(ValueError, match="non-finite"):
-        SpikedInstance(
-            theta=np.full(5, np.nan), lam=1.0, noise=inst.noise, matrix=inst.matrix
-        )
+        SpikedInstance(theta=np.full(5, np.nan), lam=1.0, noise=noise, matrix=inst.matrix)
     one_nan = inst.theta.copy()
     one_nan[2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        SpikedInstance(theta=one_nan, lam=1.0, noise=inst.noise, matrix=inst.matrix)
+        SpikedInstance(theta=one_nan, lam=1.0, noise=noise, matrix=inst.matrix)
+
+
+def test_spiked_rejects_theta_not_1d():
+    with pytest.raises(ValueError, match="1-D"):
+        SpikedInstance(
+            theta=np.float64(1.0), lam=1.0, noise=np.zeros((1, 1)), matrix=np.zeros((1, 1))
+        )
+    inst = make_spiked(4, 1.0, seed=0)
+    with pytest.raises(ValueError, match="1-D"):
+        SpikedInstance(theta=inst.theta.reshape(4, 1), lam=1.0, matrix=inst.matrix)
+
+
+def test_spiked_holds_one_dxd_array():
+    import tracemalloc
+
+    d = 1000
+    tracemalloc.start()
+    try:
+        inst = make_spiked(d, 3.0, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * d * d, f"peak {peak} B for one {8 * d * d} B matrix"
+    assert "noise" not in vars(inst)
 
 
 def test_spiked_arrays_immutable():
@@ -218,6 +249,23 @@ def test_symmetry_kernel_rejects_one_flipped_entry(d, i, j):
         instances._require_symmetric(M)
     with pytest.raises(ValueError):
         spectral_norm(M)
+
+
+def test_tile_halves_at_multiples_of_2048():
+    assert instances._tile(2048) == instances._tile(4096) == instances.TILE // 2
+    assert instances._tile(2000) == instances._tile(3000) == instances.TILE
+
+
+def test_goe_at_halved_tile_matches_reference_and_is_checked():
+    d = 2048
+    x = np.random.default_rng(31).standard_normal((d, d))
+    reference = (x + x.T) / np.sqrt(2.0)
+    del x
+    W = sample_goe(d, seed=31)
+    assert np.array_equal(W, reference)
+    assert instances._is_symmetric(W)
+    W[5, instances._tile(d) + 3] += 1.0  # off-diagonal tile of the halved grid
+    assert not instances._is_symmetric(W)
 
 
 # ------------------------------------------------------------------- spectrum
@@ -324,3 +372,9 @@ def test_rayleigh_examples():
 def test_rayleigh_rejects_non_unit():
     with pytest.raises(ValueError):
         rayleigh(np.eye(3), np.array([1.0, 1.0, 0.0]))
+
+
+def test_rayleigh_rejects_non_finite_vector():
+    with pytest.raises(ValueError, match="finite"):
+        rayleigh(np.eye(4), np.full(4, np.nan))
+

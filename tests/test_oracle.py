@@ -309,8 +309,13 @@ def test_each_query_applies_matrix_once():
         query(sess, v)
         assert M.columns == [1] * (k + 1)
     assert sess.basis_size == 6
-    finalize(sess, v)
+    t = finalize(sess, v)
+    assert M.columns == [1] * 8  # sealing images nothing
+    t.steps[4].projected_response
     assert M.columns == [1] * 8 + [6]  # one block product for the basis images
+    for st in t.steps:
+        st.projected_response
+    assert M.columns == [1] * 8 + [6]
 
 
 def test_images_computed_once_across_a_mid_session_read():
@@ -325,7 +330,12 @@ def test_images_computed_once_across_a_mid_session_read():
     assert M.columns == [1] * 4 + [4]
     for _ in range(3):
         query(sess, _unit(rng.standard_normal(d)))
-    finalize(sess, _unit(rng.standard_normal(d)))
+    t = finalize(sess, _unit(rng.standard_normal(d)))
+    assert M.columns == [1] * 4 + [4] + [1] * 3  # sealing images nothing
+    t.steps[0].projected_response  # imaged already; the read fills the pending rows
+    assert M.columns == [1] * 4 + [4] + [1] * 3 + [3]
+    for st in t.steps:
+        st.projected_response
     assert M.columns == [1] * 4 + [4] + [1] * 3 + [3]
 
 
