@@ -13,8 +13,8 @@ and dominant, every other eigenvalue at most gamma times it in magnitude).
 
 An instance stores theta and M, one d x d array; W is not kept.
 ``make_spiked`` builds M in the buffer of the GOE draw and skips the checks
-that hold by construction; a ``SpikedInstance`` built by hand is checked in
-full, against W too when it is passed.
+that hold by construction; a ``SpikedInstance`` built by hand, which takes
+W as an init-only argument, is checked in full.
 """
 
 from __future__ import annotations
@@ -33,25 +33,12 @@ SPECTRUM_DIM_CAP = 8192
 #: Edge of the square tiles in which the d x d passes below walk the matrix.
 #: A tile and its mirror image across the diagonal are read together, so a
 #: transposed read stays in cache instead of striding through the whole
-#: matrix.  ``_tile`` halves it when d is a multiple of 2048.
+#: matrix.  Measured with one thread at d in {1000, 1500, 2000, 2048, 3000,
+#: 4000}, 128 is within a third of the faster of 64 and 256 at every d, where
+#: 64 is 2x slower at d = 2000 and 256 is 1.6x slower at d = 2048.  At
+#: d = 4096 64 is 2x faster than 128, and 128 still beats one whole-matrix
+#: comparison 2.6x.
 TILE = 128
-
-
-def _tile(d: int) -> int:
-    """Tile edge for a d x d pass: TILE, or TILE / 2 when d is a multiple
-    of 2048.
-
-    A row stride that is a multiple of 16 KiB maps the rows of a tile onto
-    few cache sets, and 128 rows then evict each other.  Measured with one
-    thread on a Xeon with 2 MiB L2 per core, GOE symmetrization plus one
-    ``_is_symmetric`` pass take, with 128-wide vs 64-wide tiles: 21.6 vs
-    18.3 ms at d = 2048, 209 vs 94 ms at d = 4096, 265 vs 246 ms at
-    d = 6144 and 960 vs 826 ms at d = 8192; at d in {1000, 1500, 2000,
-    3000} 128 is 17-27% faster than 64.  The values written do not depend
-    on the tile.
-    """
-    return TILE // 2 if d % 2048 == 0 else TILE
-
 
 #: Largest dimension at which spectral_norm runs the dense eigensolver.  Above
 #: it one Lanczos solve for the largest-magnitude eigenvalue is as fast or
@@ -79,17 +66,15 @@ def trial_seed(seed: int, trial: int) -> int:
 def _mirror_tiles(d: int) -> Iterator[Tuple[slice, slice]]:
     """Index slices (I, J) of the tiles on and above the diagonal of a d x d
     matrix; tile (J, I) is the mirror image of tile (I, J)."""
-    t = _tile(d)
-    for i in range(0, d, t):
-        for j in range(i, d, t):
-            yield slice(i, i + t), slice(j, j + t)
+    for i in range(0, d, TILE):
+        for j in range(i, d, TILE):
+            yield slice(i, i + TILE), slice(j, j + TILE)
 
 
 def _row_blocks(d: int) -> Iterator[slice]:
-    """Index slices of consecutive blocks of _tile(d) rows of a d-row matrix."""
-    t = _tile(d)
-    for i in range(0, d, t):
-        yield slice(i, i + t)
+    """Index slices of consecutive blocks of TILE rows of a d-row matrix."""
+    for i in range(0, d, TILE):
+        yield slice(i, i + TILE)
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
@@ -149,27 +134,25 @@ def sample_uniform_sphere(d: int, seed: Seed = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpikedInstance:
-    """A planted-spike matrix M = lam * theta theta^T + W / sqrt(d).
+    """A planted-spike matrix M = lam * theta theta^T + noise / sqrt(d).
 
-    Only theta and M are stored; the GOE draw W is not kept.  ``make_spiked``
-    builds its instances through a trusted path that only freezes theta and
-    M: symmetry, finiteness and the sum hold there by construction.  An
-    instance built by hand is checked in full: theta a finite 1-D unit
-    vector, lam finite and >= 0, matrix finite, exactly symmetric and d x d.
-    The optional init-only ``noise`` is checked the same way when passed,
-    and matrix must then equal lam theta theta^T + noise / sqrt(d) (tol
-    1e-10); it is not stored.
+    Only theta and M are stored; noise is an init-only argument and is not
+    kept.  An instance built by hand is checked in full: theta a finite 1-D
+    unit vector, lam finite and >= 0, noise and matrix finite, exactly
+    symmetric and d x d, and matrix equal to lam theta theta^T +
+    noise / sqrt(d) (tol 1e-10).  ``make_spiked`` builds its instances
+    through a trusted path that only freezes theta and M, since there these
+    facts hold by construction.
     """
 
     theta: np.ndarray
     lam: float
+    noise: InitVar[np.ndarray]
     matrix: np.ndarray = field(repr=False)
-    noise: InitVar[Optional[np.ndarray]] = field(default=None, kw_only=True)
 
-    def __post_init__(self, noise: Optional[np.ndarray]):
-        if noise is not None:
-            noise = _require_symmetric(noise, "noise")
+    def __post_init__(self, noise: np.ndarray):
         theta = _frozen(self.theta)
+        noise = _require_symmetric(noise, "noise")
         matrix = _frozen(_require_symmetric(self.matrix, "matrix"))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "matrix", matrix)
@@ -183,11 +166,11 @@ class SpikedInstance:
         if abs(np.linalg.norm(theta) - 1.0) > 1e-12:
             raise ValueError("theta must be a unit vector (tol 1e-12)")
         d = theta.shape[0]
-        for name, a in (("matrix", matrix), ("noise", noise)):
-            if a is not None and a.shape != (d, d):
-                raise ValueError(f"{name} {a.shape} must be d x d for theta of length d = {d}")
-        if noise is None:
-            return
+        if noise.shape != (d, d) or matrix.shape != (d, d):
+            raise ValueError(
+                f"noise {noise.shape} and matrix {matrix.shape} must be d x d "
+                f"for theta of length d = {d}"
+            )
         # max |matrix - (lam theta theta^T + noise/sqrt(d))|, a block of rows
         # at a time; np.max keeps a NaN, as one whole-matrix pass would
         scale = np.sqrt(d)

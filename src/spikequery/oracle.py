@@ -59,33 +59,50 @@ class ProjectedStep(NamedTuple):
     degenerate: bool
 
 
-class _ProjectedResponses:
-    """The basis of a session and the projected responses of its rows,
-    filled on read.
+class _Basis:
+    """The orthonormal basis of a session's queries, in a preallocated
+    (capacity, d) array, and the projected response of each row, computed
+    when read.
 
-    Rows 0..size-1 of ``basis`` are in use; row j of ``rows`` holds
-    P_{j-1} M b_j for j < ``done``.  ``read`` first fills the rows from
-    ``done`` to ``size``.
+    Row j's projected response is P_{j-1} M b_j.  A read first fills every
+    row added since the last read: their images under M in one block
+    product, then each image orthogonalized against the rows before it.
     """
 
-    def __init__(self, apply: Callable[[np.ndarray], np.ndarray], n_rows: int, d: int):
-        self.apply = apply
-        self.basis = np.empty((n_rows, d))
-        self.size = 0
-        self.rows = np.empty_like(self.basis)
-        self.done = 0
+    def __init__(self, apply: Callable[[np.ndarray], np.ndarray], capacity: int, d: int):
+        self._apply = apply
+        self._rows = np.empty((capacity, d))
+        self._size = 0
+        self._projected = np.empty_like(self._rows)
+        self._projected_size = 0
 
-    def read(self, j: int) -> np.ndarray:
-        """Row j, after imaging the rows added since the last read in one
-        block product with M and orthogonalizing each image against the
-        rows before it."""
-        lo, hi = self.done, self.size
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The rows in use, as a view."""
+        return self._rows[: self._size]
+
+    def extend(self, r: np.ndarray) -> Optional[int]:
+        """Add r, a residual against the rows, normalized, and return its row
+        index; None when r is numerically zero or the basis is full."""
+        rnorm = np.linalg.norm(r)
+        k = self._size
+        if rnorm < DEGENERATE_TOL or k == self._rows.shape[0]:
+            return None
+        self._rows[k] = r / rnorm
+        self._size = k + 1
+        return k
+
+    def projected(self, j: int) -> np.ndarray:
+        lo, hi = self._projected_size, self._size
         if lo < hi:
-            images = self.apply(self.basis[lo:hi].T).T
+            images = self._apply(self._rows[lo:hi].T).T
             for i in range(lo, hi):
-                self.rows[i] = _orthogonalize(self.basis[:i], images[i - lo])[0]
-            self.done = hi
-        return self.rows[j]
+                self._projected[i] = _orthogonalize(self._rows[:i], images[i - lo])[0]
+            self._projected_size = hi
+        return self._projected[j]
 
 
 @dataclass(frozen=True)
@@ -99,22 +116,24 @@ class TranscriptStep:
     raw_response: np.ndarray
     basis_vector: Optional[np.ndarray]
     degenerate: bool
-    _images: _ProjectedResponses = field(repr=False, compare=False)
+    _basis: _Basis = field(repr=False, compare=False)
     _index: Optional[int] = field(repr=False, compare=False)
 
     @property
     def projected_response(self) -> np.ndarray:
         if self._index is None:
             return _frozen(np.zeros(self.query.shape[0]))
-        return _frozen(self._images.read(self._index))
+        return _frozen(self._basis.projected(self._index))
 
 
 @dataclass(frozen=True)
 class Transcript:
     """Sealed record of a finished session: all steps plus the final output.
 
-    It keeps the session's handle to M, from which its projected responses
-    are computed when read."""
+    It keeps the session's basis, and so its handle to M, from which the
+    projected responses are computed when read.  M must not change
+    meanwhile: an instance's matrix is read-only, and ``open_session`` makes
+    a bare matrix read-only too."""
 
     steps: Tuple[TranscriptStep, ...]
     final_output: np.ndarray
@@ -186,9 +205,7 @@ class QuerySession:
         self._queries: List[np.ndarray] = []
         self._raw_responses: List[np.ndarray] = []
         # the basis of R^d never holds more than d vectors, whatever the budget
-        self._images = _ProjectedResponses(
-            self._apply, min(self._budget, self._dim), self._dim
-        )
+        self._basis = _Basis(self._apply, min(self._budget, self._dim), self._dim)
         self._step_basis: List[Optional[int]] = []  # step -> basis index or None
         self._final: Optional[np.ndarray] = None
         self._early_termination = False
@@ -218,11 +235,11 @@ class QuerySession:
 
     @property
     def basis_size(self) -> int:
-        return self._images.size
+        return len(self._basis)
 
     def basis(self) -> np.ndarray:
         """Orthonormalized query directions accumulated so far, as columns."""
-        return self._images.basis[: self._images.size].T.copy()
+        return self._basis.rows.T.copy()
 
     # ------------------------------------------------------------- operations
 
@@ -234,16 +251,8 @@ class QuerySession:
         v = _check_query_vector(v, self._dim)
         w = self._apply(v)
 
-        basis, k = self._images.basis, self._images.size
-        r, _ = _orthogonalize(basis[:k], v)
-        rnorm = np.linalg.norm(r)
-
-        if rnorm < DEGENERATE_TOL or k == basis.shape[0]:
-            self._step_basis.append(None)
-        else:
-            basis[k] = r / rnorm
-            self._images.size = k + 1
-            self._step_basis.append(k)
+        r, _ = _orthogonalize(self._basis.rows, v)
+        self._step_basis.append(self._basis.extend(r))
 
         self._queries.append(v.copy())
         self._raw_responses.append(w)
@@ -256,7 +265,9 @@ class QuerySession:
         idx = self._step_basis[i - 1]
         if idx is None:
             return ProjectedStep(None, np.zeros(self._dim), True)
-        return ProjectedStep(self._images.basis[idx].copy(), self._images.read(idx).copy(), False)
+        return ProjectedStep(
+            self._basis.rows[idx].copy(), self._basis.projected(idx).copy(), False
+        )
 
     def finalize(self, v_hat: np.ndarray, early_termination: bool = False) -> Transcript:
         """Seal the session with its final output.  No projected response is
@@ -274,9 +285,9 @@ class QuerySession:
                     step=k + 1,
                     query=_frozen(self._queries[k]),
                     raw_response=_frozen(self._raw_responses[k]),
-                    basis_vector=None if idx is None else _frozen(self._images.basis[idx]),
+                    basis_vector=None if idx is None else _frozen(self._basis.rows[idx]),
                     degenerate=idx is None,
-                    _images=self._images,
+                    _basis=self._basis,
                     _index=idx,
                 )
             )
@@ -296,11 +307,16 @@ class QuerySession:
 
 
 def open_session(inst: Union[SpikedInstance, np.ndarray], budget: int) -> QuerySession:
-    """Start a budgeted query session against an instance or a bare matrix."""
+    """Start a budgeted query session against an instance or a bare matrix.
+
+    A bare float matrix is made read-only in place, as an instance's matrix
+    is: the session's transcript reads it again when its projected
+    responses are read.
+    """
     if isinstance(inst, SpikedInstance):
         matrix = inst.matrix
     else:
-        matrix = _require_symmetric(np.asarray(inst, dtype=float))
+        matrix = _frozen(_require_symmetric(inst))
     return QuerySession(matrix, budget)
 
 

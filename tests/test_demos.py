@@ -20,6 +20,9 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    # one BLAS thread each, so a demo does not compete with the test process
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,

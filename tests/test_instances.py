@@ -147,6 +147,15 @@ def test_spiked_invariants_enforced():
         SpikedInstance(theta=inst.theta, lam=inst.lam, noise=noise, matrix=inst.matrix + 1.0)
 
 
+def test_spiked_noise_is_required_in_positional_order():
+    inst = make_spiked(6, 2.0, seed=0)
+    noise = _noise_of(6, 0)
+    built = SpikedInstance(inst.theta, inst.lam, noise, inst.matrix)
+    assert np.array_equal(built.matrix, inst.matrix)
+    with pytest.raises(TypeError):
+        SpikedInstance(theta=inst.theta, lam=inst.lam, matrix=inst.matrix)
+
+
 @pytest.mark.parametrize("lam", [0.0, 3.0])
 @pytest.mark.parametrize("d", [1, 2, 257, 1000])
 def test_spiked_matrix_bit_identical_to_reference_formula(d, lam):
@@ -191,7 +200,9 @@ def test_spiked_rejects_theta_not_1d():
         )
     inst = make_spiked(4, 1.0, seed=0)
     with pytest.raises(ValueError, match="1-D"):
-        SpikedInstance(theta=inst.theta.reshape(4, 1), lam=1.0, matrix=inst.matrix)
+        SpikedInstance(
+            theta=inst.theta.reshape(4, 1), lam=1.0, noise=_noise_of(4, 0), matrix=inst.matrix
+        )
 
 
 def test_spiked_holds_one_dxd_array():
@@ -249,23 +260,6 @@ def test_symmetry_kernel_rejects_one_flipped_entry(d, i, j):
         instances._require_symmetric(M)
     with pytest.raises(ValueError):
         spectral_norm(M)
-
-
-def test_tile_halves_at_multiples_of_2048():
-    assert instances._tile(2048) == instances._tile(4096) == instances.TILE // 2
-    assert instances._tile(2000) == instances._tile(3000) == instances.TILE
-
-
-def test_goe_at_halved_tile_matches_reference_and_is_checked():
-    d = 2048
-    x = np.random.default_rng(31).standard_normal((d, d))
-    reference = (x + x.T) / np.sqrt(2.0)
-    del x
-    W = sample_goe(d, seed=31)
-    assert np.array_equal(W, reference)
-    assert instances._is_symmetric(W)
-    W[5, instances._tile(d) + 3] += 1.0  # off-diagonal tile of the halved grid
-    assert not instances._is_symmetric(W)
 
 
 # ------------------------------------------------------------------- spectrum

@@ -1,6 +1,8 @@
 """Unit tests for the budgeted query oracle and transcript mechanics."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -337,6 +339,33 @@ def test_images_computed_once_across_a_mid_session_read():
     for st in t.steps:
         st.projected_response
     assert M.columns == [1] * 4 + [4] + [1] * 3 + [3]
+
+
+def test_bare_matrix_is_read_only_under_a_sealed_transcript():
+    M = sample_goe(6, seed=25)
+    sess = open_session(M, budget=2)
+    query(sess, _unit(np.arange(1.0, 7.0)))
+    t = finalize(sess, _unit(np.ones(6)))
+    with pytest.raises(ValueError):
+        M[0, 0] = 1.0
+    assert np.allclose(t.steps[0].projected_response, t.steps[0].raw_response, atol=1e-12)
+
+
+def test_dropped_session_and_transcript_free_the_matrix_without_gc():
+    # a reference cycle between session and transcript would keep M alive
+    # until the cyclic collector runs, one d x d array per finished trial
+    M = sample_goe(6, seed=26)
+    alive = weakref.ref(M)
+    gc.disable()
+    try:
+        sess = open_session(M, budget=2)
+        query(sess, _unit(np.arange(1.0, 7.0)))
+        t = finalize(sess, _unit(np.ones(6)))
+        t.steps[0].projected_response
+        del M, sess, t
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def _reference_projected(M, steps):
