@@ -13,7 +13,8 @@ Four subcommands:
 Every run writes a single '#' header line echoing the full configuration and
 seed; re-running the same command line reproduces the output byte for byte
 (trials are seeded as seed XOR trial-index, and results merge in trial order
-regardless of how many workers --jobs fans them across).  Output goes to
+however many threads run them: --jobs caps the threads of simulate and
+scaling, by default every available core).  Output goes to
 --output when given, else to $SPIKEQUERY_OUTPUT_DIR/<subcommand>.csv when
 that variable is set, else to stdout.  Floats are printed at 12 significant
 digits.  Exit codes: 0 pass, 1 check failure, 2 usage or regime error.
@@ -26,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +52,7 @@ from .bounds import (
     main_theorem_bound,
     min_queries,
 )
-from .instances import as_rng, make_spiked, spectral_norm, trial_seed
+from .instances import as_rng, make_spiked, map_trials, spectral_norm, trial_seed
 from .oracle import open_session
 from .verify import CHECKS, reports_summary, reports_to_csv, run_check
 
@@ -165,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--T", type=int, required=True, help="query budget per trial")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, help="trial threads (default: all cores)")
     common(p)
 
     p = sub.add_parser("bounds", help="tabulate closed-form bounds over T")
@@ -207,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crossing level for min-queries (default 0.5)")
     p.add_argument("--max-T", dest="max_T", type=int, default=64)
     p.add_argument("--kd", type=float, help="noise-norm constant override")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, help="trial threads (default: all cores)")
     common(p)
 
     return parser
@@ -304,12 +306,12 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
 
 # -------------------------------------------------------------- trial fanout
 
-def _simulate_trial(payload: Tuple) -> Tuple:
-    i, kind, d, lam, budget, base_seed = payload
-    rng = as_rng(trial_seed(base_seed, i))
-    inst = make_spiked(d, lam, seed=rng)
+def _simulate_trial(config: RunConfig, i: int) -> Tuple:
+    d, budget = config.d, config.T
+    rng = as_rng(trial_seed(config.seed, i))
+    inst = make_spiked(d, config.lam, seed=rng)
     session = open_session(inst, budget=budget)
-    v_hat = RUNNERS[kind](session, AlgorithmConfig(kind=kind, seed=rng))
+    v_hat = RUNNERS[config.alg](session, AlgorithmConfig(kind=config.alg, seed=rng))
     transcript = session.transcript
     ratio = float(v_hat @ inst.matrix @ v_hat) / spectral_norm(inst.matrix)
     overlap = abs(float(v_hat @ inst.theta))
@@ -324,20 +326,12 @@ def _simulate_trial(payload: Tuple) -> Tuple:
     return (i, transcript.queries_made, ratio, overlap, step_overlaps)
 
 
-def _scaling_trial(payload: Tuple) -> int:
-    g, kind, d, lam, target, max_T, base_seed = payload
+def _scaling_trial(c: RunConfig, g: int) -> int:
+    """Trial g runs at d_grid[g // trials], seeded by its index over the grid."""
     return queries_to_target(
-        kind, d, lam, target, seed=trial_seed(base_seed, g), max_T=max_T
+        c.alg, c.d_grid[g // c.trials], c.lam, c.target, seed=trial_seed(c.seed, g),
+        max_T=c.max_T,
     )
-
-
-def _map_trials(fn, payloads: Sequence[Tuple], jobs: int) -> List:
-    if jobs <= 1:
-        return [fn(p) for p in payloads]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads))
 
 
 def _median(values: Sequence[float]) -> float:
@@ -350,11 +344,7 @@ def _median(values: Sequence[float]) -> float:
 
 def cmd_simulate(config: RunConfig) -> str:
     T = config.T
-    payloads = [
-        (i, config.alg, config.d, config.lam, T, config.seed)
-        for i in range(config.trials)
-    ]
-    results = _map_trials(_simulate_trial, payloads, config.jobs or 1)
+    results = map_trials(partial(_simulate_trial, config), config.trials, config.jobs)
 
     columns = ["trial", "T", "rayleigh_ratio", "spike_overlap"] + [
         f"step_overlap_{k}" for k in range(1, T + 1)
@@ -491,12 +481,7 @@ def cmd_verify(config: RunConfig) -> Tuple[str, str, int]:
 def cmd_scaling(config: RunConfig) -> str:
     c = config
     kd = c.kd if c.kd is not None else KD_ASYMPTOTIC
-    payloads = [
-        (j * c.trials + i, c.alg, d, c.lam, c.target, c.max_T, c.seed)
-        for j, d in enumerate(c.d_grid)
-        for i in range(c.trials)
-    ]
-    results = _map_trials(_scaling_trial, payloads, c.jobs or 1)
+    results = map_trials(partial(_scaling_trial, c), len(c.d_grid) * c.trials, c.jobs)
 
     lines = [config_header(config), "d,median_queries,theory_min_queries,gamma"]
     for j, d in enumerate(c.d_grid):

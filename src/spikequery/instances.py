@@ -19,8 +19,9 @@ W as an init-only argument, is checked in full.
 
 from __future__ import annotations
 
+import os
 from dataclasses import InitVar, dataclass, field
-from typing import Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 from scipy.sparse.linalg import eigsh
@@ -61,6 +62,39 @@ def as_rng(seed: Seed) -> np.random.Generator:
 def trial_seed(seed: int, trial: int) -> int:
     """Per-trial stream seed: base seed XOR trial index (64-bit)."""
     return (int(seed) ^ int(trial)) & 0xFFFFFFFFFFFFFFFF
+
+
+R = TypeVar("R")
+
+
+def map_trials(fn: Callable[[int], R], n: int, workers: Optional[int] = None) -> List[R]:
+    """[fn(i) for i in range(n)], run on up to ``workers`` threads (default:
+    every core this process may run on), returned in index order.
+
+    Trials that draw from their own ``trial_seed`` stream give the same
+    results on any number of threads.  NumPy and BLAS release the GIL, so
+    the threads overlap the native work; Python code in ``fn`` runs one
+    thread at a time.  With one worker the trials run inline and no thread
+    starts.  If trials raise, the exception of the lowest-index failing
+    trial propagates and trials not yet started are cancelled.
+    """
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:  # platforms without CPU affinity
+            workers = os.cpu_count() or 1
+    workers = min(n, workers)
+    if workers <= 1:
+        return [fn(i) for i in range(n)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, i) for i in range(n)]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _mirror_tiles(d: int) -> Iterator[Tuple[slice, slice]]:

@@ -9,6 +9,11 @@ empirical <= bound + 3 * stderr.  Rows that verify a theoretical lower bound
 put the theoretical value in the empirical slot, so the convention still
 reads left-to-right.  Reports are reproducible bit-for-bit from (seed,
 parameters) and serialize to CSV plus a human-readable summary.
+
+The per-instance checks (reduction-events, overlap-growth, detection-gap)
+run their trials on every available core through map_trials; each trial
+draws from its own trial_seed stream and the tallies are taken in trial
+order, so a report is byte-identical for any number of threads.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .instances import (
     _membership_of_spectrum,
     as_rng,
     make_spiked,
+    map_trials,
     sample_goe,
     sample_uniform_sphere,
     spectral_norm,
@@ -257,15 +263,13 @@ def verify_conditional_law(
         projectors.append(P.copy())
         P = P - np.outer(v, v)
 
-    chunk = max(1, int(2e7 // (d * d)))
-    done = 0
-    while done < n:
+    chunk = max(1, SLAB // d)  # response rows per chunk: one slab per array
+    for done in range(0, n, chunk):
         m = min(chunk, n - done)
         wv = _goe_matvecs(rng, m, d, queries)
         for i, v in enumerate(queries):
             resp = wv[i] / math.sqrt(d) + lam * (u @ v) * u
             responses[i][done : done + m] = resp @ projectors[i].T
-        done += m
 
     rows = []
     for i, v in enumerate(queries):
@@ -282,15 +286,14 @@ def verify_conditional_law(
                 se_mean,
             )
         )
-        centered = responses[i] - emp_mean
+        centered = responses[i]
+        centered -= emp_mean  # in place; the cross-covariance reuses it
         emp_cov = centered.T @ centered / (n - 1)
         rel = np.linalg.norm(emp_cov - sigma / d) / np.linalg.norm(sigma / d)
         rows.append(one_sided_row(f"cov step {i + 1} rel-frobenius", float(rel), 0.10))
 
     if k >= 2:
-        a = responses[0] - responses[0].mean(axis=0)
-        b = responses[1] - responses[1].mean(axis=0)
-        cross = a.T @ b / (n - 1)
+        cross = responses[0].T @ responses[1] / (n - 1)
         var_a = np.diag(projectors[0] + np.outer(queries[0], queries[0])) / d
         var_b = np.diag(projectors[1] + np.outer(queries[1], queries[1])) / d
         se_entry = math.sqrt(float(np.max(var_a)) * float(np.max(var_b)) / n)
@@ -411,9 +414,7 @@ def verify_reduction_events(
     if d > SPECTRUM_DIM_CAP:  # the dense spectrum oracle's cap
         raise ValueError(f"spectrum oracle capped at d <= {SPECTRUM_DIM_CAP}, got {d}")
 
-    hits = 0
-    first_fail = ""
-    for i in range(n):
+    def trial(i: int) -> Tuple[bool, bool, bool]:
         t_rng = as_rng(trial_seed(seed, i))
         inst = make_spiked(d, lam, seed=t_rng)
         # both spectral items read only eigenvalues, so one eigvalsh (no
@@ -433,12 +434,15 @@ def verify_reduction_events(
         else:
             needed = f_overlap(min(eps_hat, 1.0 - gamma), gamma)
             item3 = abs(float(v_hat @ inst.theta)) >= needed - 1e-12
+        return item1, item2, item3
+
+    hits = 0
+    first_fail = ""
+    for i, (item1, item2, item3) in enumerate(map_trials(trial, n)):
         if item1 and item2 and item3:
             hits += 1
         elif not first_fail:
-            first_fail = (
-                f"trial {i}: item1={item1} item2={item2} item3={item3}"
-            )
+            first_fail = f"trial {i}: item1={item1} item2={item2} item3={item3}"
 
     fail_frac = 1.0 - hits / n
     rows = [
@@ -487,9 +491,8 @@ def verify_overlap_growth(
     schedule = chi_tau_schedule(d, lam, delta, T).closed_form
     event_cap = schedule.taus
 
-    violations = 0
-    first_violations = 0
-    for i in range(n):
+    def trial(i: int) -> Tuple[bool, bool]:
+        """(any violation, a first-query violation) of trial i."""
         t_rng = as_rng(trial_seed(seed, i))
         inst = make_spiked(d, lam, seed=t_rng)
         session = open_session(inst, budget=T)
@@ -501,12 +504,13 @@ def verify_overlap_growth(
         event = TruncationEvent(schedule, inst.theta, steps)
         overlaps = event.overlaps(transcript)
         bad = bool(np.any(overlaps > event_cap[:steps]))
-        if overlaps[0] > event_cap[0]:
-            first_violations += 1
         if d * float(v_hat @ inst.theta) ** 2 > event_cap[min(T, len(event_cap) - 1)]:
             bad = True
-        if bad:
-            violations += 1
+        return bad, bool(overlaps[0] > event_cap[0])
+
+    outcomes = map_trials(trial, n)
+    violations = sum(bad for bad, _ in outcomes)
+    first_violations = sum(first for _, first in outcomes)
 
     frac = violations / n
     first_frac = first_violations / n
@@ -542,9 +546,9 @@ def verify_detection_gap(
         raise ValueError(f"detection gap needs lam > 2, got {lam}")
     seed = _concrete_seed(seed)
     threshold = (2.0 + lam) / 2.0
-    type1 = 0
-    type2 = 0
-    for i in range(n):
+
+    def trial(i: int) -> Tuple[bool, bool]:
+        """(type-I error, type-II error) of trial i."""
         t_rng = as_rng(trial_seed(seed, i))
         null_inst = make_spiked(d, 0.0, seed=t_rng)
         alt_inst = make_spiked(d, lam, seed=t_rng)
@@ -554,10 +558,11 @@ def verify_detection_gap(
             # the statistic is the run's own final Ritz value
             _, ritz = _run(session, AlgorithmConfig(kind="lanczos", seed=t_rng))
             stats.append(ritz)
-        if stats[0] >= threshold:
-            type1 += 1
-        if stats[1] < threshold:
-            type2 += 1
+        return stats[0] >= threshold, stats[1] < threshold
+
+    outcomes = map_trials(trial, n)
+    type1 = sum(e1 for e1, _ in outcomes)
+    type2 = sum(e2 for _, e2 in outcomes)
 
     p1, p2 = type1 / n, type2 / n
     err_sum = p1 + p2

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spikequery import instances
 from spikequery.cli import (
     OUTPUT_DIR_ENV,
     RunConfig,
@@ -346,6 +347,27 @@ class TestScaling:
         assert main(argv + ["--output", str(a)]) == 0
         assert main(argv + ["--jobs", "2", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestThreadCount:
+    """Trials run on every available core unless --jobs caps them; the
+    output is that of one core."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alg", "lanczos", "--d", "300", "--lambda", "3",
+         "--T", "8", "--trials", "5", "--seed", "4"],
+        ["scaling", "--alg", "power", "--d-grid", "128,256", "--lambda", "8",
+         "--trials", "3", "--seed", "6"],
+    ])
+    def test_one_and_three_cores_byte_identical(self, argv, monkeypatch, capsys):
+        runs = []
+        for cores in (1, 3):
+            monkeypatch.setattr(
+                instances.os, "sched_getaffinity", lambda pid, k=cores: set(range(k))
+            )
+            runs.append(run_main(argv, capsys))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
 
 
 class TestOutputRouting:

@@ -1,4 +1,8 @@
-"""Unit tests for instance generation and the spectral ground-truth oracle."""
+"""Unit tests for instance generation, the spectral ground-truth oracle and
+the trial map."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -372,3 +376,65 @@ def test_rayleigh_rejects_non_finite_vector():
     with pytest.raises(ValueError, match="finite"):
         rayleigh(np.eye(4), np.full(4, np.nan))
 
+
+# ----------------------------------------------------------------- map_trials
+
+def _cores(monkeypatch, k):
+    """Make the process see k available cores."""
+    monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def test_map_trials_keeps_index_order_when_trials_finish_out_of_order():
+    finished = []
+
+    def fn(i):
+        time.sleep(0.02 * (4 - i))  # the last trial started finishes first
+        finished.append(i)
+        return i * i
+
+    assert instances.map_trials(fn, 5, workers=5) == [0, 1, 4, 9, 16]
+    assert finished != sorted(finished)
+
+
+def test_map_trials_raises_the_lowest_index_failure():
+    def fn(i):
+        if i == 1:
+            time.sleep(0.1)  # trial 3 fails first in time
+            raise ValueError("trial 1")
+        if i == 3:
+            raise KeyError("trial 3")
+        return i
+
+    with pytest.raises(ValueError, match="trial 1"):
+        instances.map_trials(fn, 5, workers=3)
+
+
+@pytest.mark.parametrize(
+    "n, workers, cores", [(0, None, 4), (1, None, 4), (5, 1, 4), (5, None, 1)]
+)
+def test_map_trials_starts_no_thread_with_one_worker(n, workers, cores, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    _cores(monkeypatch, cores)
+    caller = threading.get_ident()
+    assert instances.map_trials(lambda i: (i, threading.get_ident()), n, workers) == [
+        (i, caller) for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("workers, cores", [(3, 1), (None, 3)])
+def test_map_trials_runs_trials_concurrently(workers, cores, monkeypatch):
+    # every trial waits for the other two: three threads run at once, also
+    # when the cap exceeds the cores this process sees
+    _cores(monkeypatch, cores)
+    barrier = threading.Barrier(3, timeout=10)
+
+    def fn(i):
+        barrier.wait()
+        return threading.get_ident()
+
+    assert len(set(instances.map_trials(fn, 3, workers))) == 3

@@ -10,6 +10,7 @@ on the conditional response laws.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from spikequery.bounds import chi_tau_schedule
 from spikequery.divergences import TruncationEvent, gaussian_kl
 from spikequery.instances import as_rng, make_spiked, sample_goe, sample_uniform_sphere
 from spikequery.oracle import open_session
-from spikequery import verify
+from spikequery import instances, verify
 from spikequery.verify import (
     CHECKS,
     CSV_HEADER,
@@ -379,17 +380,69 @@ class TestStreamedDrawsBitIdentical:
         assert [r.empirical for r in rep.rows] == expected
 
 
-@pytest.mark.parametrize("name", ["gauss-quadratic", "conditional-law", "sphere-tail"])
-def test_quick_check_memory_peak(name):
-    # one chunk of GOE draws held as one array is 160 MB, the quick
-    # sphere-tail draw as one (n, d) array 32 MB
+def _quick_peak(name):
+    """tracemalloc peak of one quick run of the named check, in bytes."""
     tracemalloc.start()
     try:
         run_check(name, quick=True, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("name", ["gauss-quadratic", "conditional-law", "sphere-tail"])
+def test_quick_check_memory_peak(name):
+    # one chunk of GOE draws held as one array is 160 MB, the quick
+    # sphere-tail draw as one (n, d) array 32 MB; conditional-law holds its
+    # two (n, d) response arrays and slab-sized temporaries, where centered
+    # copies of them took it to 2.9x the two arrays
+    limit = 32 * 2**20
+    if name == "conditional-law":
+        p = QUICK_PARAMS[name]
+        limit = 1.5 * 2 * p["n"] * p["d"] * 8
+    assert _quick_peak(name) < limit
+
+
+def _cores(monkeypatch, k):
+    """Make the process see k available cores."""
+    monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+@pytest.mark.parametrize("name, per_trial", [("overlap-growth", 1), ("detection-gap", 2)])
+def test_trial_checks_hold_few_instances_under_the_pool(name, per_trial, monkeypatch):
+    # three threads each hold one trial's instances; two more d x d arrays
+    # cover the draw being turned into an instance
+    _cores(monkeypatch, 3)
+    d = QUICK_PARAMS[name]["d"]
+    assert _quick_peak(name) <= (3 * per_trial + 2) * 8 * d * d
+
+
+class TestThreadCountInvariance:
+    """A trial check's CSV and summary are the same inline and on three
+    threads."""
+
+    CASES = {
+        # three trials fail here, the first of them trial 4
+        "reduction-events": lambda: verify_reduction_events(80, 3.0, 0.95, 16, seed=3),
+        "overlap-growth": lambda: verify_overlap_growth("lanczos", 200, 3.0, 0.05, 4, 12, seed=5),
+        "detection-gap": lambda: verify_detection_gap(120, 8.0, 2, 12, seed=6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_and_three_threads_byte_identical(self, name, monkeypatch):
+        texts = []
+        interval = sys.getswitchinterval()
+        for cores in (1, 3):
+            _cores(monkeypatch, cores)
+            sys.setswitchinterval(1e-5)  # interleave the trial threads often
+            try:
+                rep = self.CASES[name]()
+            finally:
+                sys.setswitchinterval(interval)
+            texts.append(reports_to_csv([rep]) + reports_summary([rep]))
+        assert texts[0] == texts[1]
+        if name == "reduction-events":
+            assert "note: trial 4: item1=False" in texts[0]
 
 
 class TestLipschitzTailInvariant:
