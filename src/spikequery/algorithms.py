@@ -11,9 +11,9 @@ the identical linear operations to the responses yields the compressed
 quadratic form H = B^T M B without ever touching M.  It is incremental:
 each accepted pair costs one two-pass Gram-Schmidt step against the basis
 so far (the oracle's kernel) and adds one row and column to H, so a run of
-T queries costs O(T^2 d) in all.  A run that only needs its output solves
-the Ritz problem once, after the last query; ``iterate_candidates`` solves
-it after every query.
+T queries costs O(T^2 d) in all.  ``run`` is the one entry point for all
+three kinds: it solves the Ritz problem once, after the last query, where
+``iterate_candidates`` solves it after every query.
 """
 
 from __future__ import annotations
@@ -198,12 +198,18 @@ def _steps(
         yield ritz.top
 
 
-def _run(
+def run(
     session: QuerySession, config: AlgorithmConfig
 ) -> Tuple[np.ndarray, Optional[float]]:
-    """Run to the end, finalize the session, and return the output with its
-    Ritz value (None for power iteration).  The candidate is computed once,
-    after the last query."""
+    """Run the configured algorithm to the end, finalize the session, and
+    return the output with its Ritz value (None for power iteration).
+
+    Power iteration outputs its final iterate; Lanczos and the random
+    baseline output the Ritz maximizer of the span they queried, computed
+    once, after the last query.  On Lanczos breakdown (Krylov residual below
+    BREAKDOWN_TOL) the run stops early and the finalized transcript is
+    flagged early_termination.
+    """
     budget = session.remaining if config.budget is None else min(config.budget, session.remaining)
     candidate = None
     made = 0
@@ -214,40 +220,6 @@ def _run(
         raise ValueError("algorithm produced no candidate (empty budget?)")
     session.finalize(v_hat, early_termination=made < budget)
     return v_hat, value
-
-
-def run_power(session: QuerySession, config: AlgorithmConfig) -> np.ndarray:
-    """Power iteration: v <- normalize(M v), output the final iterate."""
-    if config.kind != "power":
-        config = AlgorithmConfig(
-            "power", config.budget, config.seed, config.init, config.shift
-        )
-    return _run(session, config)[0]
-
-
-def run_lanczos(session: QuerySession, config: AlgorithmConfig) -> np.ndarray:
-    """Krylov + Rayleigh-Ritz: output the Ritz maximizer of the Krylov space.
-
-    On breakdown (Krylov residual below 1e-10) the current Ritz vector is
-    returned and the finalized transcript is flagged early_termination.
-    """
-    if config.kind != "lanczos":
-        config = AlgorithmConfig("lanczos", config.budget, config.seed, config.init)
-    return _run(session, config)[0]
-
-
-def run_random_nonadaptive(session: QuerySession, config: AlgorithmConfig) -> np.ndarray:
-    """Non-adaptive baseline: i.i.d. random queries, Ritz over what they span."""
-    if config.kind != "random":
-        config = AlgorithmConfig("random", config.budget, config.seed, config.init)
-    return _run(session, config)[0]
-
-
-RUNNERS = {
-    "power": run_power,
-    "lanczos": run_lanczos,
-    "random": run_random_nonadaptive,
-}
 
 
 def queries_to_target(
@@ -272,10 +244,11 @@ def queries_to_target(
     # one generator for both the instance and the algorithm's own randomness,
     # so the two never replay the same stream
     rng = as_rng(seed)
+    # validated before the d x d instance is built; it draws nothing from rng
+    config = AlgorithmConfig(kind=kind, seed=rng)
     inst = make_spiked(d, lam, seed=rng)
     norm = spectral_norm(inst.matrix)
     session = open_session(inst, budget=max_T)
-    config = AlgorithmConfig(kind=kind, seed=rng)
     for T, candidate in enumerate(iterate_candidates(session, config), start=1):
         if float(candidate @ inst.matrix @ candidate) >= target_ratio * norm:
             return T

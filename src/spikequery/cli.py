@@ -33,12 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import (
-    ALGORITHM_KINDS,
-    AlgorithmConfig,
-    RUNNERS,
-    queries_to_target,
-)
+from .algorithms import ALGORITHM_KINDS, AlgorithmConfig, queries_to_target, run
 from .bounds import (
     C1_DETECTION_DEFAULT,
     C1_ESTIMATION_DEFAULT,
@@ -52,8 +47,8 @@ from .bounds import (
     main_theorem_bound,
     min_queries,
 )
-from .instances import as_rng, make_spiked, map_trials, spectral_norm, trial_seed
-from .oracle import open_session
+from .instances import as_rng, make_spiked, map_trials, trial_seed
+from .oracle import open_session, score
 from .verify import CHECKS, reports_summary, reports_to_csv, run_check
 
 OUTPUT_DIR_ENV = "SPIKEQUERY_OUTPUT_DIR"
@@ -307,23 +302,15 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
 # -------------------------------------------------------------- trial fanout
 
 def _simulate_trial(config: RunConfig, i: int) -> Tuple:
-    d, budget = config.d, config.T
     rng = as_rng(trial_seed(config.seed, i))
-    inst = make_spiked(d, config.lam, seed=rng)
-    session = open_session(inst, budget=budget)
-    v_hat = RUNNERS[config.alg](session, AlgorithmConfig(kind=config.alg, seed=rng))
-    transcript = session.transcript
-    ratio = float(v_hat @ inst.matrix @ v_hat) / spectral_norm(inst.matrix)
-    overlap = abs(float(v_hat @ inst.theta))
-    step_overlaps = []
-    for step in transcript.steps:
-        if step.degenerate or step.basis_vector is None:
-            step_overlaps.append(0.0)
-        else:
-            step_overlaps.append(d * float(step.basis_vector @ inst.theta) ** 2)
-    while len(step_overlaps) < budget:
-        step_overlaps.append(math.nan)  # unused budget after early termination
-    return (i, transcript.queries_made, ratio, overlap, step_overlaps)
+    inst = make_spiked(config.d, config.lam, seed=rng)
+    session = open_session(inst, budget=config.T)
+    run(session, AlgorithmConfig(kind=config.alg, seed=rng))
+    made = session.transcript.queries_made
+    s = score(session.transcript, inst)
+    # unused budget after early termination
+    step_overlaps = list(s.step_overlaps) + [math.nan] * (config.T - made)
+    return (i, made, s.rayleigh_ratio, math.sqrt(s.spike_overlap), step_overlaps)
 
 
 def _scaling_trial(c: RunConfig, g: int) -> int:

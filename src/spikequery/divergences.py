@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .bounds import TauSchedule
-from .oracle import Transcript
+from .oracle import Transcript, _step_overlaps
 
 MeasureLike = Union["DiscreteMeasure", Sequence[float], np.ndarray]
 
@@ -99,11 +99,7 @@ class TruncationEvent:
             )
         if transcript.dim != self.u.size:
             raise ValueError("spike dimension does not match the transcript")
-        out = np.zeros(self.horizon)
-        for idx, step in enumerate(transcript.steps[: self.horizon]):
-            if step.basis_vector is not None:
-                out[idx] = transcript.dim * float(step.basis_vector @ self.u) ** 2
-        return out
+        return _step_overlaps(transcript.steps[: self.horizon], self.u)
 
     def holds(self, transcript: Transcript) -> bool:
         return bool(

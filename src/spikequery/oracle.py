@@ -1,18 +1,18 @@
 """Budgeted exact matrix-vector query oracle with projected-response records.
 
 An algorithm interacts with a hidden symmetric matrix M only through
-``query(session, v) -> Mv`` for unit vectors v, up to a budget of T calls,
-then commits to a final unit vector via ``finalize``.  Each charged query
-applies M once, to v.  Alongside the raw responses the session maintains
-the equivalent reduced view: queries are orthonormalized on the fly
-(classical Gram-Schmidt, two passes, as block products against a
+``session.query(v) -> Mv`` for unit vectors v, up to a budget of T calls,
+then commits to a final unit vector via ``session.finalize(v_hat)``.  Each
+charged query applies M once, to v.  Alongside the raw responses the
+session maintains the equivalent reduced view: queries are orthonormalized
+on the fly (classical Gram-Schmidt, two passes, as block products against a
 preallocated basis array), and each step i that adds a basis direction b_i
 has a projected response P_{i-1} M b_i, where P_{i-1} projects onto the
 orthogonal complement of the earlier basis.  Projected responses are
-computed only when read (``projected_view`` on an open session,
+computed only when read (``session.projected_view(i)`` on an open session,
 ``TranscriptStep.projected_response`` on a sealed one), never by
-``finalize``: the images of all basis directions not yet imaged come from
-one block product with M, and each is then projected against the
+``session.finalize``: the images of all basis directions not yet imaged
+come from one block product with M, and each is then projected against the
 directions before it.  Raw responses are exactly recoverable from the
 projected records, so the two views carry the same information;
 ``reconstruct_raw_responses`` realizes that round trip.
@@ -320,20 +320,6 @@ def open_session(inst: Union[SpikedInstance, np.ndarray], budget: int) -> QueryS
     return QuerySession(matrix, budget)
 
 
-def query(session: QuerySession, v: np.ndarray) -> np.ndarray:
-    return session.query(v)
-
-
-def projected_view(session: QuerySession, i: int) -> ProjectedStep:
-    return session.projected_view(i)
-
-
-def finalize(
-    session: QuerySession, v_hat: np.ndarray, early_termination: bool = False
-) -> Transcript:
-    return session.finalize(v_hat, early_termination=early_termination)
-
-
 def reconstruct_raw_responses(transcript: Transcript) -> List[np.ndarray]:
     """Rebuild every raw response from the projected records alone.
 
@@ -366,8 +352,20 @@ class Score:
     """Ground-truth metrics of a finished transcript against its instance."""
 
     rayleigh_ratio: float
-    spike_overlap: float
+    spike_overlap: float  # <v_hat, theta>^2
     step_overlaps: np.ndarray  # d * <b_k, theta>^2 per step, 0 for degenerate
+
+
+def _step_overlaps(steps: Sequence[TranscriptStep], theta: np.ndarray) -> np.ndarray:
+    """d <b_k, theta>^2 for each step's basis direction b_k, 0 for a
+    degenerate step."""
+    d = theta.shape[0]
+    return np.array(
+        [
+            0.0 if st.basis_vector is None else d * float(st.basis_vector @ theta) ** 2
+            for st in steps
+        ]
+    )
 
 
 def score(transcript: Transcript, inst: SpikedInstance) -> Score:
@@ -380,14 +378,11 @@ def score(transcript: Transcript, inst: SpikedInstance) -> Score:
     norm = spectral_norm(inst.matrix)
     ratio = float(v_hat @ inst.matrix @ v_hat) / norm
     overlap = float(v_hat @ inst.theta) ** 2
-    d = inst.dim
-    per_step = np.array(
-        [
-            0.0 if st.degenerate else d * float(st.basis_vector @ inst.theta) ** 2
-            for st in transcript.steps
-        ]
+    return Score(
+        rayleigh_ratio=ratio,
+        spike_overlap=overlap,
+        step_overlaps=_step_overlaps(transcript.steps, inst.theta),
     )
-    return Score(rayleigh_ratio=ratio, spike_overlap=overlap, step_overlaps=per_step)
 
 
 def _vector_hash(v: np.ndarray) -> str:
@@ -404,14 +399,11 @@ def transcript_rows(
     output appears as step T+1 with its own hash and overlap <v_hat, theta>^2.
     """
     rows: List[Tuple] = []
-    d = transcript.dim
-    for st in transcript.steps:
-        if inst is None:
-            ov = ""
-        elif st.degenerate:
-            ov = 0.0
-        else:
-            ov = d * float(st.basis_vector @ inst.theta) ** 2
+    if inst is None:
+        overlaps = [""] * len(transcript.steps)
+    else:
+        overlaps = _step_overlaps(transcript.steps, inst.theta).tolist()
+    for st, ov in zip(transcript.steps, overlaps):
         rows.append(
             (
                 st.step,

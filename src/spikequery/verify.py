@@ -24,7 +24,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import ALGORITHM_KINDS, AlgorithmConfig, RUNNERS, _run
+from .algorithms import ALGORITHM_KINDS, AlgorithmConfig, run
 from .bounds import (
     KD_ASYMPTOTIC,
     chi_tau_schedule,
@@ -426,7 +426,7 @@ def verify_reduction_events(
         item2 = _membership_of_spectrum(vals, gamma).is_member
 
         session = open_session(inst, budget=min(lanczos_budget, d))
-        v_hat = RUNNERS["lanczos"](session, AlgorithmConfig(kind="lanczos", seed=t_rng))
+        v_hat, _ = run(session, AlgorithmConfig(kind="lanczos", seed=t_rng))
         quad = float(inst.theta @ inst.matrix @ inst.theta)
         eps_hat = max(0.0, 1.0 - float(v_hat @ inst.matrix @ v_hat) / quad)
         if eps_hat > gamma:
@@ -496,9 +496,7 @@ def verify_overlap_growth(
         t_rng = as_rng(trial_seed(seed, i))
         inst = make_spiked(d, lam, seed=t_rng)
         session = open_session(inst, budget=T)
-        v_hat = RUNNERS[algorithm_kind](
-            session, AlgorithmConfig(kind=algorithm_kind, seed=t_rng)
-        )
+        v_hat, _ = run(session, AlgorithmConfig(kind=algorithm_kind, seed=t_rng))
         transcript = session.transcript
         steps = min(T, len(transcript.steps))
         event = TruncationEvent(schedule, inst.theta, steps)
@@ -556,7 +554,7 @@ def verify_detection_gap(
         for inst in (null_inst, alt_inst):
             session = open_session(inst, budget=min(T, d))
             # the statistic is the run's own final Ritz value
-            _, ritz = _run(session, AlgorithmConfig(kind="lanczos", seed=t_rng))
+            _, ritz = run(session, AlgorithmConfig(kind="lanczos", seed=t_rng))
             stats.append(ritz)
         return stats[0] >= threshold, stats[1] < threshold
 

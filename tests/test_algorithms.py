@@ -6,13 +6,10 @@ import pytest
 from spikequery.algorithms import (
     ALGORITHM_KINDS,
     AlgorithmConfig,
-    RUNNERS,
     iterate_candidates,
     queries_to_target,
     ritz_from_pairs,
-    run_lanczos,
-    run_power,
-    run_random_nonadaptive,
+    run,
 )
 from spikequery.instances import SpikedInstance, make_spiked, rayleigh, spectral_norm
 from spikequery.oracle import open_session
@@ -57,7 +54,12 @@ class TestConfig:
 
     def test_kinds_enumeration(self):
         assert set(ALGORITHM_KINDS) == {"power", "lanczos", "random"}
-        assert set(RUNNERS) == set(ALGORITHM_KINDS)
+        inst = make_spiked(16, 2.0, seed=0)
+        for kind in ALGORITHM_KINDS:
+            session = open_session(inst, budget=3)
+            out, _ = run(session, AlgorithmConfig(kind=kind, seed=1))
+            assert session.finalized
+            assert np.array_equal(session.transcript.final_output, out)
 
 
 class TestRitzFromPairs:
@@ -93,14 +95,14 @@ class TestPowerMethod:
     def test_converges_on_diagonal_gap(self):
         inst = diagonal_instance([3.0] + [1.0] * 19)
         session = open_session(inst, budget=30)
-        out = run_power(session, AlgorithmConfig(kind="power", seed=5))
+        out, _ = run(session, AlgorithmConfig(kind="power", seed=5))
         assert overlap(out, inst.theta) >= 1.0 - 1e-6
 
     def test_fixed_point_on_identity(self):
         inst = diagonal_instance([1.0] * 8)
         session = open_session(inst, budget=5)
         init = np.ones(8) / math.sqrt(8.0)
-        out = run_power(session, AlgorithmConfig(kind="power", init=init))
+        out, _ = run(session, AlgorithmConfig(kind="power", init=init))
         assert out @ init == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_under_seed(self):
@@ -108,19 +110,19 @@ class TestPowerMethod:
         outs = []
         for _ in range(2):
             session = open_session(inst, budget=6)
-            outs.append(run_power(session, AlgorithmConfig(kind="power", seed=9)))
+            outs.append(run(session, AlgorithmConfig(kind="power", seed=9))[0])
         assert np.array_equal(outs[0], outs[1])
 
     def test_uses_entire_budget(self):
         inst = make_spiked(32, 2.0, seed=1)
         session = open_session(inst, budget=7)
-        run_power(session, AlgorithmConfig(kind="power", seed=2))
+        run(session, AlgorithmConfig(kind="power", seed=2))
         assert session.queries_made == 7
 
     def test_shift_changes_iterates_not_fixed_points(self):
         inst = diagonal_instance([3.0] + [1.0] * 15)
         session = open_session(inst, budget=25)
-        out = run_power(session, AlgorithmConfig(kind="power", seed=5, shift=0.5))
+        out, _ = run(session, AlgorithmConfig(kind="power", seed=5, shift=0.5))
         assert overlap(out, inst.theta) >= 1.0 - 1e-6
 
 
@@ -128,7 +130,7 @@ class TestLanczos:
     def test_full_dimension_run_is_exact(self):
         inst = make_spiked(12, 2.5, seed=13)
         session = open_session(inst, budget=12)
-        out = run_lanczos(session, AlgorithmConfig(kind="lanczos", seed=3))
+        out, _ = run(session, AlgorithmConfig(kind="lanczos", seed=3))
         w, v = np.linalg.eigh(inst.matrix)
         assert overlap(out, v[:, -1]) >= 1.0 - 1e-8
 
@@ -138,14 +140,14 @@ class TestLanczos:
         theta /= np.linalg.norm(theta)
         inst = rank_one_instance(theta, 5.0)
         session = open_session(inst, budget=2)
-        out = run_lanczos(session, AlgorithmConfig(kind="lanczos", seed=23))
+        out, _ = run(session, AlgorithmConfig(kind="lanczos", seed=23))
         assert overlap(out, theta) >= 1.0 - 1e-8
 
     def test_breakdown_stops_early(self):
         inst = diagonal_instance([2.0, 1.0, 0.5])
         init = np.eye(3)[0]
         session = open_session(inst, budget=3)
-        out = run_lanczos(session, AlgorithmConfig(kind="lanczos", init=init))
+        out, _ = run(session, AlgorithmConfig(kind="lanczos", init=init))
         assert session.queries_made == 1
         assert overlap(out, init) == pytest.approx(1.0, abs=1e-12)
         assert session.transcript.early_termination
@@ -155,7 +157,7 @@ class TestLanczos:
         values = []
         for budget in range(1, 9):
             session = open_session(inst, budget=budget)
-            out = run_lanczos(session, AlgorithmConfig(kind="lanczos", seed=31))
+            out, _ = run(session, AlgorithmConfig(kind="lanczos", seed=31))
             values.append(rayleigh(inst.matrix, out))
         assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
 
@@ -165,8 +167,8 @@ class TestLanczos:
         for trial in range(trials):
             inst = make_spiked(600, 3.0, seed=100 + trial)
             sessions = [open_session(inst, budget=8) for _ in range(2)]
-            power = run_power(sessions[0], AlgorithmConfig(kind="power", seed=trial))
-            lanczos = run_lanczos(sessions[1], AlgorithmConfig(kind="lanczos", seed=trial))
+            power, _ = run(sessions[0], AlgorithmConfig(kind="power", seed=trial))
+            lanczos, _ = run(sessions[1], AlgorithmConfig(kind="lanczos", seed=trial))
             if rayleigh(inst.matrix, lanczos) >= rayleigh(inst.matrix, power) - 1e-12:
                 wins += 1
         assert wins >= trials - 1
@@ -180,7 +182,7 @@ class TestRandomNonadaptive:
         t_flat = None
         for inst_, store in ((inst, "spiked"), (flat, "flat")):
             session = open_session(inst_, budget=5)
-            run_random_nonadaptive(session, AlgorithmConfig(kind="random", seed=41))
+            run(session, AlgorithmConfig(kind="random", seed=41))
             t = session.transcript
             if store == "spiked":
                 t_spiked = t
@@ -194,9 +196,7 @@ class TestRandomNonadaptive:
         for trial in range(10):
             inst = make_spiked(1500, 2.0, seed=43 + trial)
             session = open_session(inst, budget=8)
-            out = run_random_nonadaptive(
-                session, AlgorithmConfig(kind="random", seed=trial)
-            )
+            out, _ = run(session, AlgorithmConfig(kind="random", seed=trial))
             overlaps.append(overlap(out, inst.theta))
         assert np.median(overlaps) <= 0.05
 
@@ -264,7 +264,7 @@ class TestQueriesToTarget:
         theta /= np.linalg.norm(theta)
         inst = rank_one_instance(theta, 3.0)
         session = open_session(inst, budget=3)
-        out = run_power(session, AlgorithmConfig(kind="power", seed=5))
+        out, _ = run(session, AlgorithmConfig(kind="power", seed=5))
         assert overlap(out, theta) >= 1.0 - 1e-10
 
     def test_sentinel_when_budget_exhausted(self):
@@ -282,7 +282,14 @@ class TestQueriesToTarget:
         b = queries_to_target("power", 64, 4.0, 0.8, seed=19, max_T=16)
         assert a == b
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="kind"):
+            queries_to_target("subspace", 16, 2.0, 0.5)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("instance built before the kind was validated")
+
+        monkeypatch.setattr("spikequery.algorithms.make_spiked", no_build)
         with pytest.raises(ValueError, match="kind"):
             queries_to_target("subspace", 16, 2.0, 0.5)
 
@@ -299,7 +306,7 @@ class TestOneRitzSolve:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         inst = make_spiked(200, 3.0, seed=61)
         session = open_session(inst, budget=64)
-        run_lanczos(session, AlgorithmConfig(kind="lanczos", seed=5))
+        run(session, AlgorithmConfig(kind="lanczos", seed=5))
         assert session.queries_made == 64
         assert calls == [(64, 64)]
 
@@ -312,11 +319,17 @@ class TestOneRitzSolve:
     def test_run_output_is_last_candidate(self, kind, d, T):
         inst = make_spiked(d, 3.0, seed=67)
         session_a = open_session(inst, budget=T)
-        out = RUNNERS[kind](session_a, AlgorithmConfig(kind=kind, seed=9))
+        out, ritz = run(session_a, AlgorithmConfig(kind=kind, seed=9))
         session_b = open_session(inst, budget=T)
         candidates = list(iterate_candidates(session_b, AlgorithmConfig(kind=kind, seed=9)))
         assert session_a.queries_made == len(candidates)
         assert np.array_equal(out, candidates[-1])
+        if kind == "power":
+            assert ritz is None
+        else:
+            assert isinstance(ritz, float)
+            norm = spectral_norm(inst.matrix)
+            assert abs(ritz - rayleigh(inst.matrix, out)) <= 1e-10 * norm
         if (kind, d) == ("lanczos", 30):
             # the Krylov space of R^30 closes before the budget is spent
             assert len(candidates) < T

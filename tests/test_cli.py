@@ -2,16 +2,18 @@
 shapes, header echoes, reproducibility (including across --jobs), output
 routing, and exit codes (0 pass, 1 check failure, 2 usage/regime error)."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from spikequery import instances
+from spikequery import AlgorithmConfig, instances, make_spiked, open_session, run, score
 from spikequery.cli import (
     OUTPUT_DIR_ENV,
     RunConfig,
     UsageError,
+    _fmt,
     cmd_bounds,
     cmd_simulate,
     config_from_namespace,
@@ -202,6 +204,26 @@ class TestSimulate:
         assert main(argv + ["--output", str(a)]) == 0
         assert main(argv + ["--jobs", "3", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("alg", ["power", "lanczos", "random"])
+    def test_rows_match_library_score(self, alg, capsys):
+        seed, d, T = 4, 40, 6
+        code, out, _ = run_main(
+            ["simulate", "--alg", alg, "--d", str(d), "--lambda", "3",
+             "--T", str(T), "--trials", "3", "--seed", str(seed)], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        for i in range(3):
+            rng = instances.as_rng(instances.trial_seed(seed, i))
+            inst = make_spiked(d, 3.0, seed=rng)
+            session = open_session(inst, budget=T)
+            run(session, AlgorithmConfig(kind=alg, seed=rng))
+            s = score(session.transcript, inst)
+            assert rows[i] == (
+                [str(i), str(session.transcript.queries_made),
+                 _fmt(s.rayleigh_ratio), _fmt(math.sqrt(s.spike_overlap))]
+                + [_fmt(x) for x in s.step_overlaps]
+            )
 
     def test_random_baseline_median_overlap_small(self, capsys):
         code, out, _ = run_main(

@@ -14,10 +14,7 @@ from spikequery.oracle import (
     BudgetExhaustedError,
     QuerySession,
     SessionFinalizedError,
-    finalize,
     open_session,
-    projected_view,
-    query,
     reconstruct_raw_responses,
     score,
     transcript_rows,
@@ -34,9 +31,9 @@ def test_budget_enforced():
     sess = open_session(np.eye(4), budget=3)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        query(sess, _unit(rng.standard_normal(4)))
+        sess.query(_unit(rng.standard_normal(4)))
     with pytest.raises(BudgetExhaustedError):
-        query(sess, _unit(rng.standard_normal(4)))
+        sess.query(_unit(rng.standard_normal(4)))
 
 
 def test_zero_budget_rejected():
@@ -76,12 +73,12 @@ def test_transcript_initially_empty():
 def test_query_identity():
     sess = open_session(np.eye(5), budget=1)
     v = _unit(np.arange(1.0, 6.0))
-    assert np.allclose(query(sess, v), v, atol=1e-14)
+    assert np.allclose(sess.query(v), v, atol=1e-14)
 
 
 def test_query_diag():
     sess = open_session(np.diag([2.0, 0.0]), budget=1)
-    w = query(sess, np.array([1.0, 0.0]))
+    w = sess.query(np.array([1.0, 0.0]))
     assert np.array_equal(w, [2.0, 0.0])
 
 
@@ -92,18 +89,18 @@ def test_query_exactness():
     norm = spectrum(inst.matrix).op_norm
     for _ in range(4):
         v = _unit(rng.standard_normal(64))
-        w = query(sess, v)
+        w = sess.query(v)
         assert np.linalg.norm(w - inst.matrix @ v) <= 1e-10 * norm
 
 
 def test_repeated_query_consumes_budget_no_new_basis():
     sess = open_session(sample_goe(6, seed=2), budget=3)
     v = _unit(np.ones(6))
-    query(sess, v)
-    query(sess, v)
+    sess.query(v)
+    sess.query(v)
     assert sess.queries_made == 2
     assert sess.basis_size == 1
-    step = projected_view(sess, 2)
+    step = sess.projected_view(2)
     assert step.degenerate
     assert step.query is None
     assert np.array_equal(step.response, np.zeros(6))
@@ -112,9 +109,9 @@ def test_repeated_query_consumes_budget_no_new_basis():
 def test_query_rejects_non_unit_and_nonfinite():
     sess = open_session(np.eye(3), budget=2)
     with pytest.raises(ValueError):
-        query(sess, np.array([1.0, 1.0, 0.0]))
+        sess.query(np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
-        query(sess, np.array([np.nan, 0.0, 0.0]))
+        sess.query(np.array([np.nan, 0.0, 0.0]))
 
 
 # ------------------------------------------------------------ projected_view
@@ -123,8 +120,8 @@ def test_first_projected_equals_raw():
     M = sample_goe(8, seed=3)
     sess = open_session(M, budget=1)
     v = _unit(np.arange(1.0, 9.0))
-    w = query(sess, v)
-    step = projected_view(sess, 1)
+    w = sess.query(v)
+    step = sess.projected_view(1)
     assert np.allclose(step.query, v, atol=1e-12)
     assert np.allclose(step.response, w, atol=1e-12)
 
@@ -133,19 +130,19 @@ def test_orthogonal_queries_on_identity():
     sess = open_session(np.eye(4), budget=2)
     v1 = np.array([1.0, 0.0, 0.0, 0.0])
     v2 = np.array([0.0, 1.0, 0.0, 0.0])
-    query(sess, v1)
-    query(sess, v2)
-    step = projected_view(sess, 2)
+    sess.query(v1)
+    sess.query(v2)
+    step = sess.projected_view(2)
     assert np.allclose(step.response, v2, atol=1e-12)
 
 
 def test_projected_view_out_of_range():
     sess = open_session(np.eye(3), budget=1)
-    query(sess, np.array([1.0, 0.0, 0.0]))
+    sess.query(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(IndexError):
-        projected_view(sess, 2)
+        sess.projected_view(2)
     with pytest.raises(IndexError):
-        projected_view(sess, 0)
+        sess.projected_view(0)
 
 
 def test_projected_orthogonal_to_prior_span():
@@ -153,10 +150,10 @@ def test_projected_orthogonal_to_prior_span():
     sess = open_session(inst, budget=6)
     rng = np.random.default_rng(4)
     for _ in range(6):
-        query(sess, _unit(rng.standard_normal(30)))
+        sess.query(_unit(rng.standard_normal(30)))
     B = sess.basis()
     for i in range(2, 7):
-        step = projected_view(sess, i)
+        step = sess.projected_view(i)
         prior = B[:, : i - 1]
         assert np.max(np.abs(prior.T @ step.response)) <= 1e-8
 
@@ -165,27 +162,27 @@ def test_projected_orthogonal_to_prior_span():
 
 def test_finalize_seals_session():
     sess = open_session(np.eye(3), budget=2)
-    query(sess, np.array([1.0, 0.0, 0.0]))
-    t = finalize(sess, np.array([0.0, 1.0, 0.0]))
+    sess.query(np.array([1.0, 0.0, 0.0]))
+    t = sess.finalize(np.array([0.0, 1.0, 0.0]))
     assert t.queries_made == 1
     assert len(t) == 2
     with pytest.raises(SessionFinalizedError):
-        query(sess, np.array([0.0, 0.0, 1.0]))
+        sess.query(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(SessionFinalizedError):
-        finalize(sess, np.array([0.0, 0.0, 1.0]))
+        sess.finalize(np.array([0.0, 0.0, 1.0]))
 
 
 def test_finalize_records_output_exactly():
     sess = open_session(np.eye(3), budget=1)
     v_hat = _unit(np.array([1.0, 2.0, 2.0]))
-    t = finalize(sess, v_hat)
+    t = sess.finalize(v_hat)
     assert np.array_equal(t.final_output, v_hat)
 
 
 def test_transcript_immutable():
     sess = open_session(np.eye(3), budget=1)
-    query(sess, np.array([1.0, 0.0, 0.0]))
-    t = finalize(sess, np.array([0.0, 1.0, 0.0]))
+    sess.query(np.array([1.0, 0.0, 0.0]))
+    t = sess.finalize(np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         t.final_output[0] = 5.0
     with pytest.raises(Exception):
@@ -203,7 +200,7 @@ def test_gram_matrix_near_identity_under_adversarial_queries():
     base = _unit(rng.standard_normal(d))
     for k in range(12):
         v = _unit(base + 1e-7 * rng.standard_normal(d))
-        query(sess, v)
+        sess.query(v)
     B = sess.basis()
     G = B.T @ B
     assert np.max(np.abs(G - np.eye(B.shape[1]))) <= 1e-8
@@ -224,8 +221,8 @@ def test_raw_responses_recoverable_from_projected():
             v = _unit(rng.standard_normal(25))
         if k == 0:
             v = base
-        query(sess, v)
-    t = finalize(sess, _unit(rng.standard_normal(25)))
+        sess.query(v)
+    t = sess.finalize(_unit(rng.standard_normal(25)))
     rebuilt = reconstruct_raw_responses(t)
     for st, w in zip(t.steps, rebuilt):
         assert np.linalg.norm(st.raw_response - w) <= 1e-8
@@ -238,7 +235,7 @@ def test_basis_orthonormal_random_paths(seed, T):
     rng = np.random.default_rng(seed)
     sess = open_session(sample_goe(d, seed=seed), budget=T)
     for _ in range(T):
-        query(sess, _unit(rng.standard_normal(d)))
+        sess.query(_unit(rng.standard_normal(d)))
     B = sess.basis()
     assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= 1e-8
 
@@ -254,8 +251,8 @@ def test_power_session_round_trips_through_near_dependent_queries():
     for _ in range(T):
         B = sess.basis()
         residuals.append(np.linalg.norm(v - B @ (B.T @ v)))
-        v = _unit(query(sess, v))
-    t = finalize(sess, v)
+        v = _unit(sess.query(v))
+    t = sess.finalize(v)
     fresh = [r for r, st in zip(residuals, t.steps) if not st.degenerate]
     assert min(fresh) < 1e-6
     for st, w in zip(t.steps, reconstruct_raw_responses(t)):
@@ -275,7 +272,7 @@ def test_basis_storage_capped_at_dimension():
     assert peak < budget * d * 8 // 100  # not one basis row per budgeted query
     rng = np.random.default_rng(13)
     for _ in range(d + 3):
-        query(sess, _unit(rng.standard_normal(d)))
+        sess.query(_unit(rng.standard_normal(d)))
     assert sess.basis_size == d
     B = sess.basis()
     assert np.max(np.abs(B.T @ B - np.eye(d))) <= 1e-8
@@ -308,10 +305,10 @@ def test_each_query_applies_matrix_once():
     for k in range(8):
         if k not in (2, 5):  # steps 3 and 6 repeat a query exactly
             v = _unit(rng.standard_normal(d))
-        query(sess, v)
+        sess.query(v)
         assert M.columns == [1] * (k + 1)
     assert sess.basis_size == 6
-    t = finalize(sess, v)
+    t = sess.finalize(v)
     assert M.columns == [1] * 8  # sealing images nothing
     t.steps[4].projected_response
     assert M.columns == [1] * 8 + [6]  # one block product for the basis images
@@ -326,13 +323,13 @@ def test_images_computed_once_across_a_mid_session_read():
     sess = QuerySession(M, budget=7)
     rng = np.random.default_rng(24)
     for _ in range(4):
-        query(sess, _unit(rng.standard_normal(d)))
-    projected_view(sess, 2)
-    projected_view(sess, 4)
+        sess.query(_unit(rng.standard_normal(d)))
+    sess.projected_view(2)
+    sess.projected_view(4)
     assert M.columns == [1] * 4 + [4]
     for _ in range(3):
-        query(sess, _unit(rng.standard_normal(d)))
-    t = finalize(sess, _unit(rng.standard_normal(d)))
+        sess.query(_unit(rng.standard_normal(d)))
+    t = sess.finalize(_unit(rng.standard_normal(d)))
     assert M.columns == [1] * 4 + [4] + [1] * 3  # sealing images nothing
     t.steps[0].projected_response  # imaged already; the read fills the pending rows
     assert M.columns == [1] * 4 + [4] + [1] * 3 + [3]
@@ -344,8 +341,8 @@ def test_images_computed_once_across_a_mid_session_read():
 def test_bare_matrix_is_read_only_under_a_sealed_transcript():
     M = sample_goe(6, seed=25)
     sess = open_session(M, budget=2)
-    query(sess, _unit(np.arange(1.0, 7.0)))
-    t = finalize(sess, _unit(np.ones(6)))
+    sess.query(_unit(np.arange(1.0, 7.0)))
+    t = sess.finalize(_unit(np.ones(6)))
     with pytest.raises(ValueError):
         M[0, 0] = 1.0
     assert np.allclose(t.steps[0].projected_response, t.steps[0].raw_response, atol=1e-12)
@@ -359,8 +356,8 @@ def test_dropped_session_and_transcript_free_the_matrix_without_gc():
     gc.disable()
     try:
         sess = open_session(M, budget=2)
-        query(sess, _unit(np.arange(1.0, 7.0)))
-        t = finalize(sess, _unit(np.ones(6)))
+        sess.query(_unit(np.arange(1.0, 7.0)))
+        t = sess.finalize(_unit(np.ones(6)))
         t.steps[0].projected_response
         del M, sess, t
         assert alive() is None
@@ -404,10 +401,10 @@ def test_lazy_projected_responses_match_reference():
     for k in range(10):
         if k not in (3, 7):  # exact repeats: degenerate steps
             v = _unit(rng.standard_normal(d))
-        query(sess, v)
+        sess.query(v)
         if k == 4:  # read mid-session, then keep querying
-            early = [projected_view(sess, i) for i in range(1, 6)]
-    t = finalize(sess, v)
+            early = [sess.projected_view(i) for i in range(1, 6)]
+    t = sess.finalize(v)
     assert [st.degenerate for st in t.steps].count(True) == 2
     _assert_projected_match_reference(M, t)
     for st, view in zip(t.steps, early):
@@ -421,8 +418,8 @@ def test_lazy_projected_responses_beyond_dimension():
     sess = open_session(M, budget=budget)
     rng = np.random.default_rng(28)
     for _ in range(budget):
-        query(sess, _unit(rng.standard_normal(d)))
-    t = finalize(sess, _unit(rng.standard_normal(d)))
+        sess.query(_unit(rng.standard_normal(d)))
+    t = sess.finalize(_unit(rng.standard_normal(d)))
     assert [st.degenerate for st in t.steps] == [False] * d + [True] * (budget - d)
     _assert_projected_match_reference(M, t)
 
@@ -433,8 +430,8 @@ def test_lazy_projected_responses_of_near_dependent_power_session():
     sess = open_session(inst, budget=T)
     v = sample_uniform_sphere(d, seed=6)
     for _ in range(T):
-        v = _unit(query(sess, v))
-    t = finalize(sess, v)
+        v = _unit(sess.query(v))
+    t = sess.finalize(v)
     _assert_projected_match_reference(inst.matrix, t)
 
 
@@ -449,8 +446,8 @@ def test_score_pure_spike():
 
     inst = SpikedInstance(theta=theta, lam=3.0, noise=np.zeros((d, d)), matrix=M)
     sess = open_session(inst, budget=1)
-    query(sess, theta)
-    t = finalize(sess, theta)
+    sess.query(theta)
+    t = sess.finalize(theta)
     s = score(t, inst)
     assert abs(s.rayleigh_ratio - 1.0) <= 1e-10
     assert abs(s.spike_overlap - 1.0) <= 1e-12
@@ -469,8 +466,8 @@ def test_score_orthogonal_output():
     sess = open_session(inst, budget=1)
     perp = np.zeros(d)
     perp[1] = 1.0
-    query(sess, perp)
-    t = finalize(sess, perp)
+    sess.query(perp)
+    t = sess.finalize(perp)
     s = score(t, inst)
     assert s.spike_overlap == 0.0
 
@@ -479,7 +476,7 @@ def test_score_dimension_mismatch():
     inst = make_spiked(8, 1.0, seed=0)
     other = make_spiked(9, 1.0, seed=0)
     sess = open_session(inst, budget=1)
-    t = finalize(sess, np.eye(8)[0])
+    t = sess.finalize(np.eye(8)[0])
     with pytest.raises(ValueError):
         score(t, other)
 
@@ -488,9 +485,9 @@ def test_transcript_rows_shape():
     inst = make_spiked(10, 2.0, seed=3)
     sess = open_session(inst, budget=2)
     rng = np.random.default_rng(0)
-    query(sess, _unit(rng.standard_normal(10)))
-    query(sess, _unit(rng.standard_normal(10)))
-    t = finalize(sess, _unit(rng.standard_normal(10)))
+    sess.query(_unit(rng.standard_normal(10)))
+    sess.query(_unit(rng.standard_normal(10)))
+    t = sess.finalize(_unit(rng.standard_normal(10)))
     rows = transcript_rows(t, inst)
     assert len(rows) == 3
     assert [r[0] for r in rows] == [1, 2, 3]
