@@ -247,7 +247,7 @@ def queries_to_target(
     # validated before the d x d instance is built; it draws nothing from rng
     config = AlgorithmConfig(kind=kind, seed=rng)
     inst = make_spiked(d, lam, seed=rng)
-    norm = spectral_norm(inst.matrix)
+    norm = spectral_norm(inst)
     session = open_session(inst, budget=max_T)
     for T, candidate in enumerate(iterate_candidates(session, config), start=1):
         if float(candidate @ inst.matrix @ candidate) >= target_ratio * norm:

@@ -3,8 +3,9 @@ verification into reproducible batch runs with CSV outputs.
 
 Four subcommands:
 
-  simulate   per-trial algorithm runs: Rayleigh ratio, spike overlap, and
-             per-step scaled overlaps d <b_k, theta>^2, plus a median row.
+  simulate   per-trial algorithm runs: Rayleigh ratio, spike overlap
+             <v_hat, theta>^2, and per-step scaled overlaps
+             d <b_k, theta>^2, plus a median row.
   bounds     tabulates the closed-form bounds and tau schedules over T.
   verify     drives the Monte-Carlo verification checks; exit 0 iff all pass.
   scaling    empirical median queries-to-target next to the theoretical
@@ -12,12 +13,13 @@ Four subcommands:
 
 Every run writes a single '#' header line echoing the full configuration and
 seed; re-running the same command line reproduces the output byte for byte
-(trials are seeded as seed XOR trial-index, and results merge in trial order
-however many threads run them: --jobs caps the threads of simulate and
-scaling, by default every available core).  Output goes to
---output when given, else to $SPIKEQUERY_OUTPUT_DIR/<subcommand>.csv when
-that variable is set, else to stdout.  Floats are printed at 12 significant
-digits.  Exit codes: 0 pass, 1 check failure, 2 usage or regime error.
+(trial i draws from the i-th spawn child of the base seed's SeedSequence,
+and results merge in trial order however many threads run them: --jobs caps
+the threads of simulate and scaling, by default every available core).
+Output goes to --output when given, else to
+$SPIKEQUERY_OUTPUT_DIR/<subcommand>.csv when that variable is set, else to
+stdout.  Floats are printed at 12 significant digits.  Exit codes: 0 pass,
+1 check failure, 2 usage or regime error.
 """
 
 from __future__ import annotations
@@ -310,7 +312,7 @@ def _simulate_trial(config: RunConfig, i: int) -> Tuple:
     s = score(session.transcript, inst)
     # unused budget after early termination
     step_overlaps = list(s.step_overlaps) + [math.nan] * (config.T - made)
-    return (i, made, s.rayleigh_ratio, math.sqrt(s.spike_overlap), step_overlaps)
+    return (i, made, s.rayleigh_ratio, s.spike_overlap, step_overlaps)
 
 
 def _scaling_trial(c: RunConfig, g: int) -> int:
@@ -321,10 +323,16 @@ def _scaling_trial(c: RunConfig, g: int) -> int:
     )
 
 
-def _median(values: Sequence[float]) -> float:
-    arr = np.asarray(values, dtype=float)
-    good = arr[~np.isnan(arr)]
-    return float(np.median(good)) if good.size else math.nan
+def _column_medians(table) -> np.ndarray:
+    """Median of each column of a 2-D table over its non-NaN entries (the
+    value np.median gives on them), NaN for a column with none; one sort of
+    the whole table, NaNs last."""
+    a = np.sort(np.asarray(table, dtype=float), axis=0)
+    k = np.count_nonzero(~np.isnan(a), axis=0)[None]
+    # k = 0 picks NaNs, and NaN arithmetic raises no warning
+    lo = np.take_along_axis(a, (k - 1) // 2, axis=0)
+    hi = np.take_along_axis(a, k // 2, axis=0)
+    return ((lo + hi) / 2)[0]
 
 
 # --------------------------------------------------------------- subcommands
@@ -342,15 +350,9 @@ def cmd_simulate(config: RunConfig) -> str:
             ",".join([str(i), str(made), _fmt(ratio), _fmt(overlap)]
                      + [_fmt(s) for s in steps])
         )
-    med_steps = [_median([r[4][k] for r in results]) for k in range(T)]
-    lines.append(
-        ",".join(
-            ["median", _fmt(_median([r[1] for r in results])),
-             _fmt(_median([r[2] for r in results])),
-             _fmt(_median([r[3] for r in results]))]
-            + [_fmt(s) for s in med_steps]
-        )
-    )
+    medians = _column_medians([[made, ratio, overlap] + steps
+                               for _, made, ratio, overlap, steps in results])
+    lines.append(",".join(["median"] + [_fmt(m) for m in medians]))
     return "\n".join(lines) + "\n"
 
 
@@ -477,7 +479,8 @@ def cmd_scaling(config: RunConfig) -> str:
         theory = min_queries(
             "main", {"d": d, "gamma": gamma, "eps": 1.0 - c.target}, c.threshold
         )
-        lines.append(f"{d},{_fmt(_median(counts))},{theory},{_fmt(gamma)}")
+        median = _column_medians(np.reshape(counts, (-1, 1)))[0]
+        lines.append(f"{d},{_fmt(median)},{theory},{_fmt(gamma)}")
     return "\n".join(lines) + "\n"
 
 

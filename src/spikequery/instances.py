@@ -6,7 +6,9 @@ orthogonal ensemble matrix,
     M = lam * theta theta^T + W / sqrt(d),
 
 with theta uniform on the unit sphere and W symmetric Gaussian noise
-(off-diagonal variance 1, diagonal variance 2).  This module samples such
+(off-diagonal variance 1, diagonal variance 2), drawn from its d(d+1)/2
+free entries: the upper triangle, diagonal included, in row-major order,
+mirrored below.  This module samples such
 instances, exposes a full-eigendecomposition oracle for ground truth, and
 checks membership in the bounded-eigenratio class (top eigenvalue positive
 and dominant, every other eigenvalue at most gamma times it in magnitude).
@@ -31,7 +33,8 @@ Seed = Union[None, int, np.integer, np.random.Generator, np.random.SeedSequence]
 #: Largest dimension the dense eigendecomposition oracle accepts by default.
 SPECTRUM_DIM_CAP = 8192
 
-#: Edge of the square tiles in which the d x d passes below walk the matrix.
+#: Edge of the square tiles in which the d x d passes below walk the matrix
+#: (and the height of the row blocks in which a GOE draw is made).
 #: A tile and its mirror image across the diagonal are read together, so a
 #: transposed read stays in cache instead of striding through the whole
 #: matrix.  Measured with one thread at d in {1000, 1500, 2000, 2048, 3000,
@@ -59,9 +62,14 @@ def as_rng(seed: Seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def trial_seed(seed: int, trial: int) -> int:
-    """Per-trial stream seed: base seed XOR trial index (64-bit)."""
-    return (int(seed) ^ int(trial)) & 0xFFFFFFFFFFFFFFFF
+def trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
+    """Per-trial stream: the trial-th spawn child of SeedSequence(seed), with
+    the base seed taken mod 2^64 so that a negative one is usable too.
+
+    Streams of different (seed, trial) pairs are independent, and none
+    replays the base stream as_rng(seed), whose spawn key is empty.
+    """
+    return np.random.SeedSequence(int(seed) % 2**64, spawn_key=(int(trial),))
 
 
 R = TypeVar("R")
@@ -133,25 +141,54 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _fill_goe(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill x, a stack of m d x d matrices, with m successive sample_goe
+    draws from rng, and return it.
+
+    The draw is made a block of TILE rows at a time (for all m matrices at
+    once when one block holds a whole matrix), scattered into the block's
+    upper triangle through a (TILE, d) mask and mirrored tile by tile.
+    Successive generator draws concatenate, so the result does not depend
+    on TILE.
+    """
+    m, d = x.shape[0], x.shape[-1]
+    if m > 1 and d > TILE:  # matrix j's entries all come before matrix j+1's
+        for j in range(m):
+            _fill_goe(x[j : j + 1], rng)
+        return x
+    upper = np.arange(d) >= np.arange(min(TILE, d))[:, None]  # column >= row
+    root2 = np.sqrt(2.0)
+    for i in range(0, d, TILE):
+        I = slice(i, i + TILE)
+        b, w = min(TILE, d - i), d - i
+        mask = upper[:b, :w]
+        z = rng.standard_normal((m, b * w - b * (b - 1) // 2))
+        r = np.arange(b)  # row r's packed entries start with its diagonal one
+        z[:, r * w - r * (r - 1) // 2] *= root2
+        # boolean masks of the indexed array's full shape take numpy's fast path
+        block = x[:, I, i:]
+        block[np.broadcast_to(mask, block.shape)] = z.ravel()
+        diag = x[:, I, I]
+        lower = np.broadcast_to(~mask[:, :b], diag.shape)
+        diag[lower] = diag.transpose(0, 2, 1)[lower]
+        for j in range(i + TILE, d, TILE):
+            J = slice(j, j + TILE)
+            x[:, J, I] = x[:, I, J].transpose(0, 2, 1)
+    return x
+
+
 def sample_goe(d: int, seed: Seed = None) -> np.ndarray:
     """Draw a d x d GOE matrix: N(0,1) above the diagonal, N(0,2) on it.
 
-    Built as (X + X^T)/sqrt(2) for X with i.i.d. standard normal entries,
-    which is exactly symmetric in floating point and has the stated
-    entrywise variances.  X is symmetrized and scaled in place, one tile and
-    its mirror at a time, so the draw is the only d x d array allocated.
+    Only the d(d+1)/2 free entries are drawn: the upper triangle, diagonal
+    included, in row-major order, as z ~ N(0, 1) off the diagonal and
+    sqrt(2) z on it, mirrored below, so the matrix is exactly symmetric.
+    The draw is made and scattered a block of rows at a time, so the matrix
+    is the only d x d array allocated.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    rng = as_rng(seed)
-    x = rng.standard_normal((d, d))
-    root2 = np.sqrt(2.0)
-    for I, J in _mirror_tiles(d):
-        s = x[I, J] + x[J, I].T
-        s /= root2
-        x[I, J] = s
-        x[J, I] = s.T
-    return x
+    return _fill_goe(np.empty((1, d, d)), as_rng(seed))[0]
 
 
 def sample_uniform_sphere(d: int, seed: Seed = None) -> np.ndarray:
@@ -296,15 +333,17 @@ def spectrum(M: np.ndarray, dim_cap: int = SPECTRUM_DIM_CAP) -> SpectrumSummary:
     )
 
 
-def spectral_norm(M: np.ndarray) -> float:
-    """Operator norm of a symmetric matrix.
+def spectral_norm(M: Union[SpikedInstance, np.ndarray]) -> float:
+    """Operator norm of a symmetric matrix, or of an instance's matrix.
 
+    An instance's matrix is read as it is, since it is finite and exactly
+    symmetric by construction; a bare matrix is checked in full first.
     Uses the dense solver up to d = DENSE_NORM_MAX_DIM (256) and, above it,
     one iterative Lanczos solve for the largest-magnitude eigenvalue
     (deterministic start vector), which is the operator norm by definition;
     the two agree to about 1e-14 relative on symmetric input.
     """
-    M = _require_symmetric(M)
+    M = M.matrix if isinstance(M, SpikedInstance) else _require_symmetric(M)
     d = M.shape[0]
     if d <= DENSE_NORM_MAX_DIM:
         vals = np.linalg.eigvalsh(M)

@@ -375,7 +375,7 @@ def score(transcript: Transcript, inst: SpikedInstance) -> Score:
             f"transcript dimension {transcript.dim} != instance dimension {inst.dim}"
         )
     v_hat = transcript.final_output
-    norm = spectral_norm(inst.matrix)
+    norm = spectral_norm(inst)
     ratio = float(v_hat @ inst.matrix @ v_hat) / norm
     overlap = float(v_hat @ inst.theta) ** 2
     return Score(

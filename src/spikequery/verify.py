@@ -36,6 +36,7 @@ from .divergences import TruncationEvent
 from .instances import (
     SPECTRUM_DIM_CAP,
     Seed,
+    _fill_goe,
     _membership_of_spectrum,
     as_rng,
     make_spiked,
@@ -131,27 +132,22 @@ def _concrete_seed(seed: Seed) -> int:
     return int(seed)
 
 
-#: Elements in one slab of Monte-Carlo draws: the GOE checks draw, symmetrize
+#: Elements in one slab of Monte-Carlo draws: the GOE checks draw, mirror
 #: and apply max(1, SLAB // d^2) matrices at a time, verify_sphere_tail draws
 #: max(1, SLAB // d) Gaussian rows at a time, so the passes over a slab run
-#: in cache.  Measured with one thread at the quick parameters, 2^14, 2^15,
-#: 2^16 and 2^17 lie within 3% of each other on each check (gauss-quadratic
-#: 1.08 s at 2^15, against 1.37 s with one array per 2e7-element chunk), so
-#: 2^15 (256 KiB; 13 draws a slab at d = 50) sits mid-range.
+#: in cache.  Measured with one thread at the quick parameters (best of 6),
+#: gauss-quadratic takes 0.88, 0.64, 0.58 and 0.76 s at 2^14, 2^15, 2^16 and
+#: 2^17, and conditional-law 0.37 s at both 2^15 and 2^16; 2^15 (256 KiB;
+#: 13 draws a slab at d = 50) is kept because at 2^16 the slab temporaries
+#: raise the tracemalloc peak of quick conditional-law from 11.3 to 13.3 MiB.
 SLAB = 2**15
 
 
 def _goe_batch(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    """m GOE draws (X + X^T)/sqrt(2) stacked as an (m, d, d) array.
-
-    X is symmetrized and divided in place; numpy buffers the overlapping
-    transposed operand, one copy of the batch.  Meant for slab-sized batches
-    (see _goe_matvecs).
-    """
-    x = rng.standard_normal((m, d, d))
-    x += x.transpose(0, 2, 1)
-    x /= math.sqrt(2.0)
-    return x
+    """m GOE draws stacked as an (m, d, d) array; matrix j equals the j-th of
+    m successive ``sample_goe(d, rng)`` calls.  Meant for slab-sized batches
+    (see _goe_matvecs)."""
+    return _fill_goe(np.empty((m, d, d)), rng)
 
 
 def _goe_matvecs(
@@ -396,6 +392,10 @@ def verify_reduction_events(
     the F bound at its achieved epsilon.  The conjunction must hold with
     frequency >= 1 - 2 delta0 - 3 stderr.  A deterministic grid sub-check of
     the overlap lemma at d=3 runs alongside.
+
+    Trial i draws from trial_seed(seed, i); the K_d estimate draws from the
+    base stream as_rng(seed) and the d=3 grid from trial_seed(seed, n), the
+    first spawn child no trial uses, so no two of them share a stream.
     """
     if not (0 < delta0 < 1):
         raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
@@ -451,7 +451,7 @@ def verify_reduction_events(
         ),
         one_sided_row(
             "d=3 grid overlap-lemma violation",
-            _deterministic_overlap_grid(lam, grid_size, seed),
+            _deterministic_overlap_grid(lam, grid_size, trial_seed(seed, n)),
             0.0,
             1e-9,
         ),

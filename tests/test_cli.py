@@ -2,7 +2,6 @@
 shapes, header echoes, reproducibility (including across --jobs), output
 routing, and exit codes (0 pass, 1 check failure, 2 usage/regime error)."""
 
-import math
 import warnings
 
 import numpy as np
@@ -13,6 +12,7 @@ from spikequery.cli import (
     OUTPUT_DIR_ENV,
     RunConfig,
     UsageError,
+    _column_medians,
     _fmt,
     cmd_bounds,
     cmd_simulate,
@@ -221,9 +221,20 @@ class TestSimulate:
             s = score(session.transcript, inst)
             assert rows[i] == (
                 [str(i), str(session.transcript.queries_made),
-                 _fmt(s.rayleigh_ratio), _fmt(math.sqrt(s.spike_overlap))]
+                 _fmt(s.rayleigh_ratio), _fmt(s.spike_overlap)]
                 + [_fmt(x) for x in s.step_overlaps]
             )
+
+    def test_all_nan_step_column_prints_nan(self, capsys):
+        # lanczos closes its Krylov space at d = 5, so steps 6-8 are NaN in
+        # every trial: their median is nan, and no RuntimeWarning is raised
+        code, out, _ = run_main(
+            ["simulate", "--alg", "lanczos", "--d", "5", "--lambda", "3",
+             "--T", "8", "--trials", "4", "--seed", "3"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[-1][-3:] == ["nan"] * 3
+        assert "nan" not in rows[-1][:-3]
 
     def test_random_baseline_median_overlap_small(self, capsys):
         code, out, _ = run_main(
@@ -234,6 +245,28 @@ class TestSimulate:
         summary = rows[-1]
         assert summary[0] == "median"
         assert float(summary[header.index("spike_overlap")]) <= 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 11])
+def test_column_medians_match_np_median(n):
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal((n, 6))
+    table[rng.random((n, 6)) < 0.3] = np.nan
+    table[:, 0] = rng.integers(0, 4, n)  # whole numbers, as in the T column
+    table[:, 5] = np.nan
+    expected = [np.median(c[~np.isnan(c)]) if np.any(~np.isnan(c)) else np.nan
+                for c in table.T]
+    assert np.array_equal(_column_medians(table), expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alg", "power", "--d", "20", "--lambda", "3", "--T", "2", "--trials", "2"],
+    ["scaling", "--alg", "power", "--d-grid", "64", "--lambda", "8", "--trials", "2"],
+])
+def test_negative_seed_exits_zero(argv, capsys):
+    code, out, err = run_main(argv + ["--seed", "-3"], capsys)
+    assert code == 0, err
+    assert "seed=-3" in out.splitlines()[0]
 
 
 class TestBounds:

@@ -26,6 +26,41 @@ from spikequery import (
 
 # ---------------------------------------------------------------- sample_goe
 
+def _goe_reference(d, rng):
+    """The GOE draw by its definition: the upper triangle, diagonal included,
+    packed in row-major order from one generator call, diagonal times sqrt(2),
+    mirrored below."""
+    w = np.zeros((d, d))
+    w[np.triu_indices(d)] = rng.standard_normal(d * (d + 1) // 2)
+    w[np.diag_indices(d)] *= np.sqrt(2.0)
+    rows, cols = np.triu_indices(d, 1)
+    w[cols, rows] = w[rows, cols]
+    return w
+
+
+@pytest.mark.parametrize("d", [1, 2, 127, 128, 129, 300])
+def test_goe_matches_packed_triangle_reference(d):
+    assert np.array_equal(sample_goe(d, seed=d), _goe_reference(d, np.random.default_rng(d)))
+
+
+@pytest.mark.parametrize("tile", [64, 37])
+def test_goe_and_spiked_matrix_do_not_depend_on_tile(tile, monkeypatch):
+    d = 300
+    goe, spiked = sample_goe(d, seed=4), make_spiked(d, 2.0, seed=5).matrix
+    monkeypatch.setattr(instances, "TILE", tile)
+    assert np.array_equal(sample_goe(d, seed=4), goe)
+    assert np.array_equal(make_spiked(d, 2.0, seed=5).matrix, spiked)
+
+
+@pytest.mark.parametrize("d", [1, 129, 300])
+def test_make_spiked_draws_theta_then_the_free_entries(d):
+    g = np.random.default_rng(8)
+    make_spiked(d, 1.5, seed=g)
+    fresh = np.random.default_rng(8)
+    fresh.standard_normal(d + d * (d + 1) // 2)
+    assert g.standard_normal() == fresh.standard_normal()
+
+
 def test_goe_d1_is_variance_two_gaussian():
     draws = np.array([sample_goe(1, seed=t)[0, 0] for t in range(10_000)])
     assert 1.9 <= draws.var() <= 2.1, f"d=1 GOE entry variance {draws.var():.3f}"
@@ -163,13 +198,11 @@ def test_spiked_noise_is_required_in_positional_order():
 @pytest.mark.parametrize("lam", [0.0, 3.0])
 @pytest.mark.parametrize("d", [1, 2, 257, 1000])
 def test_spiked_matrix_bit_identical_to_reference_formula(d, lam):
-    # the formula make_spiked used before in-place assembly: theta, then the
-    # GOE noise from the same generator, M = lam theta theta^T + noise/sqrt(d),
-    # then (M + M^T)/2
+    # theta, then the GOE noise by its definition from the same generator,
+    # M = lam theta theta^T + noise/sqrt(d), then (M + M^T)/2
     rng = np.random.default_rng(17)
     theta = sample_uniform_sphere(d, rng)
-    x = rng.standard_normal((d, d))
-    noise = (x + x.T) / np.sqrt(2.0)
+    noise = _goe_reference(d, rng)
     m = lam * np.outer(theta, theta) + noise / np.sqrt(d)
     reference = (m + m.T) / 2.0
     inst = make_spiked(d, lam, seed=17)
@@ -334,6 +367,22 @@ def test_iterative_spectral_norm_matches_dense(lam, d, seed):
     assert abs(spectral_norm(M) - dense) <= 1e-12 * dense
 
 
+def test_spectral_norm_trusts_an_instance_and_checks_a_bare_matrix(monkeypatch):
+    inst = make_spiked(300, 3.0, seed=6)
+    expected = spectral_norm(inst.matrix)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance's matrix was re-checked")
+
+    monkeypatch.setattr(instances, "_require_symmetric", refuse)
+    assert spectral_norm(inst) == expected
+    monkeypatch.undo()
+    flipped = np.array(inst.matrix)
+    flipped[0, 1] += 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        spectral_norm(flipped)
+
+
 # ----------------------------------------------------------- check_membership
 
 def test_membership_examples():
@@ -438,3 +487,28 @@ def test_map_trials_runs_trials_concurrently(workers, cores, monkeypatch):
         return threading.get_ident()
 
     assert len(set(instances.map_trials(fn, 3, workers))) == 3
+
+
+# --------------------------------------------------------------- trial_seed
+
+def _first_draws(seed):
+    return instances.as_rng(seed).standard_normal(4)
+
+
+def test_trial_seed_is_the_spawn_child():
+    child = np.random.SeedSequence(7).spawn(3)[2]
+    assert np.array_equal(_first_draws(instances.trial_seed(7, 2)), _first_draws(child))
+
+
+def test_trial_streams_are_distinct():
+    assert not np.array_equal(
+        _first_draws(instances.trial_seed(0, 1)), _first_draws(instances.trial_seed(1, 0))
+    )
+    for seed in (0, 5):
+        assert not np.array_equal(_first_draws(instances.trial_seed(seed, 0)), _first_draws(seed))
+
+
+def test_trial_seed_takes_a_negative_base_mod_2_64():
+    assert np.array_equal(
+        _first_draws(instances.trial_seed(-1, 3)), _first_draws(instances.trial_seed(2**64 - 1, 3))
+    )

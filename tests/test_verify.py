@@ -188,6 +188,21 @@ class TestReductionEvents:
         assert "conjunction failure fraction" in labels
         assert "d=3 grid overlap-lemma violation" in labels
 
+    def test_kd_grid_and_trials_draw_from_distinct_streams(self, monkeypatch):
+        opened = []
+
+        def recording_as_rng(seed):
+            opened.append(seed)
+            return as_rng(seed)
+
+        monkeypatch.setattr(verify, "as_rng", recording_as_rng)
+        n = 4
+        verify_reduction_events(200, 4.0, 0.1, n, seed=13, grid_size=50)
+        # the K_d stream, one per trial, the grid's
+        assert len(opened) == n + 2
+        first = {tuple(np.random.default_rng(s).standard_normal(4)) for s in opened}
+        assert len(first) == n + 2
+
     def test_large_lambda_regime(self):
         # At lam far above the noise level the F bound approaches
         # sqrt(1 - eps) and Lanczos recovers the spike almost exactly.
@@ -307,12 +322,17 @@ class TestReproducibility:
 
 
 def _whole_chunk_matvecs(rng, m, d, vectors):
-    """Reference: all m GOE matrices of a chunk drawn as one (m, d, d)
-    array, symmetrized, divided, then one stacked matvec per vector."""
-    w = rng.standard_normal((m, d, d))
-    for x in w:
-        x += x.T.copy()
-    w /= math.sqrt(2.0)
+    """Reference: the free entries of all m GOE matrices of a chunk drawn as
+    one (m, d(d+1)/2) array, each row the upper triangle of one matrix in
+    row-major order, diagonal times sqrt(2), mirrored; then one stacked
+    matvec per vector."""
+    z = rng.standard_normal((m, d * (d + 1) // 2))
+    w = np.zeros((m, d, d))
+    rows, cols = np.triu_indices(d)
+    w[:, rows, cols] = z
+    w[:, cols, rows] = z
+    diag = np.arange(d)
+    w[:, diag, diag] *= math.sqrt(2.0)
     return [w @ v for v in vectors]
 
 
@@ -332,6 +352,14 @@ class TestStreamedDrawsBitIdentical:
         chunk, step = _chunk_and_step(190)
         assert step == 1 and chunk < 600 < 2 * chunk  # one draw a slab, 2 chunks
         assert 10_007 % (verify.SLAB // 200) and 10_000 % (verify.SLAB // 60)
+
+    @pytest.mark.parametrize("m, d, tile", [(13, 50, 128), (3, 50, 37), (2, 129, 64), (1, 300, 128)])
+    def test_goe_batch_is_successive_sample_goe(self, m, d, tile, monkeypatch):
+        monkeypatch.setattr(instances, "TILE", tile)
+        batch = verify._goe_batch(as_rng(56), m, d)
+        rng = as_rng(56)
+        for w in batch:
+            assert np.array_equal(w, sample_goe(d, rng))
 
     @pytest.mark.parametrize("d, n", [(50, 1000), (190, 600), (50, 1)])
     def test_gauss_quadratic(self, d, n, monkeypatch):
@@ -422,8 +450,8 @@ class TestThreadCountInvariance:
     threads."""
 
     CASES = {
-        # three trials fail here, the first of them trial 4
-        "reduction-events": lambda: verify_reduction_events(80, 3.0, 0.95, 16, seed=3),
+        # four trials fail here, the first of them trial 4
+        "reduction-events": lambda: verify_reduction_events(80, 3.0, 0.95, 16, seed=22),
         "overlap-growth": lambda: verify_overlap_growth("lanczos", 200, 3.0, 0.05, 4, 12, seed=5),
         "detection-gap": lambda: verify_detection_gap(120, 8.0, 2, 12, seed=6),
     }
