@@ -10,10 +10,11 @@ subspace it happened to observe.  The Ritz computation itself runs on
 the identical linear operations to the responses yields the compressed
 quadratic form H = B^T M B without ever touching M.  It is incremental:
 each accepted pair costs one two-pass Gram-Schmidt step against the basis
-so far (the oracle's kernel) and adds one row and column to H, so a run of
-T queries costs O(T^2 d) in all.  ``run`` is the one entry point for all
-three kinds: it solves the Ritz problem once, after the last query, where
-``iterate_candidates`` solves it after every query.
+so far (the oracle's kernel and tolerance) and adds one row and column to
+H, so a run of T queries costs O(T^2 d) in all.  ``run`` is the one entry
+point for all three kinds: it spends the session's budget and solves the
+Ritz problem once, after the last query, where ``iterate_candidates``
+solves it after every query.
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .instances import Seed, as_rng, make_spiked, sample_uniform_sphere, spectral_norm
-from .oracle import QuerySession, _orthogonalize, open_session
-
-#: Residual norm below which the Krylov space has closed (Lanczos breakdown).
-BREAKDOWN_TOL = 1e-10
+from .oracle import DEGENERATE_TOL, QuerySession, _orthogonalize, open_session
 
 ALGORITHM_KINDS = ("power", "lanczos", "random")
 
@@ -36,24 +34,18 @@ ALGORITHM_KINDS = ("power", "lanczos", "random")
 class AlgorithmConfig:
     """Which algorithm to run and how to initialize it.
 
-    budget None means "use the whole session budget".  init None draws the
+    The run uses the whole budget of its session.  init None draws the
     starting vector uniformly from the sphere; a supplied init must be a
     finite unit vector.
-    shift adds shift*v to each power-method response before normalizing
-    (spectral shift by a multiple of the identity, computed client-side).
     """
 
     kind: str = "power"
-    budget: Optional[int] = None
     seed: Seed = None
     init: Optional[np.ndarray] = None
-    shift: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ALGORITHM_KINDS:
             raise ValueError(f"kind must be one of {ALGORITHM_KINDS}, got {self.kind!r}")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.init is not None:
             init = np.asarray(self.init, dtype=float)
             if not np.all(np.isfinite(init)):
@@ -71,7 +63,7 @@ class _RitzAccumulator:
     directions (at most d).  ``add`` orthogonalizes a query against Q and
     carries its response through the same combinations, then appends one
     row to Q and MQ and one row and column to H; a query whose residual
-    falls below BREAKDOWN_TOL adds nothing.
+    falls below the oracle's DEGENERATE_TOL adds nothing.
     """
 
     def __init__(self, d: int, capacity: int):
@@ -91,7 +83,7 @@ class _RitzAccumulator:
             return  # the basis already spans every direction it can hold
         r, img = _orthogonalize(self._Q[:k], v, self._MQ[:k], w)
         rnorm = np.linalg.norm(r)
-        if rnorm < BREAKDOWN_TOL:
+        if rnorm < DEGENERATE_TOL:
             return
         self._Q[k] = r / rnorm
         self._MQ[k] = img / rnorm
@@ -147,31 +139,29 @@ def iterate_candidates(
     """Run the configured algorithm one query at a time.
 
     Yields the algorithm's current output candidate after each query (the
-    vector it would finalize with if stopped there).  Stops after the
-    configured budget, or earlier on Krylov breakdown.
+    vector it would finalize with if stopped there).  Stops when the
+    session's budget is spent, or earlier on Krylov breakdown.
     """
-    for candidate in _steps(session, config):
+    for candidate in _steps(session, config, session.remaining):
         yield candidate()[0]
 
 
 def _steps(
-    session: QuerySession, config: AlgorithmConfig
+    session: QuerySession, config: AlgorithmConfig, T: int
 ) -> Iterator[Callable[[], Tuple[np.ndarray, Optional[float]]]]:
-    """Make the configured algorithm's queries, yielding after each one a
-    callable that computes the current candidate and its Ritz value (None
-    for power iteration, which has no Ritz problem).  The callable reads the
+    """Make up to T queries, yielding after each one a callable that
+    computes the current candidate and its Ritz value (None for power
+    iteration, which has no Ritz problem).  The callable reads the
     algorithm's state, so it is valid only until the generator resumes."""
     d = session.dim
     rng = as_rng(config.seed)
-    T = session.remaining if config.budget is None else min(config.budget, session.remaining)
     v = _initial_vector(config, d, rng)
 
     if config.kind == "power":
         for _ in range(T):
             w = session.query(v)
-            y = w + config.shift * v
-            norm = np.linalg.norm(y)
-            v = y / norm if norm > 0 else v
+            norm = np.linalg.norm(w)
+            v = w / norm if norm > 0 else v
             yield lambda v=v: (v.copy(), None)
         return
 
@@ -186,7 +176,7 @@ def _steps(
             # queries (full reorthogonalization), unit-normalized
             r = ritz.residual(w)
             rnorm = np.linalg.norm(r)
-            if rnorm < BREAKDOWN_TOL:
+            if rnorm < DEGENERATE_TOL:
                 return  # Krylov space closed
             direction = r / rnorm
         return
@@ -207,13 +197,13 @@ def run(
     Power iteration outputs its final iterate; Lanczos and the random
     baseline output the Ritz maximizer of the span they queried, computed
     once, after the last query.  On Lanczos breakdown (Krylov residual below
-    BREAKDOWN_TOL) the run stops early and the finalized transcript is
-    flagged early_termination.
+    the oracle's DEGENERATE_TOL) the run stops before the session's budget
+    is spent and the finalized transcript is flagged early_termination.
     """
-    budget = session.remaining if config.budget is None else min(config.budget, session.remaining)
+    budget = session.remaining
     candidate = None
     made = 0
-    for candidate in _steps(session, config):
+    for candidate in _steps(session, config, budget):
         made += 1
     v_hat, value = (None, None) if candidate is None else candidate()
     if v_hat is None:

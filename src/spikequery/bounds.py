@@ -42,6 +42,22 @@ C_FACTOR_CAP_HALF = 2.0 / (0.5 * (1.0 - math.sqrt(1.0 / (1.0 + math.log(2.0)))))
 #: the per-query base of (c1*lam)^T / d^(1/4).
 C1_DETECTION_DEFAULT = math.sqrt(C_FACTOR_CAP_HALF)
 
+#: Largest x with math.exp(x) finite.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _exp(x: float) -> float:
+    """math.exp that saturates at inf instead of raising OverflowError."""
+    return math.inf if x > _LOG_FLOAT_MAX else math.exp(x)
+
+
+def _square(x: float) -> float:
+    """x**2 that saturates at inf instead of raising OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
 
 def f_overlap(eps: float, gamma: float) -> float:
     """Guaranteed spike overlap F(eps, gamma) for near-optimal Rayleigh vectors.
@@ -88,7 +104,7 @@ def gamma_of(d: int, lam: float, delta0: float, kd: float = KD_ASYMPTOTIC) -> fl
     if den <= 0:
         raise ValueError(f"regime violation: lambda = {lam} <= 2 sqrt(log(1/delta0)/d) = {dev}")
     gamma = (kd + dev) / den
-    if gamma >= 1:
+    if not gamma < 1:  # NaN too: a NaN lambda or kd, or infinite both
         raise ValueError(
             f"regime violation: lambda = {lam} too small for a valid eigenratio "
             f"(needs lambda > {kd + 2 * dev})"
@@ -147,7 +163,7 @@ def kl_tau_schedule(
     recursion stops certifying growth, and the schedule truncates with
     saturated=True.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -158,7 +174,7 @@ def kl_tau_schedule(
     taus = [(C2 + math.log(1.0 / base_mass)) / C1]
     saturated = False
     for k in range(1, T + 1):
-        L = math.log(2.0) + (lam**2 / 2.0) * (k + sum(taus))
+        L = math.log(2.0) + (_square(lam) / 2.0) * (k + sum(taus))
         if L >= C1 * d:
             saturated = True
             break
@@ -192,10 +208,11 @@ def c_factor(delta: float, lam: float) -> float:
     """
     if not (0 < delta < 1):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if lam < 1:
+    if not lam >= 1:
         raise ValueError(f"lam must be >= 1, got {lam}")
-    num = 1.0 + 1.0 / lam**2
-    den = (1.0 - 1.0 / (2.0 * lam**2)) * (1.0 - math.sqrt(1.0 / (1.0 + math.log(1.0 / delta))))
+    lam2 = _square(lam)
+    num = 1.0 + 1.0 / lam2
+    den = (1.0 - 1.0 / (2.0 * lam2)) * (1.0 - math.sqrt(1.0 / (1.0 + math.log(1.0 / delta))))
     return num / den
 
 
@@ -210,7 +227,7 @@ def chi_tau_schedule(d: int, lam: float, delta: float, T: int) -> ChiTauSchedule
     tau_1 = 2 (sqrt(log(1/delta)) + 1)^2; the exact entries solve
     (1/2)(sqrt(tau_k) - sqrt 2)^2 = lam^2 sum_{i<k} tau_i + (k-1) tau_1,
     and the closed form is tau_1 * (2 lam^2 c(delta, lam))^{k-1}, which
-    dominates the exact sequence entrywise; closed-form entries beyond the
+    dominates the exact sequence entrywise; entries of either beyond the
     float range are inf.  An algorithm violating the schedule at any step
     has probability mass at most 2 delta/(1 - delta).
     """
@@ -218,11 +235,12 @@ def chi_tau_schedule(d: int, lam: float, delta: float, T: int) -> ChiTauSchedule
         raise ValueError(f"T must be >= 1, got {T}")
     c = c_factor(delta, lam)  # validates delta and lam
     tau1 = 2.0 * (math.sqrt(math.log(1.0 / delta)) + 1.0) ** 2
+    lam2 = _square(lam)
     exact = [tau1]
     for k in range(2, T + 2):
-        rhs = lam**2 * sum(exact) + (k - 1) * tau1
-        exact.append((math.sqrt(2.0) + math.sqrt(2.0 * rhs)) ** 2)
-    growth = 2.0 * lam**2 * c
+        rhs = lam2 * sum(exact) + (k - 1) * tau1
+        exact.append(_square(math.sqrt(2.0) + math.sqrt(2.0 * rhs)))
+    growth = 2.0 * lam2 * c
     with np.errstate(over="ignore"):
         closed = tau1 * growth ** np.arange(T + 1)
     params = {"d": d, "lam": lam, "delta": delta, "T": T, "c_factor": c,
@@ -250,15 +268,6 @@ class BoundReport:
     vacuous: bool
     params: Dict[str, float]
     constants: Dict[str, object]
-
-
-#: Largest x with math.exp(x) finite.
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-
-
-def _exp(x: float) -> float:
-    """math.exp that saturates at inf instead of raising OverflowError."""
-    return math.inf if x > _LOG_FLOAT_MAX else math.exp(x)
 
 
 def _upper_bound_report(kind, raw, params, constants, force_vacuous=False) -> BoundReport:
@@ -378,6 +387,8 @@ def detection_error_bound(
 ) -> BoundReport:
     """Lower bound on type-I + type-II error of any T-query detection rule:
     1 - detection_tv_bound - 3*delta0, floored at 0 (vacuous there)."""
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
     if not (0 < delta0 < 1):
         raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
     threshold = kd + 4.0 * math.sqrt(math.log(1.0 / delta0) / d)

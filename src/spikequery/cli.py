@@ -55,6 +55,10 @@ from .verify import CHECKS, reports_summary, reports_to_csv, run_check
 
 OUTPUT_DIR_ENV = "SPIKEQUERY_OUTPUT_DIR"
 
+#: Largest spike strength simulate and scaling accept: beyond about 1e154
+#: the squared norm of a response overflows a double.
+LAMBDA_MAX = 1e150
+
 
 class UsageError(ValueError):
     """Invalid configuration; maps to exit code 2."""
@@ -232,10 +236,13 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
     if c.subcommand == "simulate":
         _require(c.d >= 2, f"d must be >= 2, got {c.d}")
         _require(c.lam >= 0, f"lambda must be >= 0, got {c.lam}")
+        _require(c.lam <= LAMBDA_MAX, f"lambda must be <= {LAMBDA_MAX:g}, got {c.lam}")
         _require(c.T >= 1, f"T must be >= 1, got {c.T}")
 
     elif c.subcommand == "bounds":
-        _require(c.d >= 1, f"d must be >= 1, got {c.d}")
+        # the bounds take d into float arithmetic
+        _require(1 <= c.d <= sys.float_info.max,
+                 f"d must lie in [1, {sys.float_info.max:g}], got {c.d}")
         _require(
             (c.T is None) != (c.t_range is None),
             "exactly one of --T and --T-range is required",
@@ -284,6 +291,7 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
         _require(0 < c.delta0 < 1, f"delta0 must lie in (0, 1), got {c.delta0}")
         _require(0 < c.threshold < 1, f"threshold must lie in (0, 1), got {c.threshold}")
         _require(c.max_T >= 1, f"max-T must be >= 1, got {c.max_T}")
+        _require(c.lam <= LAMBDA_MAX, f"lambda must be <= {LAMBDA_MAX:g}, got {c.lam}")
         if c.kd is not None:
             _require(c.kd > 0, f"kd must be positive, got {c.kd}")
         kd = c.kd if c.kd is not None else KD_ASYMPTOTIC

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import TauSchedule
+from .bounds import TauSchedule, _exp, _square
 from .oracle import Transcript, _step_overlaps
 
 MeasureLike = Union["DiscreteMeasure", Sequence[float], np.ndarray]
@@ -320,6 +320,14 @@ def gaussian_kl(mu1: np.ndarray, mu2: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * quad
 
 
+def _exp_of_product(exponent: float) -> float:
+    """exp of a product of non-NaN factors, saturating at inf.  Such a
+    product is NaN only as 0 * inf, a zero factor against one that
+    overflowed or is infinite; it is taken as 0, by the module's
+    0 * f'(inf) = 0 convention."""
+    return 1.0 if math.isnan(exponent) else _exp(exponent)
+
+
 def g_chi(
     u: np.ndarray,
     s: np.ndarray,
@@ -354,11 +362,10 @@ def g_chi(
     cu = Q.T @ u
     cs = Q.T @ s
     cross = float(u @ s) - float(cu[:-1] @ cs[:-1]) - 0.5 * float(cu[-1] * cs[-1])
-    exponent = lam**2 * d * float(cu[-1]) * float(cs[-1]) * cross
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        return math.inf
+    a, b = float(cu[-1]), float(cs[-1])
+    if any(map(math.isnan, (lam, a, b, cross))):
+        raise ValueError("lam, u and s must not produce NaN overlaps")
+    return _exp_of_product(_square(lam) * d * a * b * cross)
 
 
 def likelihood_product_bound(
@@ -377,22 +384,22 @@ def likelihood_product_bound(
         T = taus.size
     if not (0 <= T <= taus.size):
         raise ValueError(f"T must lie in 0..{taus.size}, got {T}")
-    if np.any(taus[:T] <= 0):
+    if not np.all(taus[:T] > 0):
         raise ValueError("schedule entries must be positive")
-    u = np.asarray(u, dtype=float)
-    s = np.asarray(s, dtype=float)
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    overlap = abs(float(np.asarray(u, dtype=float) @ np.asarray(s, dtype=float)))
+    if math.isnan(lam) or math.isnan(overlap):
+        raise ValueError("lam and <u, s> must not be NaN")
     S = float(taus[:T].sum())
-    try:
-        return math.exp(lam**2 * (abs(float(u @ s)) * S + S * S / d))
-    except OverflowError:
-        return math.inf
+    return _exp_of_product(_square(lam) * (overlap * S + S * S / d))
 
 
 def sphere_mgf_bound(lambda_arg: float, d: int) -> float:
     """MGF cap for the absolute overlap of a uniform spike with any fixed
     unit vector: E[exp(lam |<theta, v>|)] <= exp(4 lam^2 / d + lam sqrt(2/d))."""
-    if lambda_arg < 0:
+    if not lambda_arg >= 0:
         raise ValueError(f"lambda_arg must be >= 0, got {lambda_arg}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    return math.exp(4.0 * lambda_arg**2 / d + lambda_arg * math.sqrt(2.0 / d))
+    return _exp(4.0 * _square(lambda_arg) / d + lambda_arg * math.sqrt(2.0 / d))

@@ -56,9 +56,13 @@ KD_ASYMPTOTIC = 2.0
 
 
 def as_rng(seed: Seed) -> np.random.Generator:
-    """Coerce a seed, SeedSequence, or Generator into a Generator."""
+    """Coerce a seed, SeedSequence, or Generator into a Generator.  An
+    integer seed is taken mod 2^64, as in ``trial_seed``, so a negative one
+    is usable too; seeds in [0, 2^64) open their usual streams."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)):
+        seed = int(seed) % 2**64
     return np.random.default_rng(seed)
 
 

@@ -3,14 +3,15 @@
 An algorithm interacts with a hidden symmetric matrix M only through
 ``session.query(v) -> Mv`` for unit vectors v, up to a budget of T calls,
 then commits to a final unit vector via ``session.finalize(v_hat)``.  Each
-charged query applies M once, to v.  Alongside the raw responses the
-session maintains the equivalent reduced view: queries are orthonormalized
-on the fly (classical Gram-Schmidt, two passes, as block products against a
-preallocated basis array), and each step i that adds a basis direction b_i
-has a projected response P_{i-1} M b_i, where P_{i-1} projects onto the
-orthogonal complement of the earlier basis.  Projected responses are
-computed only when read (``session.projected_view(i)`` on an open session,
-``TranscriptStep.projected_response`` on a sealed one), never by
+charged query applies M once, to v, and leaves one record, a
+``TranscriptStep``: the query, its raw response, and the equivalent reduced
+view.  Queries are orthonormalized on the fly (classical Gram-Schmidt, two
+passes, as block products against a preallocated basis array), and each
+step i that adds a basis direction b_i has a projected response
+P_{i-1} M b_i, where P_{i-1} projects onto the orthogonal complement of the
+earlier basis.  Projected responses are computed only when read
+(``TranscriptStep.projected_response``, on a step from
+``session.projected_view(i)`` or from the sealed transcript), never by
 ``session.finalize``: the images of all basis directions not yet imaged
 come from one block product with M, and each is then projected against the
 directions before it.  Raw responses are exactly recoverable from the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,18 +46,6 @@ class BudgetExhaustedError(RuntimeError):
 
 class SessionFinalizedError(RuntimeError):
     """Raised on queries after finalize, or on double finalize."""
-
-
-class ProjectedStep(NamedTuple):
-    """Reduced view of one query: new basis direction and projected response.
-
-    ``query`` is None and ``response`` the zero vector when the step was
-    degenerate (the raw query lay in the span of earlier queries).
-    """
-
-    query: Optional[np.ndarray]
-    response: np.ndarray
-    degenerate: bool
 
 
 class _Basis:
@@ -107,9 +96,11 @@ class _Basis:
 
 @dataclass(frozen=True)
 class TranscriptStep:
-    """One sealed query.  ``projected_response`` is computed on first read
-    (with every other pending step of the session, in one block product);
-    it is the zero vector for a degenerate step."""
+    """The record of one query, made when the query is.  A degenerate step
+    adds no basis direction: its ``basis_vector`` is None and its
+    ``projected_response`` the zero vector.  Otherwise the projected
+    response is computed on first read, with every other pending step of
+    the session, in one block product."""
 
     step: int
     query: np.ndarray
@@ -188,10 +179,11 @@ def _orthogonalize(
 class QuerySession:
     """Single-owner mutable state for one algorithm run against one matrix.
 
-    ``query`` records the raw query and response and extends the basis; the
-    projected response of each basis direction waits until it is read.  The
-    basis and the projected responses are preallocated (min(budget, d), d)
-    arrays, so the stored reduced view never exceeds d rows.
+    ``query`` records each step as its ``TranscriptStep`` and extends the
+    basis; the projected response of each basis direction waits until it is
+    read.  The basis and the projected responses are preallocated
+    (min(budget, d), d) arrays, so the stored reduced view never exceeds d
+    rows.  ``finalize`` seals the same step records into the transcript.
     """
 
     def __init__(self, matrix: np.ndarray, budget: int):
@@ -202,13 +194,9 @@ class QuerySession:
         self._apply = matrix.__matmul__
         self._dim = int(matrix.shape[0])
         self._budget = int(budget)
-        self._queries: List[np.ndarray] = []
-        self._raw_responses: List[np.ndarray] = []
         # the basis of R^d never holds more than d vectors, whatever the budget
         self._basis = _Basis(self._apply, min(self._budget, self._dim), self._dim)
-        self._step_basis: List[Optional[int]] = []  # step -> basis index or None
-        self._final: Optional[np.ndarray] = None
-        self._early_termination = False
+        self._steps: List[TranscriptStep] = []
         self._transcript: Optional[Transcript] = None
 
     # ------------------------------------------------------------ properties
@@ -223,15 +211,15 @@ class QuerySession:
 
     @property
     def queries_made(self) -> int:
-        return len(self._queries)
+        return len(self._steps)
 
     @property
     def remaining(self) -> int:
-        return self._budget - len(self._queries)
+        return self._budget - len(self._steps)
 
     @property
     def finalized(self) -> bool:
-        return self._final is not None
+        return self._transcript is not None
 
     @property
     def basis_size(self) -> int:
@@ -252,51 +240,42 @@ class QuerySession:
         w = self._apply(v)
 
         r, _ = _orthogonalize(self._basis.rows, v)
-        self._step_basis.append(self._basis.extend(r))
-
-        self._queries.append(v.copy())
-        self._raw_responses.append(w)
+        idx = self._basis.extend(r)
+        self._steps.append(
+            TranscriptStep(
+                step=len(self._steps) + 1,
+                query=_frozen(v.copy()),
+                raw_response=_frozen(w),
+                basis_vector=None if idx is None else _frozen(self._basis.rows[idx]),
+                degenerate=idx is None,
+                _basis=self._basis,
+                _index=idx,
+            )
+        )
         return w.copy()
 
-    def projected_view(self, i: int) -> ProjectedStep:
-        """Reduced view of step i (1-based): new basis direction, projected response."""
+    def projected_view(self, i: int) -> TranscriptStep:
+        """The record of step i (1-based), the same object the sealed
+        transcript holds, with its projected response computed (and those of
+        every basis row still pending, in one block product)."""
         if not (1 <= i <= self.queries_made):
             raise IndexError(f"step index {i} out of range 1..{self.queries_made}")
-        idx = self._step_basis[i - 1]
-        if idx is None:
-            return ProjectedStep(None, np.zeros(self._dim), True)
-        return ProjectedStep(
-            self._basis.rows[idx].copy(), self._basis.projected(idx).copy(), False
-        )
+        step = self._steps[i - 1]
+        step.projected_response  # the read images every pending basis row
+        return step
 
     def finalize(self, v_hat: np.ndarray, early_termination: bool = False) -> Transcript:
-        """Seal the session with its final output.  No projected response is
-        computed here; each is computed when the transcript step is read."""
+        """Seal the session's step records with its final output.  No
+        projected response is computed here; each is computed when read."""
         if self.finalized:
             raise SessionFinalizedError("session already finalized")
         v_hat = _check_query_vector(v_hat, self._dim, what="final output")
-        self._final = v_hat.copy()
-        self._early_termination = bool(early_termination)
-        steps = []
-        for k in range(self.queries_made):
-            idx = self._step_basis[k]
-            steps.append(
-                TranscriptStep(
-                    step=k + 1,
-                    query=_frozen(self._queries[k]),
-                    raw_response=_frozen(self._raw_responses[k]),
-                    basis_vector=None if idx is None else _frozen(self._basis.rows[idx]),
-                    degenerate=idx is None,
-                    _basis=self._basis,
-                    _index=idx,
-                )
-            )
         self._transcript = Transcript(
-            steps=tuple(steps),
-            final_output=_frozen(self._final),
+            steps=tuple(self._steps),
+            final_output=_frozen(v_hat.copy()),
             budget=self._budget,
             dim=self._dim,
-            early_termination=self._early_termination,
+            early_termination=bool(early_termination),
         )
         return self._transcript
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -48,9 +49,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="non-finite"):
             AlgorithmConfig(init=np.full(4, np.nan))
 
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError, match="budget"):
-            AlgorithmConfig(budget=-1)
+    def test_budget_lives_in_the_session(self):
+        assert [f.name for f in fields(AlgorithmConfig)] == ["kind", "seed", "init"]
 
     def test_kinds_enumeration(self):
         assert set(ALGORITHM_KINDS) == {"power", "lanczos", "random"}
@@ -118,12 +118,6 @@ class TestPowerMethod:
         session = open_session(inst, budget=7)
         run(session, AlgorithmConfig(kind="power", seed=2))
         assert session.queries_made == 7
-
-    def test_shift_changes_iterates_not_fixed_points(self):
-        inst = diagonal_instance([3.0] + [1.0] * 15)
-        session = open_session(inst, budget=25)
-        out, _ = run(session, AlgorithmConfig(kind="power", seed=5, shift=0.5))
-        assert overlap(out, inst.theta) >= 1.0 - 1e-6
 
 
 class TestLanczos:

@@ -26,6 +26,7 @@ from spikequery.bounds import (
     main_theorem_bound,
     min_queries,
 )
+from spikequery.instances import KD_ASYMPTOTIC
 
 
 # ------------------------------------------------------------------ constants
@@ -402,6 +403,119 @@ def test_bounds_saturate_instead_of_overflowing():
     assert est.value == 1.0 and est.vacuous
     err = detection_error_bound(1000, 8.0, 400, 0.01)
     assert err.value == 0.0 and err.vacuous
+
+
+# The rest of the module under the same contract: a valid value (never NaN;
+# inf where a schedule or a factor leaves the float range) or ValueError,
+# with lambda up to 1e300 and beyond.
+_d_any = st.one_of(st.integers(-2, 10**4), st.integers(1, 10**30))
+_lam_any = st.one_of(st.floats(0.0, 1e300), _finite_or_not)
+_unit_any = st.one_of(st.floats(0.0, 1.0), _finite_or_not)
+_kd_any = st.one_of(st.just(KD_ASYMPTOTIC), st.floats(0.0, 10.0), _finite_or_not)
+
+
+def _assert_schedule_valid(schedule, T):
+    assert 1 <= len(schedule) <= T + 1
+    assert not np.any(np.isnan(schedule.taus))
+    assert np.all(schedule.taus > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_d_any, lam=_lam_any, delta0=_unit_any, kd=_kd_any)
+@example(d=1000, lam=1e300, delta0=0.05, kd=KD_ASYMPTOTIC)
+@example(d=1000, lam=math.inf, delta0=0.05, kd=math.inf)
+def test_gamma_of_total_on_domain(d, lam, delta0, kd):
+    try:
+        gamma = gamma_of(d, lam, delta0, kd=kd)
+    except ValueError:
+        return
+    assert not math.isnan(gamma) and gamma < 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_d_any, lam=_lam_any, T=st.integers(-1, 60))
+@example(d=1000, lam=1e200, T=3)
+@example(d=10**30, lam=1e-300, T=60)
+def test_kl_tau_schedule_total_on_domain(d, lam, T):
+    try:
+        schedule = kl_tau_schedule(d, lam, T)
+    except ValueError:
+        return
+    _assert_schedule_valid(schedule, T)
+    assert not math.isnan(schedule.params["max_increment_over_logd"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta=_unit_any, lam=_lam_any)
+@example(delta=0.1, lam=1e200)
+@example(delta=0.1, lam=1.4e154)
+def test_c_factor_total_on_domain(delta, lam):
+    try:
+        c = c_factor(delta, lam)
+    except ValueError:
+        return
+    assert 1.0 <= c < math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_d_any, lam=_lam_any, delta=_unit_any, T=st.integers(-1, 60))
+@example(d=1000, lam=1.4e154, delta=0.1, T=3)
+@example(d=1000, lam=1e300, delta=0.1, T=3)
+def test_chi_tau_schedule_total_on_domain(d, lam, delta, T):
+    try:
+        schedules = chi_tau_schedule(d, lam, delta, T)
+    except ValueError:
+        return
+    _assert_schedule_valid(schedules.exact, T)
+    _assert_schedule_valid(schedules.closed_form, T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_d_any, lam=_lam_any, T=st.integers(-1, 5000), delta0=_unit_any, kd=_kd_any)
+@example(d=0, lam=8.0, T=2, delta0=0.05, kd=KD_ASYMPTOTIC)
+@example(d=1000, lam=1e300, T=2, delta0=0.05, kd=KD_ASYMPTOTIC)
+def test_detection_error_bound_total_on_domain(d, lam, T, delta0, kd):
+    try:
+        report = detection_error_bound(d, lam, T, delta0, kd=kd)
+    except ValueError:
+        return
+    assert 0.0 <= report.value <= 1.0
+    assert not math.isnan(report.raw)
+    assert report.vacuous == (report.raw <= 0.0)
+
+
+_min_queries_params = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("estimation"), "d": _d_any, "eta": _unit_any, "lam": _lam_any}
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("main"), "d": _d_any, "gamma": _unit_any, "eps": _unit_any}
+    ),
+    st.fixed_dictionaries({"kind": st.just("detection-tv"), "d": _d_any, "lam": _lam_any}),
+    st.fixed_dictionaries(
+        {"kind": st.just("detection-error"), "d": _d_any, "lam": _lam_any,
+         "delta0": _unit_any}
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=_min_queries_params, threshold=_unit_any, cap=st.integers(0, 40))
+@example(
+    params={"kind": "estimation", "d": 1000, "eta": 0.5, "lam": 1e300}, threshold=0.5, cap=5
+)
+@example(
+    params={"kind": "detection-error", "d": 0, "lam": 8.0, "delta0": 0.05},
+    threshold=0.5, cap=5,
+)
+def test_min_queries_total_on_domain(params, threshold, cap):
+    params = dict(params)
+    kind = params.pop("kind")
+    try:
+        q = min_queries(kind, params, threshold, cap=cap)
+    except ValueError:
+        return
+    assert isinstance(q, int) and 0 <= q <= cap + 1
 
 
 # ---------------------------------------------------------------- min_queries

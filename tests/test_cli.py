@@ -21,7 +21,7 @@ from spikequery.cli import (
     build_parser,
     main,
 )
-from spikequery.verify import CSV_HEADER, McReport, McRow
+from spikequery.verify import CHECKS, CSV_HEADER, McReport, McRow
 
 
 def run_main(argv, capsys):
@@ -267,6 +267,57 @@ def test_negative_seed_exits_zero(argv, capsys):
     code, out, err = run_main(argv + ["--seed", "-3"], capsys)
     assert code == 0, err
     assert "seed=-3" in out.splitlines()[0]
+
+
+def test_seed_domain_is_integers_mod_2_64(capsys):
+    # every check opens its streams from the seed taken mod 2^64, as the
+    # trial streams do, so -1 and 2^64 - 1 give the same data rows
+    code, minus_one, _ = run_main(["verify", "--check", "all", "--quick", "--seed", "-1"], capsys)
+    assert code == 0
+    code, top, _ = run_main(
+        ["verify", "--check", "all", "--quick", "--seed", str(2**64 - 1)], capsys
+    )
+    assert code == 0
+    assert minus_one.splitlines()[1:] == top.splitlines()[1:]
+
+
+_EXTREME_ARGV = [
+    ["bounds", "--d", "1000", "--lambda", "1e200", "--delta", "0.1", "--T", "3"],
+    ["bounds", "--d", "1000", "--lambda", "1.4e154", "--delta", "0.1", "--T", "3"],
+    ["bounds", "--d", "1000", "--lambda", "inf", "--delta", "0.1", "--T", "3"],
+    ["bounds", "--d", "1", "--lambda", "1e300", "--eta", "1e300", "--delta", "0.999999",
+     "--delta0", "1e-300", "--threshold", "0.999", "--T-range", "0:5", "--kd", "1e300",
+     "--c1-estimation", "1e300", "--c1-detection", "1e-300"],
+    ["bounds", "--d", str(10**30), "--gamma", "1e-300", "--eps", "0.999999",
+     "--lambda", "1e-300", "--delta", "1e-300", "--T", "400", "--threshold", "1e-300"],
+    ["bounds", "--d", str(10**400), "--lambda", "3", "--delta", "0.1", "--T", "3"],
+    ["simulate", "--alg", "power", "--d", "2", "--lambda", "1e150", "--T", "5",
+     "--trials", "2", "--seed", "-1"],
+    ["simulate", "--alg", "lanczos", "--d", "2", "--lambda", "1e150", "--T", "5",
+     "--trials", "2", "--seed", str(2**70)],
+    ["simulate", "--alg", "random", "--d", "2", "--lambda", "0", "--T", "9", "--trials", "1"],
+    ["simulate", "--alg", "power", "--d", "2", "--lambda", "1e300", "--T", "3", "--trials", "1"],
+    ["simulate", "--alg", "lanczos", "--d", "3", "--lambda", "inf", "--T", "3", "--trials", "1"],
+    ["scaling", "--alg", "lanczos", "--d-grid", "2,3", "--lambda", "1e150", "--trials", "2",
+     "--max-T", "3", "--seed", "-1"],
+    ["scaling", "--alg", "power", "--d-grid", "64", "--lambda", "inf", "--trials", "1"],
+    ["scaling", "--alg", "power", "--d-grid", "2", "--lambda", "8", "--trials", "1",
+     "--delta0", "1e-300", "--kd", "1e300"],
+] + [
+    ["verify", "--check", check, "--quick", "--seed", "-1"] for check in sorted(CHECKS)
+] + [
+    ["verify", "--check", check, "--d", "2", "--n", "2", "--seed", str(-(2**70))]
+    for check in sorted(CHECKS)
+]
+
+
+@pytest.mark.parametrize("argv", _EXTREME_ARGV, ids=lambda argv: " ".join(argv)[:60])
+def test_extreme_values_exit_without_traceback(argv, capsys):
+    code, _, err = run_main(argv, capsys)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:  # a failed check; no other subcommand reports one
+        assert argv[0] == "verify"
 
 
 class TestBounds:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spikequery.bounds import TauSchedule, chi_tau_schedule
 from spikequery.divergences import (
@@ -531,6 +531,79 @@ class TestFDivergenceProperties:
             channel /= channel.sum(axis=0, keepdims=True)
             for f in (CHI2_PLUS1_GENERATOR, KL_GENERATOR):
                 assert d_f(channel @ mu, channel @ nu, f) <= d_f(mu, nu, f) + 1e-9
+
+
+# Whole-domain contracts: a valid value (never NaN; inf where the exponent
+# leaves the float range) or ValueError, with lambda up to 1e300 and beyond.
+_finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+_lam_any = st.one_of(st.floats(0.0, 1e300), _finite_or_not)
+
+
+def _unit_vectors(d, k, seed, basis):
+    """k orthonormal vectors of R^d: the first k standard basis vectors (so
+    that a spike on the last axis has exactly zero overlaps), or random."""
+    if basis:
+        return [np.eye(d)[j] for j in range(k)]
+    return random_orthonormal(d, k, np.random.default_rng(seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    data=st.data(),
+    lam=_lam_any,
+    seed=st.integers(0, 2**32 - 1),
+    basis=st.booleans(),
+)
+@example(d=4, data=None, lam=1e300, seed=0, basis=True)
+@example(d=4, data=None, lam=math.inf, seed=0, basis=True)
+def test_g_chi_total_on_domain(d, data, lam, seed, basis):
+    k = 1 if data is None else data.draw(st.integers(1, d))
+    i = 1 if data is None else data.draw(st.integers(1, k))
+    queries = _unit_vectors(d, k, seed, basis)
+    spikes = _unit_vectors(d, d, seed + 1, basis)
+    u, s = spikes[-1], spikes[0]
+    try:
+        value = g_chi(u, s, queries, i, lam, d)
+    except ValueError:
+        return
+    assert not math.isnan(value) and value >= 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    taus=st.lists(st.one_of(st.floats(1e-3, 1e3), _finite_or_not), max_size=6),
+    lam=_lam_any,
+    d=st.one_of(st.integers(-2, 10**4), st.integers(1, 10**30)),
+    T=st.one_of(st.none(), st.integers(-1, 7)),
+    seed=st.integers(0, 2**32 - 1),
+    basis=st.booleans(),
+)
+@example(taus=[], lam=1e300, d=10, T=None, seed=0, basis=True)
+@example(taus=[1.0, math.inf], lam=0.0, d=10, T=None, seed=0, basis=True)
+@example(taus=[1.0, 2.0], lam=1e200, d=10, T=None, seed=0, basis=True)
+def test_likelihood_product_bound_total_on_domain(taus, lam, d, T, seed, basis):
+    u, s = _unit_vectors(4, 2, seed, basis)
+    try:
+        value = likelihood_product_bound(u, s, taus, lam, d, T)
+    except ValueError:
+        return
+    assert not math.isnan(value) and value >= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lambda_arg=_lam_any,
+    d=st.one_of(st.integers(-2, 10**4), st.integers(1, 10**30)),
+)
+@example(lambda_arg=1e3, d=10)
+@example(lambda_arg=1e200, d=10)
+def test_sphere_mgf_bound_total_on_domain(lambda_arg, d):
+    try:
+        value = sphere_mgf_bound(lambda_arg, d)
+    except ValueError:
+        return
+    assert not math.isnan(value) and value >= 1.0
 
 
 class TestLikelihoodChain:

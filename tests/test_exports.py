@@ -1,5 +1,6 @@
 """The package's import surface: every exported name resolves, and the
-removed run wrappers and oracle forwarders stay removed."""
+removed run wrappers, oracle forwarders, second step type and second
+residual tolerance stay removed."""
 
 import pytest
 
@@ -16,7 +17,7 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize(
     "name",
     ["run_power", "run_lanczos", "run_random_nonadaptive", "RUNNERS",
-     "query", "projected_view", "finalize"],
+     "query", "projected_view", "finalize", "ProjectedStep", "BREAKDOWN_TOL"],
 )
 def test_removed_names_are_gone(name):
     assert name not in spikequery.__all__

@@ -102,8 +102,25 @@ def test_repeated_query_consumes_budget_no_new_basis():
     assert sess.basis_size == 1
     step = sess.projected_view(2)
     assert step.degenerate
-    assert step.query is None
-    assert np.array_equal(step.response, np.zeros(6))
+    assert step.basis_vector is None
+    assert np.array_equal(step.projected_response, np.zeros(6))
+
+
+def test_each_query_leaves_one_record():
+    sess = open_session(sample_goe(6, seed=4), budget=4)
+    rng = np.random.default_rng(5)
+    v = _unit(rng.standard_normal(6))
+    for k in range(4):
+        if k != 2:  # step 3 repeats step 2: a degenerate record
+            v = _unit(rng.standard_normal(6))
+        sess.query(v)
+    assert set(vars(sess)) == {"_apply", "_dim", "_budget", "_basis", "_steps", "_transcript"}
+    open_views = [sess.projected_view(i) for i in range(1, 5)]
+    t = sess.finalize(v)
+    assert [st.degenerate for st in t.steps] == [False, False, True, False]
+    for i in range(1, 5):
+        assert sess.projected_view(i) is t.steps[i - 1]
+        assert open_views[i - 1] is t.steps[i - 1]
 
 
 def test_query_rejects_non_unit_and_nonfinite():
@@ -122,8 +139,8 @@ def test_first_projected_equals_raw():
     v = _unit(np.arange(1.0, 9.0))
     w = sess.query(v)
     step = sess.projected_view(1)
-    assert np.allclose(step.query, v, atol=1e-12)
-    assert np.allclose(step.response, w, atol=1e-12)
+    assert np.allclose(step.basis_vector, v, atol=1e-12)
+    assert np.allclose(step.projected_response, w, atol=1e-12)
 
 
 def test_orthogonal_queries_on_identity():
@@ -133,7 +150,7 @@ def test_orthogonal_queries_on_identity():
     sess.query(v1)
     sess.query(v2)
     step = sess.projected_view(2)
-    assert np.allclose(step.response, v2, atol=1e-12)
+    assert np.allclose(step.projected_response, v2, atol=1e-12)
 
 
 def test_projected_view_out_of_range():
@@ -155,7 +172,7 @@ def test_projected_orthogonal_to_prior_span():
     for i in range(2, 7):
         step = sess.projected_view(i)
         prior = B[:, : i - 1]
-        assert np.max(np.abs(prior.T @ step.response)) <= 1e-8
+        assert np.max(np.abs(prior.T @ step.projected_response)) <= 1e-8
 
 
 # ------------------------------------------------------------------ finalize
@@ -408,7 +425,7 @@ def test_lazy_projected_responses_match_reference():
     assert [st.degenerate for st in t.steps].count(True) == 2
     _assert_projected_match_reference(M, t)
     for st, view in zip(t.steps, early):
-        assert np.array_equal(st.projected_response, view.response)
+        assert np.array_equal(st.projected_response, view.projected_response)
         assert view.degenerate == st.degenerate
 
 
