@@ -24,8 +24,16 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .instances import Seed, as_rng, make_spiked, sample_uniform_sphere, spectral_norm
-from .oracle import DEGENERATE_TOL, QuerySession, _orthogonalize, open_session
+from .instances import (
+    DEGENERATE_TOL,
+    Seed,
+    _orthogonalize,
+    as_rng,
+    make_spiked,
+    sample_uniform_sphere,
+    spectral_norm,
+)
+from .oracle import QuerySession, open_session
 
 ALGORITHM_KINDS = ("power", "lanczos", "random")
 
@@ -63,7 +71,7 @@ class _RitzAccumulator:
     directions (at most d).  ``add`` orthogonalizes a query against Q and
     carries its response through the same combinations, then appends one
     row to Q and MQ and one row and column to H; a query whose residual
-    falls below the oracle's DEGENERATE_TOL adds nothing.
+    falls below DEGENERATE_TOL adds nothing.
     """
 
     def __init__(self, d: int, capacity: int):
@@ -197,7 +205,7 @@ def run(
     Power iteration outputs its final iterate; Lanczos and the random
     baseline output the Ritz maximizer of the span they queried, computed
     once, after the last query.  On Lanczos breakdown (Krylov residual below
-    the oracle's DEGENERATE_TOL) the run stops before the session's budget
+    DEGENERATE_TOL) the run stops before the session's budget
     is spent and the finalized transcript is flagged early_termination.
     """
     budget = session.remaining

@@ -161,7 +161,9 @@ def kl_tau_schedule(
     L_k = log 2 + (lam^2/2) * (k + sum_{i<=k} tau_i).  The per-step growth
     factor is O(log d).  Once L_k >= C1*d the inner log is nonpositive, the
     recursion stops certifying growth, and the schedule truncates with
-    saturated=True.
+    saturated=True.  params["max_increment_over_logd"] is the largest
+    increment tau_{k+1} - tau_k over log d: 0.0 for a one-entry schedule, and
+    inf at d = 1, where log d = 0 and a schedule grows only for C1 > log 2.
     """
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -181,6 +183,12 @@ def kl_tau_schedule(
         taus.append(C2 / C1 + (L / C1) * (1.0 + math.log(C1 * d / L)))
     taus = np.array(taus)
     incs = np.diff(taus)
+    if not incs.size:
+        growth = 0.0
+    elif d == 1:  # log d = 0: the (positive) increments are infinite in its units
+        growth = math.inf
+    else:
+        growth = float(np.max(incs) / math.log(d))
     params = {
         "d": d,
         "lam": lam,
@@ -188,7 +196,7 @@ def kl_tau_schedule(
         "C1": C1,
         "C2": C2,
         "base_mass": base_mass,
-        "max_increment_over_logd": float(np.max(incs) / math.log(d)) if incs.size else 0.0,
+        "max_increment_over_logd": growth,
     }
     return TauSchedule(
         taus=taus,

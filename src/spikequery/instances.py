@@ -21,12 +21,12 @@ W as an init-only argument, is checked in full.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar, Union
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 Seed = Union[None, int, np.integer, np.random.Generator, np.random.SeedSequence]
 
@@ -45,9 +45,13 @@ SPECTRUM_DIM_CAP = 8192
 TILE = 128
 
 #: Largest dimension at which spectral_norm runs the dense eigensolver.  Above
-#: it one Lanczos solve for the largest-magnitude eigenvalue is as fast or
-#: faster, also on null instances, whose extreme eigenvalues nearly tie.
+#: it the Lanczos solve of ``_lanczos_norm`` is as fast or faster, also on
+#: null instances, whose extreme eigenvalues nearly tie.
 DENSE_NORM_MAX_DIM = 256
+
+#: Residual norm below which a unit vector adds no new basis direction: a
+#: degenerate oracle query, or a Krylov breakdown of ``_lanczos_norm``.
+DEGENERATE_TOL = 1e-10
 
 #: Conservative value of E||W||/sqrt(d) for GOE noise, used by threshold
 #: formulas that need a concrete constant.  The empirical estimate at
@@ -143,6 +147,31 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _orthogonalize(
+    Q: np.ndarray,
+    v: np.ndarray,
+    images: Optional[np.ndarray] = None,
+    w: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Residual of v against the orthonormal rows of Q, by classical
+    Gram-Schmidt in two passes (CGS2), each pass one block ``Q @ r`` and one
+    ``c @ Q`` product.
+
+    When images and w are given, the same combinations of the rows of images
+    are subtracted from w: with images[j] = M Q[j] and w = M v, the second
+    return value is M applied to the residual.  Returns fresh arrays; the
+    inputs are not modified.
+    """
+    r = np.array(v, dtype=float)
+    img = None if w is None else np.array(w, dtype=float)
+    for _ in range(2):
+        c = Q @ r
+        r -= c @ Q
+        if img is not None:
+            img -= c @ images
+    return r, img
 
 
 def _fill_goe(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -337,23 +366,118 @@ def spectrum(M: np.ndarray, dim_cap: int = SPECTRUM_DIM_CAP) -> SpectrumSummary:
     )
 
 
+def _tridiagonal(diag: List[float], off: List[float]) -> np.ndarray:
+    """The symmetric tridiagonal matrix with the given diagonal and
+    off-diagonal (one entry shorter)."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _next_check(k: int, now: Tuple[float, float], goals: Tuple[float, float],
+                last: Optional[Tuple[int, Tuple[float, float]]]) -> int:
+    """Step of the next convergence check of ``_lanczos_norm``, made at step
+    k with residuals ``now`` against their ``goals``.
+
+    Each residual still above its goal is extrapolated at its geometric rate
+    since the previous check ``last`` = (step, residuals) to the step where
+    it meets the goal; the check goes to the latest such step, but at most
+    k steps ahead, and k steps ahead when a rate is not known or not falling.
+    """
+    if last is None:
+        return 2 * k
+    k0, before = last
+    steps = 1
+    for r, r0, goal in zip(now, before, goals):
+        if r <= goal:
+            continue
+        if goal > 0 and r < r0:
+            steps = max(steps, math.ceil(math.log(goal / r) * (k - k0) / math.log(r / r0)))
+        else:
+            steps = k
+    return k + min(steps, k)
+
+
+def _lanczos_norm(apply: Callable[[np.ndarray], np.ndarray], d: int) -> float:
+    """Largest eigenvalue magnitude of the symmetric linear map ``apply`` on
+    R^d, by Lanczos from the start vector 1/sqrt(d), one ``apply`` per step.
+
+    Every new direction is orthogonalized against the whole basis by
+    ``_orthogonalize`` (full reorthogonalization), so the tridiagonal T_k of
+    alpha_j = <q_j, A q_j> and beta_j = |A q_j - its projection on the
+    basis| is the compression of A to the Krylov basis.  With Ritz pairs
+    (theta_i, s_i) of T_k and residuals r_i = beta_k |s_i[-1]|, the solve
+    stops at the Ritz value theta of largest magnitude once both
+      - r^2 / gap <= eps |theta|, the quadratic bound on theta's error, with
+        gap the distance from theta to the nearest other Ritz value and eps
+        the float epsilon, and
+      - |theta'| + r' <= |theta| for the Ritz value theta' at the other end
+        of the spectrum, which then cannot overtake theta.
+    T_k is solved only at checks: the first at k = 8, each later one where
+    the residuals' rates predict the two bounds to hold (``_next_check``).
+
+    When A q_k lies in the basis (a Krylov breakdown, beta_k <= DEGENERATE_TOL
+    |A q_k|), the basis spans an invariant subspace; as ARPACK does, the
+    solve couples it to nothing (beta_k = 0) and continues from a fresh
+    direction, a fixed-seed Gaussian vector orthogonalized against the basis.
+    It makes no check at a breakdown and ends at k = d at the latest, with
+    the largest magnitude among all eigenvalues of T_d.  The zero map gives
+    0.0.
+    """
+    eps = np.finfo(float).eps
+    Q = np.empty((min(d, 64), d))
+    diag: List[float] = []
+    off: List[float] = []  # off[j] couples q_j and q_{j+1}; 0 after a breakdown
+    q = np.full(d, 1.0 / np.sqrt(d))
+    check_at, last = 8, None
+    for k in range(1, d + 1):  # k: basis size once q is in
+        if k > len(Q):
+            Q = np.concatenate([Q, np.empty((min(d, 2 * len(Q)) - len(Q), d))])
+        Q[k - 1] = q
+        w = apply(q)
+        diag.append(float(q @ w))
+        if k == d:
+            break
+        r = _orthogonalize(Q[:k], w)[0]
+        beta = float(np.linalg.norm(r))
+        if beta <= DEGENERATE_TOL * np.linalg.norm(w):  # <=: A q = 0 closes too
+            off.append(0.0)
+            fresh = np.random.default_rng(k).standard_normal(d)
+            r = _orthogonalize(Q[:k], fresh)[0]
+            q = r / np.linalg.norm(r)
+            continue
+        off.append(beta)
+        q = r / beta
+        if k < check_at:
+            continue
+        vals, vecs = np.linalg.eigh(_tridiagonal(diag, off[:-1]))
+        top = k - 1 if abs(vals[-1]) >= abs(vals[0]) else 0
+        theta, other = abs(vals[top]), abs(vals[k - 1 - top])
+        res = beta * np.abs(vecs[-1])
+        gap = float(np.min(np.abs(np.delete(vals, top) - vals[top])))
+        now = (res[top], res[k - 1 - top])
+        if now[0] ** 2 <= eps * theta * gap and other + now[1] <= theta:
+            return float(theta)
+        goals = (math.sqrt(eps * theta * gap), theta - other)
+        check_at, last = _next_check(k, now, goals, last), (k, now)
+    vals = np.linalg.eigvalsh(_tridiagonal(diag, off))
+    return float(max(abs(vals[0]), abs(vals[-1])))
+
+
 def spectral_norm(M: Union[SpikedInstance, np.ndarray]) -> float:
     """Operator norm of a symmetric matrix, or of an instance's matrix.
 
     An instance's matrix is read as it is, since it is finite and exactly
     symmetric by construction; a bare matrix is checked in full first.
     Uses the dense solver up to d = DENSE_NORM_MAX_DIM (256) and, above it,
-    one iterative Lanczos solve for the largest-magnitude eigenvalue
-    (deterministic start vector), which is the operator norm by definition;
-    the two agree to about 1e-14 relative on symmetric input.
+    the Lanczos solve of ``_lanczos_norm`` for the largest-magnitude
+    eigenvalue, which is the operator norm by definition; the two agree to
+    about 1e-14 relative on symmetric input.
     """
     M = M.matrix if isinstance(M, SpikedInstance) else _require_symmetric(M)
     d = M.shape[0]
     if d <= DENSE_NORM_MAX_DIM:
         vals = np.linalg.eigvalsh(M)
         return float(max(abs(vals[0]), abs(vals[-1])))
-    v0 = np.full(d, 1.0 / np.sqrt(d))
-    return float(abs(eigsh(M, k=1, which="LM", v0=v0, tol=0)[0][0]))
+    return _lanczos_norm(M.__matmul__, d)
 
 
 class Membership(NamedTuple):

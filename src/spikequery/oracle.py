@@ -31,10 +31,14 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .instances import SpikedInstance, _frozen, _require_symmetric, spectral_norm
-
-#: Residual norm below which a query adds no new basis direction.
-DEGENERATE_TOL = 1e-10
+from .instances import (
+    DEGENERATE_TOL,
+    SpikedInstance,
+    _frozen,
+    _orthogonalize,
+    _require_symmetric,
+    spectral_norm,
+)
 
 #: Unit-norm tolerance for queries and final outputs.
 UNIT_TOL = 1e-8
@@ -149,31 +153,6 @@ def _check_query_vector(v: np.ndarray, d: int, what: str = "query") -> np.ndarra
     if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
         raise ValueError(f"{what} must be unit norm (tol {UNIT_TOL})")
     return v
-
-
-def _orthogonalize(
-    Q: np.ndarray,
-    v: np.ndarray,
-    images: Optional[np.ndarray] = None,
-    w: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Residual of v against the orthonormal rows of Q, by classical
-    Gram-Schmidt in two passes (CGS2), each pass one block ``Q @ r`` and one
-    ``c @ Q`` product.
-
-    When images and w are given, the same combinations of the rows of images
-    are subtracted from w: with images[j] = M Q[j] and w = M v, the second
-    return value is M applied to the residual.  Returns fresh arrays; the
-    inputs are not modified.
-    """
-    r = np.array(v, dtype=float)
-    img = None if w is None else np.array(w, dtype=float)
-    for _ in range(2):
-        c = Q @ r
-        r -= c @ Q
-        if img is not None:
-            img -= c @ images
-    return r, img
 
 
 class QuerySession:

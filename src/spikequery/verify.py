@@ -19,6 +19,7 @@ order, so a report is byte-identical for any number of threads.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -120,6 +121,21 @@ def reports_summary(reports: Sequence[McReport]) -> str:
 
 def _binom_se(phat: float, n: int) -> float:
     return math.sqrt(max(phat * (1.0 - phat), 0.0) / n)
+
+
+def _require_instance_fits(d: int) -> None:
+    """Raise ValueError when one d x d float64 instance is larger than the
+    machine's physical memory, which no trial could then build.  Platforms
+    without ``os.sysconf`` are not checked."""
+    if not hasattr(os, "sysconf"):
+        return
+    need = 8 * d * d
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"one {d} x {d} instance needs {need} bytes, more than the "
+            f"{have} bytes of physical memory"
+        )
 
 
 def _concrete_seed(seed: Seed) -> int:
@@ -487,6 +503,7 @@ def verify_overlap_growth(
         raise ValueError(f"algorithm_kind must be one of {ALGORITHM_KINDS}")
     if lam < 1.0:
         raise ValueError(f"schedule regime needs lam >= 1, got {lam}")
+    _require_instance_fits(d)
     seed = _concrete_seed(seed)
     schedule = chi_tau_schedule(d, lam, delta, T).closed_form
     event_cap = schedule.taus
@@ -542,6 +559,7 @@ def verify_detection_gap(
     """
     if lam <= 2.0:
         raise ValueError(f"detection gap needs lam > 2, got {lam}")
+    _require_instance_fits(d)
     seed = _concrete_seed(seed)
     threshold = (2.0 + lam) / 2.0
 

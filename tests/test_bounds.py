@@ -157,6 +157,14 @@ def test_kl_schedule_saturation_flag():
     assert len(big.taus) == 5  # tau_1 .. tau_{T+1}
 
 
+def test_kl_schedule_growth_at_d1_is_inf_without_dividing_by_log_d():
+    # C1 * d = 1000 > log 2, so the schedule grows at d = 1, where log d = 0
+    s = kl_tau_schedule(1, 1.0, 3, C1=1000.0)
+    assert len(s.taus) > 1
+    assert s.params["max_increment_over_logd"] == math.inf
+    assert kl_tau_schedule(1, 1.0, 3).params["max_increment_over_logd"] == 0.0
+
+
 def test_kl_schedule_rejects_bad_args():
     with pytest.raises(ValueError):
         kl_tau_schedule(100, 0.0, 5)
@@ -433,12 +441,18 @@ def test_gamma_of_total_on_domain(d, lam, delta0, kd):
 
 
 @settings(max_examples=300, deadline=None)
-@given(d=_d_any, lam=_lam_any, T=st.integers(-1, 60))
-@example(d=1000, lam=1e200, T=3)
-@example(d=10**30, lam=1e-300, T=60)
-def test_kl_tau_schedule_total_on_domain(d, lam, T):
+@given(
+    d=_d_any,
+    lam=_lam_any,
+    T=st.integers(-1, 60),
+    C1=st.one_of(st.just(0.125), st.floats(-1.0, 0.0), st.floats(1e-3, 1e4), _finite_or_not),
+)
+@example(d=1000, lam=1e200, T=3, C1=0.125)
+@example(d=10**30, lam=1e-300, T=60, C1=0.125)
+@example(d=1, lam=1.0, T=3, C1=1000.0)  # grows at d = 1, where log d = 0
+def test_kl_tau_schedule_total_on_domain(d, lam, T, C1):
     try:
-        schedule = kl_tau_schedule(d, lam, T)
+        schedule = kl_tau_schedule(d, lam, T, C1=C1)
     except ValueError:
         return
     _assert_schedule_valid(schedule, T)

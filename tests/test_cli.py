@@ -308,6 +308,9 @@ _EXTREME_ARGV = [
 ] + [
     ["verify", "--check", check, "--d", "2", "--n", "2", "--seed", str(-(2**70))]
     for check in sorted(CHECKS)
+] + [
+    ["verify", "--check", check, "--d", "1000000000000", "--quick", "--n", "1"]
+    for check in ("overlap-growth", "detection-gap")
 ]
 
 
@@ -318,6 +321,15 @@ def test_extreme_values_exit_without_traceback(argv, capsys):
     assert "Traceback" not in err
     if code == 1:  # a failed check; no other subcommand reports one
         assert argv[0] == "verify"
+
+
+@pytest.mark.parametrize("check", ["overlap-growth", "detection-gap"])
+def test_instance_larger_than_memory_is_a_usage_error(check, capsys):
+    code, _, err = run_main(
+        ["verify", "--check", check, "--d", "1000000000000", "--quick", "--n", "1"], capsys
+    )
+    assert code == 2
+    assert f"needs {8 * 10**24} bytes" in err and "bytes of physical memory" in err
 
 
 class TestBounds:

@@ -1,6 +1,11 @@
-"""The package's import surface: every exported name resolves, and the
+"""The package's import surface: every exported name resolves, the
 removed run wrappers, oracle forwarders, second step type and second
-residual tolerance stay removed."""
+residual tolerance stay removed, and the runtime imports no scipy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +30,25 @@ def test_removed_names_are_gone(name):
     assert not hasattr(algorithms, name)
     assert not hasattr(oracle, name)
 
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test dependency only: neither the package nor a CLI run
+    # that scores a trial and solves norms above the dense cutoff loads it
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import spikequery",
+        "from spikequery import cli",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        "    assert cli.main(['simulate', '--alg', 'power', '--d', '300', '--lambda', '3',",
+        "                     '--T', '3', '--trials', '1']) == 0",
+        "    assert cli.main(['verify', '--check', 'kd', '--quick']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -367,6 +367,57 @@ def test_iterative_spectral_norm_matches_dense(lam, d, seed):
     assert abs(spectral_norm(M) - dense) <= 1e-12 * dense
 
 
+@pytest.mark.parametrize("d", [300, 1000])
+@pytest.mark.parametrize("lam", [0.0, 3.0])
+def test_spectral_norm_matches_scipy_eigsh(lam, d):
+    # scipy's ARPACK, solved to machine precision, as an independent reference
+    M = make_spiked(d, lam, seed=7).matrix
+    v0 = np.full(d, 1.0 / np.sqrt(d))
+    reference = abs(float(eigsh(M, k=1, which="LM", v0=v0, tol=0)[0][0]))
+    assert abs(spectral_norm(M) - reference) <= 1e-12 * reference
+
+
+def test_lanczos_norm_needs_few_matvecs():
+    # scipy's eigsh(tol=0) takes 41 matvecs on this instance
+    M = make_spiked(1000, 3.0, seed=0).matrix
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return M @ v
+
+    norm = instances._lanczos_norm(apply, 1000)
+    assert len(calls) <= 26
+    assert abs(norm - np.max(np.abs(np.linalg.eigvalsh(M)))) <= 1e-12 * norm
+
+
+def _degenerate_matrices(d):
+    """Matrices above the dense cutoff on which Krylov spaces close early."""
+    v0 = np.full(d, 1.0 / np.sqrt(d))
+    u = np.zeros(d)
+    u[:2] = [1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)]  # orthogonal to v0
+    return {
+        "zero": (np.zeros((d, d)), 0.0),
+        # the space of v0 closes after one step, at the eigenvalue 0.1
+        "hidden spike": (0.1 * np.outer(v0, v0) + 5.0 * np.outer(u, u), 5.0),
+        "identity": (np.eye(d), 1.0),
+        "-3 identity": (-3.0 * np.eye(d), 3.0),
+        "alternating diagonal": (np.diag(np.where(np.arange(d) % 2 == 0, 1.0, -1.0)), 1.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["zero", "hidden spike", "identity", "-3 identity",
+                                  "alternating diagonal"])
+def test_spectral_norm_of_degenerate_matrices(name):
+    d = 300
+    assert d > instances.DENSE_NORM_MAX_DIM
+    M, expected = _degenerate_matrices(d)[name]
+    norm = spectral_norm(M)
+    assert abs(norm - expected) <= 1e-12 * max(expected, 1.0)
+    if expected == 0.0:
+        assert norm == 0.0
+
+
 def test_spectral_norm_trusts_an_instance_and_checks_a_bare_matrix(monkeypatch):
     inst = make_spiked(300, 3.0, seed=6)
     expected = spectral_norm(inst.matrix)
