@@ -467,7 +467,7 @@ def cmd_verify(config: RunConfig) -> Tuple[str, str, int]:
                     overrides=overrides or None,
                 )
             )
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise UsageError(f"check {name!r}: {exc}")
     csv_text = config_header(config) + "\n" + reports_to_csv(reports)
     summary = reports_summary(reports)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar, Union
 
 import numpy as np
@@ -174,23 +175,48 @@ def _orthogonalize(
     return r, img
 
 
+@lru_cache(maxsize=16)
+def _packed_layout(d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(index, diagonal) of the d(d+1)/2 packed free entries of a d x d GOE
+    draw: index[r, c] is the position of entry (min(r, c), max(r, c)) of the
+    upper triangle in row-major order, and diagonal the positions of the
+    diagonal entries.  Both are read-only."""
+    r = np.arange(d)
+    lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+    index = lo * d - lo * (lo - 1) // 2 + hi - lo
+    diagonal = r * d - r * (r - 1) // 2
+    index.setflags(write=False)
+    diagonal.setflags(write=False)
+    return index, diagonal
+
+
 def _fill_goe(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Fill x, a stack of m d x d matrices, with m successive sample_goe
     draws from rng, and return it.
 
-    The draw is made a block of TILE rows at a time (for all m matrices at
-    once when one block holds a whole matrix), scattered into the block's
-    upper triangle through a (TILE, d) mask and mirrored tile by tile.
-    Successive generator draws concatenate, so the result does not depend
-    on TILE.
+    When one block of TILE rows holds a whole matrix, the packed draw of all
+    m matrices is made at once, its diagonal entries scaled by sqrt(2), and
+    every entry of x gathered from it by one ``np.take``, which runs without
+    the GIL, so trial threads filling their own draws overlap.  Above TILE
+    the draw is made a block of TILE rows at a time, scattered into the
+    block's upper triangle through a (TILE, d) mask and mirrored tile by
+    tile.  Successive generator draws concatenate, so the result does not
+    depend on TILE.
     """
     m, d = x.shape[0], x.shape[-1]
-    if m > 1 and d > TILE:  # matrix j's entries all come before matrix j+1's
+    root2 = np.sqrt(2.0)
+    if d <= TILE:
+        index, diagonal = _packed_layout(d)
+        z = rng.standard_normal((m, d * (d + 1) // 2))
+        z[:, diagonal] *= root2
+        # mode="clip" writes straight into x; the default would buffer
+        np.take(z, index, axis=1, out=x, mode="clip")
+        return x
+    if m > 1:  # matrix j's entries all come before matrix j+1's
         for j in range(m):
             _fill_goe(x[j : j + 1], rng)
         return x
-    upper = np.arange(d) >= np.arange(min(TILE, d))[:, None]  # column >= row
-    root2 = np.sqrt(2.0)
+    upper = np.arange(d) >= np.arange(TILE)[:, None]  # column >= row
     for i in range(0, d, TILE):
         I = slice(i, i + TILE)
         b, w = min(TILE, d - i), d - i

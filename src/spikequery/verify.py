@@ -10,14 +10,19 @@ put the theoretical value in the empirical slot, so the convention still
 reads left-to-right.  Reports are reproducible bit-for-bit from (seed,
 parameters) and serialize to CSV plus a human-readable summary.
 
-The per-instance checks (reduction-events, overlap-growth, detection-gap)
-run their trials on every available core through map_trials; each trial
-draws from its own trial_seed stream and the tallies are taken in trial
-order, so a report is byte-identical for any number of threads.
+Five checks run on every available core through map_trials.  The
+per-instance checks (reduction-events, overlap-growth, detection-gap) run
+one trial per task; gauss-quadratic and conditional-law split their n GOE
+draws into chunks whose layout depends on (n, d) alone (_chunk_draws) and
+run one chunk per task.  Trial or chunk j draws from its own
+trial_seed(seed, j) stream, and the results are combined in index order, so
+a report is byte-identical for any number of threads.  sphere-tail and kd
+run in the calling thread.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 from dataclasses import dataclass, field
@@ -123,19 +128,29 @@ def _binom_se(phat: float, n: int) -> float:
     return math.sqrt(max(phat * (1.0 - phat), 0.0) / n)
 
 
-def _require_instance_fits(d: int) -> None:
-    """Raise ValueError when one d x d float64 instance is larger than the
-    machine's physical memory, which no trial could then build.  Platforms
-    without ``os.sysconf`` are not checked."""
+def _require_fits(what: str, d: int, matrices: int, rows: int = 0) -> None:
+    """Raise ValueError when ``matrices`` d x d float64 arrays plus ``rows``
+    more float64 rows of length d are larger than the machine's physical
+    memory, so that the check could never hold them; ``what`` names them in
+    the message.  Platforms without ``os.sysconf`` are not checked."""
     if not hasattr(os, "sysconf"):
         return
-    need = 8 * d * d
+    need = 8 * d * (matrices * d + rows)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
-            f"one {d} x {d} instance needs {need} bytes, more than the "
-            f"{have} bytes of physical memory"
+            f"{what} needs {need} bytes, more than the {have} bytes of "
+            f"physical memory"
         )
+
+
+def _unit_vector(d: int, i: int) -> np.ndarray:
+    """The i-th standard basis vector of R^d (0-based)."""
+    if i >= d:
+        raise ValueError(f"the default vector e_{i + 1} needs d >= {i + 1}, got {d}")
+    e = np.zeros(d)
+    e[i] = 1.0
+    return e
 
 
 def _concrete_seed(seed: Seed) -> int:
@@ -148,15 +163,33 @@ def _concrete_seed(seed: Seed) -> int:
     return int(seed)
 
 
-#: Elements in one slab of Monte-Carlo draws: the GOE checks draw, mirror
-#: and apply max(1, SLAB // d^2) matrices at a time, verify_sphere_tail draws
-#: max(1, SLAB // d) Gaussian rows at a time, so the passes over a slab run
-#: in cache.  Measured with one thread at the quick parameters (best of 6),
-#: gauss-quadratic takes 0.88, 0.64, 0.58 and 0.76 s at 2^14, 2^15, 2^16 and
-#: 2^17, and conditional-law 0.37 s at both 2^15 and 2^16; 2^15 (256 KiB;
-#: 13 draws a slab at d = 50) is kept because at 2^16 the slab temporaries
-#: raise the tracemalloc peak of quick conditional-law from 11.3 to 13.3 MiB.
+#: Elements in one slab of Monte-Carlo draws: the GOE checks draw and apply
+#: max(1, SLAB // d^2) matrices at a time, and a chunk of them holds
+#: max(SLAB // d, d) draws (_chunk_draws); verify_sphere_tail draws
+#: max(1, SLAB // d) Gaussian rows at a time.  The passes over a slab run in
+#: cache.  Measured at the quick parameters (best of 5, one BLAS thread, one
+#: and two trial threads on a 2-core host), gauss-quadratic takes 0.56/0.34,
+#: 0.58/0.28, 0.50/0.30 and 0.51/0.28 s at 2^14, 2^15, 2^16 and 2^17, and
+#: conditional-law 0.42/0.21, 0.34/0.18, 0.40/0.19 and 0.32/0.17 s: level
+#: within the host's noise.  2^15 (256 KiB; 13 draws a slab at d = 50) is
+#: kept because every trial thread holds a slab and a chunk's temporaries,
+#: and on two threads the tracemalloc peak of quick conditional-law is 9.9,
+#: 10.5, 11.8 and 14.3 MiB at the four sizes (its two response arrays take
+#: 9.2 MiB).
 SLAB = 2**15
+
+
+def _chunk_draws(d: int) -> int:
+    """Draws per chunk of the GOE checks at dimension d: max(SLAB // d, d).
+
+    verify_gauss_quadratic and verify_conditional_law split their n draws
+    into chunks of this many (the last one shorter), and chunk j draws from
+    trial_seed(seed, j), so the layout, and with it every report, depends on
+    (n, d) alone and not on the number of threads.  SLAB // d draws make each
+    chunk's (draws, d) matvec arrays one slab; at least d draws keep
+    gauss-quadratic's d x d sum per chunk no larger than them.
+    """
+    return max(SLAB // d, d)
 
 
 def _goe_batch(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
@@ -167,10 +200,14 @@ def _goe_batch(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
 
 
 def _goe_matvecs(
-    rng: np.random.Generator, m: int, d: int, vectors: Sequence[np.ndarray]
+    rng: np.random.Generator,
+    m: int,
+    d: int,
+    vectors: Sequence[np.ndarray],
+    out: Optional[Sequence[np.ndarray]] = None,
 ) -> list:
     """W_j @ v for m GOE draws W_j and each v in vectors, one (m, d) array
-    per vector.
+    per vector, written into the arrays of out when it is given.
 
     The draws are made a slab of max(1, SLAB // d^2) matrices at a time
     through _goe_batch, from the same generator in the same order, so every
@@ -178,7 +215,8 @@ def _goe_matvecs(
     each slab is applied to each vector in one stacked matvec while it is in
     cache, and no chunk-sized matrix array is formed.
     """
-    out = [np.empty((m, d)) for _ in vectors]
+    if out is None:
+        out = [np.empty((m, d)) for _ in vectors]
     step = max(1, SLAB // (d * d))
     for k in range(0, m, step):
         w = _goe_batch(rng, min(step, m - k), d)
@@ -255,19 +293,24 @@ def verify_conditional_law(
     """
     if n < 2:
         raise ValueError(f"need n >= 2 for sample covariances, got {n}")
+    k = 2 if query_sequence is None else len(query_sequence)
+    # k projectors and, for each step, at least sigma, the sample covariance
+    # and their difference; k response arrays of n rows
+    _require_fits(
+        f"conditional-law with {k + 3} {d} x {d} arrays and {k * n} response rows",
+        d, k + 3, k * n,
+    )
     if query_sequence is None:
-        query_sequence = [np.eye(d)[0], np.eye(d)[1]]
+        query_sequence = [_unit_vector(d, 0), _unit_vector(d, 1)]
     queries = [np.asarray(v, dtype=float) for v in query_sequence]
-    k = len(queries)
     gram = np.array([[a @ b for b in queries] for a in queries])
     if np.max(np.abs(gram - np.eye(k))) > 1e-8:
         raise ValueError("query sequence must be orthonormal (tol 1e-8)")
-    u = np.eye(d)[0] if spike is None else np.asarray(spike, dtype=float)
+    u = _unit_vector(d, 0) if spike is None else np.asarray(spike, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-8:
         raise ValueError("spike must be a unit vector")
 
     seed = _concrete_seed(seed)
-    rng = as_rng(seed)
     responses = [np.empty((n, d)) for _ in range(k)]
     projectors = []
     P = np.eye(d)
@@ -275,13 +318,21 @@ def verify_conditional_law(
         projectors.append(P.copy())
         P = P - np.outer(v, v)
 
-    chunk = max(1, SLAB // d)  # response rows per chunk: one slab per array
-    for done in range(0, n, chunk):
-        m = min(chunk, n - done)
-        wv = _goe_matvecs(rng, m, d, queries)
-        for i, v in enumerate(queries):
-            resp = wv[i] / math.sqrt(d) + lam * (u @ v) * u
-            responses[i][done : done + m] = resp @ projectors[i].T
+    size = _chunk_draws(d)
+    scale = math.sqrt(d)
+
+    def chunk(j: int) -> None:
+        """Rows [j size, j size + m) of every response array, from the m
+        noise draws of chunk j."""
+        block = slice(j * size, min(n, (j + 1) * size))
+        out = [r[block] for r in responses]
+        _goe_matvecs(as_rng(trial_seed(seed, j)), len(out[0]), d, queries, out)
+        for resp, v, P in zip(out, queries, projectors):
+            resp /= scale
+            resp += lam * (u @ v) * u
+            np.matmul(resp, P.T, out=resp)
+
+    map_trials(chunk, -(-n // size))
 
     rows = []
     for i, v in enumerate(queries):
@@ -333,26 +384,37 @@ def verify_gauss_quadratic(
     seed: Seed = None,
     tol: float = 0.05,
 ) -> McReport:
-    """E[W v1 v2^T W] = v2 v1^T + <v1, v2> I, checked entrywise by MC."""
-    v1 = np.eye(d)[0] if v1 is None else np.asarray(v1, dtype=float)
-    v2 = np.eye(d)[1] if v2 is None else np.asarray(v2, dtype=float)
+    """E[W v1 v2^T W] = v2 v1^T + <v1, v2> I, checked entrywise by MC.
+
+    Chunk j of the n draws (see _chunk_draws) draws from trial_seed(seed, j)
+    and sums its own W v1 (W v2)^T; the chunks run through map_trials and
+    their sums are added in chunk order."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    size = _chunk_draws(d)
+    chunks = -(-n // size)
+    # one sum per chunk and one draw
+    _require_fits(f"gauss-quadratic with {chunks + 1} {d} x {d} arrays", d, chunks + 1)
+    v1 = _unit_vector(d, 0) if v1 is None else np.asarray(v1, dtype=float)
+    v2 = _unit_vector(d, 1) if v2 is None else np.asarray(v2, dtype=float)
     for name, v in (("v1", v1), ("v2", v2)):
         if abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ValueError(f"{name} must be a unit vector")
     seed = _concrete_seed(seed)
-    rng = as_rng(seed)
-    acc = np.zeros((d, d))
-    chunk = max(1, int(2e7 // (d * d)))
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        y1, y2 = _goe_matvecs(rng, m, d, (v1, v2))
-        acc += np.einsum("ia,ib->ab", y1, y2)
-        done += m
-    emp = acc / n
-    theory = np.outer(v2, v1) + float(v1 @ v2) * np.eye(d)
-    err = float(np.max(np.abs(emp - theory)))
-    row = one_sided_row("max entry error", err, tol)
+
+    def chunk(j: int) -> np.ndarray:
+        m = min(size, n - j * size)
+        y1, y2 = _goe_matvecs(as_rng(trial_seed(seed, j)), m, d, (v1, v2))
+        return y1.T @ y2
+
+    sums = map_trials(chunk, chunks)
+    err = sums[0]
+    for part in sums[1:]:
+        err += part
+    err /= n  # the empirical E[W v1 v2^T W]; its theory value is taken off
+    err -= np.outer(v2, v1)
+    err[np.diag_indices(d)] -= float(v1 @ v2)
+    row = one_sided_row("max entry error", float(np.max(np.abs(err))), tol)
     return McReport(
         check_name="gauss-quadratic",
         n_samples=n,
@@ -415,6 +477,10 @@ def verify_reduction_events(
     """
     if not (0 < delta0 < 1):
         raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
+    # a trial's instance and the working copy of its eigenvalue solve
+    _require_fits(f"reduction-events with 2 {d} x {d} arrays", d, 2)
+    if d > SPECTRUM_DIM_CAP:  # the dense spectrum oracle's cap
+        raise ValueError(f"spectrum oracle capped at d <= {SPECTRUM_DIM_CAP}, got {d}")
     seed = _concrete_seed(seed)
     rng = as_rng(seed)
     dev = 2.0 * math.sqrt(math.log(1.0 / delta0) / d)
@@ -427,8 +493,6 @@ def verify_reduction_events(
             f"got lam = {lam}"
         )
     gamma = gamma_of(d, lam, delta0, kd=kd_hat)
-    if d > SPECTRUM_DIM_CAP:  # the dense spectrum oracle's cap
-        raise ValueError(f"spectrum oracle capped at d <= {SPECTRUM_DIM_CAP}, got {d}")
 
     def trial(i: int) -> Tuple[bool, bool, bool]:
         t_rng = as_rng(trial_seed(seed, i))
@@ -503,7 +567,7 @@ def verify_overlap_growth(
         raise ValueError(f"algorithm_kind must be one of {ALGORITHM_KINDS}")
     if lam < 1.0:
         raise ValueError(f"schedule regime needs lam >= 1, got {lam}")
-    _require_instance_fits(d)
+    _require_fits(f"one {d} x {d} instance", d, 1)
     seed = _concrete_seed(seed)
     schedule = chi_tau_schedule(d, lam, delta, T).closed_form
     event_cap = schedule.taus
@@ -559,7 +623,7 @@ def verify_detection_gap(
     """
     if lam <= 2.0:
         raise ValueError(f"detection gap needs lam > 2, got {lam}")
-    _require_instance_fits(d)
+    _require_fits(f"one {d} x {d} instance", d, 1)
     seed = _concrete_seed(seed)
     threshold = (2.0 + lam) / 2.0
 
@@ -700,10 +764,20 @@ CHECKS = {
 def run_check(
     name: str, quick: bool = False, seed: Seed = 0, overrides: Optional[Dict] = None
 ) -> McReport:
-    """Run one named check with its default (or quick) parameter set."""
+    """Run one named check with its default (or quick) parameter set.
+
+    An override that names no parameter of the check is a ValueError that
+    lists the parameters it takes, raised before the check starts."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
+    check = CHECKS[name]
     params = dict((QUICK_PARAMS if quick else DEFAULT_PARAMS)[name])
     if overrides:
+        takes = inspect.signature(check).parameters
+        unknown = [key for key in overrides if key not in takes]
+        if unknown:
+            raise ValueError(
+                f"no parameter {', '.join(unknown)}; it takes {', '.join(takes)}"
+            )
         params.update(overrides)
-    return CHECKS[name](seed=seed, **params)
+    return check(seed=seed, **params)

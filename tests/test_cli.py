@@ -311,6 +311,9 @@ _EXTREME_ARGV = [
 ] + [
     ["verify", "--check", check, "--d", "1000000000000", "--quick", "--n", "1"]
     for check in ("overlap-growth", "detection-gap")
+] + [
+    ["verify", "--check", check, "--d", "200000", "--quick"]
+    for check in ("gauss-quadratic", "conditional-law", "reduction-events")
 ]
 
 
@@ -330,6 +333,29 @@ def test_instance_larger_than_memory_is_a_usage_error(check, capsys):
     )
     assert code == 2
     assert f"needs {8 * 10**24} bytes" in err and "bytes of physical memory" in err
+
+
+@pytest.mark.parametrize("check", ["gauss-quadratic", "conditional-law", "reduction-events"])
+@pytest.mark.parametrize("d", ["200000", "1000000000000"])
+def test_check_arrays_larger_than_memory_are_a_usage_error(check, d, capsys):
+    code, _, err = run_main(["verify", "--check", check, "--d", d, "--quick"], capsys)
+    assert code == 2
+    assert f" {d} x {d} arrays " in err and "bytes of physical memory" in err
+
+
+def test_override_a_check_does_not_take_is_a_usage_error(capsys):
+    code, out, err = run_main(["verify", "--check", "kd", "--d", "300"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: check 'kd': no parameter d; it takes d_grid, n, seed\n"
+
+
+def test_type_error_inside_a_check_is_not_a_usage_error(monkeypatch):
+    def broken(**params):
+        raise TypeError("a bug in the check")
+
+    monkeypatch.setitem(CHECKS, "kd", broken)
+    with pytest.raises(TypeError, match="a bug in the check"):
+        main(["verify", "--check", "kd", "--quick"])
 
 
 class TestBounds:

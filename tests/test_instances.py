@@ -43,6 +43,15 @@ def test_goe_matches_packed_triangle_reference(d):
     assert np.array_equal(sample_goe(d, seed=d), _goe_reference(d, np.random.default_rng(d)))
 
 
+@pytest.mark.parametrize("d", [1, 2, 50, 127, 128])
+def test_one_block_fill_of_a_stack_is_successive_reference_draws(d):
+    assert d <= instances.TILE  # one np.take gather per stack
+    stack = instances._fill_goe(np.empty((3, d, d)), np.random.default_rng(d))
+    rng = np.random.default_rng(d)
+    for w in stack:
+        assert np.array_equal(w, _goe_reference(d, rng))
+
+
 @pytest.mark.parametrize("tile", [64, 37])
 def test_goe_and_spiked_matrix_do_not_depend_on_tile(tile, monkeypatch):
     d = 300

@@ -19,7 +19,13 @@ import pytest
 from spikequery.algorithms import ALGORITHM_KINDS
 from spikequery.bounds import chi_tau_schedule
 from spikequery.divergences import TruncationEvent, gaussian_kl
-from spikequery.instances import as_rng, make_spiked, sample_goe, sample_uniform_sphere
+from spikequery.instances import (
+    as_rng,
+    make_spiked,
+    sample_goe,
+    sample_uniform_sphere,
+    trial_seed,
+)
 from spikequery.oracle import open_session
 from spikequery import instances, verify
 from spikequery.verify import (
@@ -321,11 +327,11 @@ class TestReproducibility:
         assert reports_to_csv([a]) == reports_to_csv([b])
 
 
-def _whole_chunk_matvecs(rng, m, d, vectors):
+def _whole_chunk_matvecs(rng, m, d, vectors, out=None):
     """Reference: the free entries of all m GOE matrices of a chunk drawn as
     one (m, d(d+1)/2) array, each row the upper triangle of one matrix in
     row-major order, diagonal times sqrt(2), mirrored; then one stacked
-    matvec per vector."""
+    matvec per vector, copied into out when it is given."""
     z = rng.standard_normal((m, d * (d + 1) // 2))
     w = np.zeros((m, d, d))
     rows, cols = np.triu_indices(d)
@@ -333,12 +339,17 @@ def _whole_chunk_matvecs(rng, m, d, vectors):
     w[:, cols, rows] = z
     diag = np.arange(d)
     w[:, diag, diag] *= math.sqrt(2.0)
-    return [w @ v for v in vectors]
+    products = [w @ v for v in vectors]
+    if out is None:
+        return products
+    for y, product in zip(out, products):
+        y[...] = product
+    return out
 
 
 def _chunk_and_step(d):
     """(draws per chunk of the GOE checks, draws per slab) at dimension d."""
-    return max(1, int(2e7 // (d * d))), max(1, verify.SLAB // (d * d))
+    return verify._chunk_draws(d), max(1, verify.SLAB // (d * d))
 
 
 class TestStreamedDrawsBitIdentical:
@@ -346,11 +357,12 @@ class TestStreamedDrawsBitIdentical:
 
     def test_shapes_cover_the_edges(self):
         chunk, step = _chunk_and_step(50)
-        assert 1000 < chunk and 1000 % step  # a partial last slab
+        # two chunks, each ending in a partial slab
+        assert chunk < 1000 < 2 * chunk and chunk % step and (1000 - chunk) % step
         chunk, step = _chunk_and_step(30)
-        assert 1000 < chunk and 1000 % step
+        assert 1000 < chunk and 1000 % step  # one chunk
         chunk, step = _chunk_and_step(190)
-        assert step == 1 and chunk < 600 < 2 * chunk  # one draw a slab, 2 chunks
+        assert step == 1 and 3 * chunk < 600 < 4 * chunk  # one draw a slab, 4 chunks
         assert 10_007 % (verify.SLAB // 200) and 10_000 % (verify.SLAB // 60)
 
     @pytest.mark.parametrize("m, d, tile", [(13, 50, 128), (3, 50, 37), (2, 129, 64), (1, 300, 128)])
@@ -383,6 +395,42 @@ class TestStreamedDrawsBitIdentical:
         reference = verify_conditional_law(*args, seed=53)
         assert streamed.rows == reference.rows
         assert reports_to_csv([streamed]) == reports_to_csv([reference])
+
+    @pytest.mark.parametrize("d, n", [(50, 1000), (190, 600), (50, 1)])
+    def test_gauss_quadratic_chunk_j_draws_from_trial_seed_j(self, d, n):
+        rng = as_rng(57)
+        v1, v2 = unit(rng.standard_normal(d)), unit(rng.standard_normal(d))
+        size = verify._chunk_draws(d)
+        acc = np.zeros((d, d))
+        for j, start in enumerate(range(0, n, size)):
+            chunk_rng = as_rng(trial_seed(58, j))
+            y1, y2 = verify._goe_matvecs(chunk_rng, min(size, n - start), d, (v1, v2))
+            acc += y1.T @ y2
+        err = np.max(np.abs(acc / n - np.outer(v2, v1) - (v1 @ v2) * np.eye(d)))
+        rep = verify_gauss_quadratic(d, n, v1, v2, seed=58)
+        assert rep.rows[0].empirical == float(err)
+
+    @pytest.mark.parametrize("name, d, n", [
+        ("gauss-quadratic", 50, 1000), ("conditional-law", 30, 2500),
+        ("conditional-law", 190, 600),
+    ])
+    def test_chunk_j_opens_trial_seed_j(self, name, d, n, monkeypatch):
+        calls = []
+        goe_matvecs = verify._goe_matvecs
+
+        def recording(rng, m, *args):
+            calls.append((repr(rng.bit_generator.state), m))
+            return goe_matvecs(rng, m, *args)
+
+        monkeypatch.setattr(verify, "_goe_matvecs", recording)
+        run_check(name, seed=59, overrides={"d": d, "n": n})
+        size = verify._chunk_draws(d)
+        expected = [
+            (repr(as_rng(trial_seed(59, j)).bit_generator.state), min(size, n - start))
+            for j, start in enumerate(range(0, n, size))
+        ]
+        assert len(expected) > 1
+        assert sorted(calls) == sorted(expected)
 
     # a slab smaller than a row (150 < 200) holds one row
     @pytest.mark.parametrize(
@@ -436,6 +484,13 @@ def _cores(monkeypatch, k):
     monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: set(range(k)))
 
 
+@pytest.mark.parametrize("name", ["gauss-quadratic", "conditional-law"])
+def test_chunked_checks_memory_peak_on_three_cores(name, monkeypatch):
+    # each thread holds one chunk's slab and temporaries on top
+    _cores(monkeypatch, 3)
+    test_quick_check_memory_peak(name)
+
+
 @pytest.mark.parametrize("name, per_trial", [("overlap-growth", 1), ("detection-gap", 2)])
 def test_trial_checks_hold_few_instances_under_the_pool(name, per_trial, monkeypatch):
     # three threads each hold one trial's instances; two more d x d arrays
@@ -446,10 +501,13 @@ def test_trial_checks_hold_few_instances_under_the_pool(name, per_trial, monkeyp
 
 
 class TestThreadCountInvariance:
-    """A trial check's CSV and summary are the same inline and on three
+    """A threaded check's CSV and summary are the same inline and on three
     threads."""
 
     CASES = {
+        # 5 and 8 chunks
+        "gauss-quadratic": lambda: verify_gauss_quadratic(30, 5000, seed=23, tol=0.1),
+        "conditional-law": lambda: verify_conditional_law(40, 6000, lam=1.5, seed=24),
         # four trials fail here, the first of them trial 4
         "reduction-events": lambda: verify_reduction_events(80, 3.0, 0.95, 16, seed=22),
         "overlap-growth": lambda: verify_overlap_growth("lanczos", 200, 3.0, 0.05, 4, 12, seed=5),
