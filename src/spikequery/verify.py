@@ -10,14 +10,14 @@ put the theoretical value in the empirical slot, so the convention still
 reads left-to-right.  Reports are reproducible bit-for-bit from (seed,
 parameters) and serialize to CSV plus a human-readable summary.
 
-Five checks run on every available core through map_trials.  The
+Five checks run on the available cores through map_trials.  The
 per-instance checks (reduction-events, overlap-growth, detection-gap) run
-one trial per task; gauss-quadratic and conditional-law split their n GOE
-draws into chunks whose layout depends on (n, d) alone (_chunk_draws) and
-run one chunk per task.  Trial or chunk j draws from its own
-trial_seed(seed, j) stream, and the results are combined in index order, so
-a report is byte-identical for any number of threads.  sphere-tail and kd
-run in the calling thread.
+one trial per task on every core; gauss-quadratic and conditional-law split
+their n GOE draws into chunks whose layout depends on (n, d) alone
+(_chunk_draws) and run one chunk per task on at most SLAB_WORKERS threads.
+Trial or chunk j draws from its own trial_seed(seed, j) stream, and the
+results are combined in index order, so a report is byte-identical for any
+number of threads.  sphere-tail and kd run in the calling thread.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .instances import (
     _fill_goe,
     _membership_of_spectrum,
     as_rng,
+    available_cores,
     make_spiked,
     map_trials,
     sample_goe,
@@ -164,8 +165,8 @@ def _concrete_seed(seed: Seed) -> int:
 
 
 #: Elements in one slab of Monte-Carlo draws: the GOE checks draw and apply
-#: max(1, SLAB // d^2) matrices at a time, and a chunk of them holds
-#: max(SLAB // d, d) draws (_chunk_draws); verify_sphere_tail draws
+#: max(1, SLAB // d^2) matrices at a time, and a chunk of them holds at
+#: least SLAB // d draws (_chunk_draws); verify_sphere_tail draws
 #: max(1, SLAB // d) Gaussian rows at a time.  The passes over a slab run in
 #: cache.  Measured at the quick parameters (best of 5, one BLAS thread, one
 #: and two trial threads on a 2-core host), gauss-quadratic takes 0.56/0.34,
@@ -173,30 +174,47 @@ def _concrete_seed(seed: Seed) -> int:
 #: conditional-law 0.42/0.21, 0.34/0.18, 0.40/0.19 and 0.32/0.17 s: level
 #: within the host's noise.  2^15 (256 KiB; 13 draws a slab at d = 50) is
 #: kept because every trial thread holds a slab and a chunk's temporaries,
-#: and on two threads the tracemalloc peak of quick conditional-law is 9.9,
-#: 10.5, 11.8 and 14.3 MiB at the four sizes (its two response arrays take
-#: 9.2 MiB).
+#: and on two and on eight threads the tracemalloc peak of quick
+#: conditional-law is 10.3/11.4, 10.0/12.4, 10.8/15.4 and 12.3/16.8 MiB at
+#: the four sizes (its two response arrays take 9.2 MiB).
 SLAB = 2**15
 
+#: Most threads that gauss-quadratic and conditional-law run their chunks
+#: on.  Each thread holds a slab of draws, its packed draw and, in
+#: gauss-quadratic, its chunk's two matvec arrays (at d = 50 about 0.4 and
+#: 0.9 MiB), so the cap keeps a check's memory peak the same on any host
+#: with at least this many cores: 7.6 and 12.4 MiB for quick gauss-quadratic
+#: and conditional-law.
+SLAB_WORKERS = 8
 
-def _chunk_draws(d: int) -> int:
-    """Draws per chunk of the GOE checks at dimension d: max(SLAB // d, d).
+#: Most chunks the n draws of a GOE check are split into; gauss-quadratic
+#: holds one d x d sum per chunk until they are added.
+MAX_CHUNKS = 64
+
+
+def _chunk_draws(n: int, d: int) -> int:
+    """Draws per chunk of n GOE draws at dimension d:
+    max(SLAB // d, d, ceil(n / MAX_CHUNKS)).
 
     verify_gauss_quadratic and verify_conditional_law split their n draws
     into chunks of this many (the last one shorter), and chunk j draws from
     trial_seed(seed, j), so the layout, and with it every report, depends on
     (n, d) alone and not on the number of threads.  SLAB // d draws make each
     chunk's (draws, d) matvec arrays one slab; at least d draws keep
-    gauss-quadratic's d x d sum per chunk no larger than them.
+    gauss-quadratic's d x d sum per chunk no larger than them, and at most
+    MAX_CHUNKS chunks bound how many of those sums are held.
     """
-    return max(SLAB // d, d)
+    return max(SLAB // d, d, -(-n // MAX_CHUNKS))
 
 
-def _goe_batch(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    """m GOE draws stacked as an (m, d, d) array; matrix j equals the j-th of
-    m successive ``sample_goe(d, rng)`` calls.  Meant for slab-sized batches
+def _goe_batch(
+    rng: np.random.Generator, m: int, d: int, slab: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """m GOE draws stacked as an (m, d, d) array, made in the first m
+    matrices of slab when it is given; matrix j equals the j-th of m
+    successive ``sample_goe(d, rng)`` calls.  Meant for slab-sized batches
     (see _goe_matvecs)."""
-    return _fill_goe(np.empty((m, d, d)), rng)
+    return _fill_goe(np.empty((m, d, d)) if slab is None else slab[:m], rng)
 
 
 def _goe_matvecs(
@@ -213,13 +231,15 @@ def _goe_matvecs(
     through _goe_batch, from the same generator in the same order, so every
     W_j and every W_j @ v is bit-identical to _goe_batch(rng, m, d) @ v;
     each slab is applied to each vector in one stacked matvec while it is in
-    cache, and no chunk-sized matrix array is formed.
+    cache, and no chunk-sized matrix array is formed.  Every slab is made in
+    one buffer, so one slab is held at a time.
     """
     if out is None:
         out = [np.empty((m, d)) for _ in vectors]
     step = max(1, SLAB // (d * d))
+    slab = np.empty((min(step, m), d, d))
     for k in range(0, m, step):
-        w = _goe_batch(rng, min(step, m - k), d)
+        w = _goe_batch(rng, min(step, m - k), d, slab)
         for y, v in zip(out, vectors):
             np.matmul(w, v, out=y[k : k + len(w)])
     return out
@@ -318,7 +338,7 @@ def verify_conditional_law(
         projectors.append(P.copy())
         P = P - np.outer(v, v)
 
-    size = _chunk_draws(d)
+    size = _chunk_draws(n, d)
     scale = math.sqrt(d)
 
     def chunk(j: int) -> None:
@@ -332,7 +352,7 @@ def verify_conditional_law(
             resp += lam * (u @ v) * u
             np.matmul(resp, P.T, out=resp)
 
-    map_trials(chunk, -(-n // size))
+    map_trials(chunk, -(-n // size), workers=min(SLAB_WORKERS, available_cores()))
 
     rows = []
     for i, v in enumerate(queries):
@@ -391,7 +411,7 @@ def verify_gauss_quadratic(
     their sums are added in chunk order."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    size = _chunk_draws(d)
+    size = _chunk_draws(n, d)
     chunks = -(-n // size)
     # one sum per chunk and one draw
     _require_fits(f"gauss-quadratic with {chunks + 1} {d} x {d} arrays", d, chunks + 1)
@@ -407,7 +427,7 @@ def verify_gauss_quadratic(
         y1, y2 = _goe_matvecs(as_rng(trial_seed(seed, j)), m, d, (v1, v2))
         return y1.T @ y2
 
-    sums = map_trials(chunk, chunks)
+    sums = map_trials(chunk, chunks, workers=min(SLAB_WORKERS, available_cores()))
     err = sums[0]
     for part in sums[1:]:
         err += part
@@ -477,8 +497,6 @@ def verify_reduction_events(
     """
     if not (0 < delta0 < 1):
         raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
-    # a trial's instance and the working copy of its eigenvalue solve
-    _require_fits(f"reduction-events with 2 {d} x {d} arrays", d, 2)
     if d > SPECTRUM_DIM_CAP:  # the dense spectrum oracle's cap
         raise ValueError(f"spectrum oracle capped at d <= {SPECTRUM_DIM_CAP}, got {d}")
     seed = _concrete_seed(seed)

@@ -335,12 +335,23 @@ def test_instance_larger_than_memory_is_a_usage_error(check, capsys):
     assert f"needs {8 * 10**24} bytes" in err and "bytes of physical memory" in err
 
 
-@pytest.mark.parametrize("check", ["gauss-quadratic", "conditional-law", "reduction-events"])
+@pytest.mark.parametrize("check", ["gauss-quadratic", "conditional-law"])
 @pytest.mark.parametrize("d", ["200000", "1000000000000"])
 def test_check_arrays_larger_than_memory_are_a_usage_error(check, d, capsys):
     code, _, err = run_main(["verify", "--check", check, "--d", d, "--quick"], capsys)
     assert code == 2
     assert f" {d} x {d} arrays " in err and "bytes of physical memory" in err
+
+
+@pytest.mark.parametrize("d", ["8193", "200000", "1000000000000"])
+def test_reduction_events_above_the_spectrum_cap_is_a_usage_error(d, capsys):
+    code, out, err = run_main(
+        ["verify", "--check", "reduction-events", "--d", d, "--quick"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: check 'reduction-events': spectrum oracle capped at d <= 8192, got {d}\n"
+    )
 
 
 def test_override_a_check_does_not_take_is_a_usage_error(capsys):

@@ -347,21 +347,21 @@ def _whole_chunk_matvecs(rng, m, d, vectors, out=None):
     return out
 
 
-def _chunk_and_step(d):
-    """(draws per chunk of the GOE checks, draws per slab) at dimension d."""
-    return verify._chunk_draws(d), max(1, verify.SLAB // (d * d))
+def _chunk_and_step(n, d):
+    """(draws per chunk of n GOE draws, draws per slab) at dimension d."""
+    return verify._chunk_draws(n, d), max(1, verify.SLAB // (d * d))
 
 
 class TestStreamedDrawsBitIdentical:
     """The streamed checks give the reports of the whole-chunk draw."""
 
     def test_shapes_cover_the_edges(self):
-        chunk, step = _chunk_and_step(50)
+        chunk, step = _chunk_and_step(1000, 50)
         # two chunks, each ending in a partial slab
         assert chunk < 1000 < 2 * chunk and chunk % step and (1000 - chunk) % step
-        chunk, step = _chunk_and_step(30)
+        chunk, step = _chunk_and_step(1000, 30)
         assert 1000 < chunk and 1000 % step  # one chunk
-        chunk, step = _chunk_and_step(190)
+        chunk, step = _chunk_and_step(600, 190)
         assert step == 1 and 3 * chunk < 600 < 4 * chunk  # one draw a slab, 4 chunks
         assert 10_007 % (verify.SLAB // 200) and 10_000 % (verify.SLAB // 60)
 
@@ -400,7 +400,7 @@ class TestStreamedDrawsBitIdentical:
     def test_gauss_quadratic_chunk_j_draws_from_trial_seed_j(self, d, n):
         rng = as_rng(57)
         v1, v2 = unit(rng.standard_normal(d)), unit(rng.standard_normal(d))
-        size = verify._chunk_draws(d)
+        size = verify._chunk_draws(n, d)
         acc = np.zeros((d, d))
         for j, start in enumerate(range(0, n, size)):
             chunk_rng = as_rng(trial_seed(58, j))
@@ -424,7 +424,7 @@ class TestStreamedDrawsBitIdentical:
 
         monkeypatch.setattr(verify, "_goe_matvecs", recording)
         run_check(name, seed=59, overrides={"d": d, "n": n})
-        size = verify._chunk_draws(d)
+        size = verify._chunk_draws(n, d)
         expected = [
             (repr(as_rng(trial_seed(59, j)).bit_generator.state), min(size, n - start))
             for j, start in enumerate(range(0, n, size))
@@ -484,11 +484,32 @@ def _cores(monkeypatch, k):
     monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: set(range(k)))
 
 
+@pytest.mark.parametrize("cores", [3, 8, 64])
 @pytest.mark.parametrize("name", ["gauss-quadratic", "conditional-law"])
-def test_chunked_checks_memory_peak_on_three_cores(name, monkeypatch):
-    # each thread holds one chunk's slab and temporaries on top
-    _cores(monkeypatch, 3)
+def test_chunked_checks_memory_peak_on_many_cores(name, cores, monkeypatch):
+    # each thread holds one chunk's slab and temporaries on top; at most
+    # SLAB_WORKERS threads run
+    _cores(monkeypatch, cores)
     test_quick_check_memory_peak(name)
+
+
+def test_gauss_quadratic_holds_at_most_max_chunks_sums(monkeypatch):
+    # a slab of 256 elements puts d = 20 above sqrt(SLAB), where a chunk of
+    # d draws would make n / d = 1000 chunks and hold 1000 d x d sums
+    monkeypatch.setattr(verify, "SLAB", 256)
+    d, n = 20, 20_000
+    assert -(-n // verify._chunk_draws(n, d)) == verify.MAX_CHUNKS
+    _cores(monkeypatch, 1)
+    tracemalloc.start()
+    try:
+        verify_gauss_quadratic(d, n, seed=3, tol=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # twice the sums and one chunk's two (n / MAX_CHUNKS, d) matvec arrays;
+    # 1000 sums would take 3.2 MB
+    sums, matvecs = verify.MAX_CHUNKS * 8 * d * d, 2 * 8 * d * -(-n // verify.MAX_CHUNKS)
+    assert peak < 2 * (sums + matvecs)
 
 
 @pytest.mark.parametrize("name, per_trial", [("overlap-growth", 1), ("detection-gap", 2)])
