@@ -17,6 +17,12 @@ An instance stores theta and M, one d x d array; W is not kept.
 ``make_spiked`` builds M in the buffer of the GOE draw and skips the checks
 that hold by construction; a ``SpikedInstance`` built by hand, which takes
 W as an init-only argument, is checked in full.
+
+``make_lazy_spiked`` draws an instance of the same law that never forms M:
+a ``LazySpikedInstance`` draws W only along the directions it is applied
+to, by the GOE's orthogonal invariance, and after k of them holds
+(2k + 1) d floats.  It answers matrix-vector products, and so serves a
+query session, but has no spectrum or operator norm.
 """
 
 from __future__ import annotations
@@ -270,6 +276,24 @@ def sample_uniform_sphere(d: int, seed: Seed = None) -> np.ndarray:
             return v / norm
 
 
+def _check_lam(lam: float) -> None:
+    if lam < 0 or not np.isfinite(lam):
+        raise ValueError(f"spike strength must be finite and >= 0, got {lam}")
+
+
+def _check_spike(theta: np.ndarray, lam: float) -> None:
+    """Raise ValueError unless lam is finite and >= 0 and theta is a finite
+    1-D unit vector (tol 1e-12)."""
+    _check_lam(lam)
+    if theta.ndim != 1:
+        raise ValueError(f"theta must be a 1-D vector, got shape {theta.shape}")
+    # a NaN slips past the tolerance test below, which compares with >
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta has non-finite entries")
+    if abs(np.linalg.norm(theta) - 1.0) > 1e-12:
+        raise ValueError("theta must be a unit vector (tol 1e-12)")
+
+
 @dataclass(frozen=True)
 class SpikedInstance:
     """A planted-spike matrix M = lam * theta theta^T + noise / sqrt(d).
@@ -294,15 +318,7 @@ class SpikedInstance:
         matrix = _frozen(_require_symmetric(self.matrix, "matrix"))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "matrix", matrix)
-        if self.lam < 0 or not np.isfinite(self.lam):
-            raise ValueError(f"spike strength must be finite and >= 0, got {self.lam}")
-        if theta.ndim != 1:
-            raise ValueError(f"theta must be a 1-D vector, got shape {theta.shape}")
-        # a NaN slips past both tolerance tests below, which compare with >
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta has non-finite entries")
-        if abs(np.linalg.norm(theta) - 1.0) > 1e-12:
-            raise ValueError("theta must be a unit vector (tol 1e-12)")
+        _check_spike(theta, self.lam)
         d = theta.shape[0]
         if noise.shape != (d, d) or matrix.shape != (d, d):
             raise ValueError(
@@ -348,8 +364,7 @@ def make_spiked(d: int, lam: float, seed: Seed = None) -> SpikedInstance:
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    if lam < 0 or not np.isfinite(lam):
-        raise ValueError(f"spike strength must be finite and >= 0, got {lam}")
+    _check_lam(lam)
     rng = as_rng(seed)
     theta = sample_uniform_sphere(d, rng)
     matrix = sample_goe(d, rng)
@@ -359,6 +374,116 @@ def make_spiked(d: int, lam: float, seed: Seed = None) -> SpikedInstance:
         block /= scale
         block += lam * np.outer(theta[rows], theta)
     return SpikedInstance._trusted(theta, float(lam), matrix)
+
+
+class LazySpikedInstance:
+    """A planted-spike matrix M = lam * theta theta^T + W / sqrt(d) whose GOE
+    noise W is drawn only along the directions M is applied to.
+
+    By the orthogonal invariance of the GOE, W along a unit direction b
+    orthogonal to the directions q_j revealed so far is what they reveal
+    plus fresh noise:
+
+        W b = sum_j <W q_j, b> q_j + xi b + P g,
+
+    since <q_j, W b> = <W q_j, b> for symmetric W, with xi ~ N(0, 2) and
+    g ~ N(0, I_d) fresh draws and P the projection off span(q_j, b).  The
+    instance keeps the q_j as the orthonormal rows of Q and the W q_j as the
+    rows of U.  Applying M to v = Q^T c + |r| b, with r the residual of v
+    against Q (``_orthogonalize``, which carries the combinations of U
+    along), reveals W b, appends b to Q and W b to U, and returns
+
+        lam theta <theta, v> + (U^T c + |r| W b) / sqrt(d).
+
+    A v whose residual is at most DEGENERATE_TOL |v| lies in the revealed
+    span and draws nothing, so applying M again to a direction already
+    revealed, or reading a session's projected responses, adds no row.
+    Every answer is therefore one matrix's, and that matrix has the law of
+    ``make_spiked``'s.
+
+    The instance offers what a ``QuerySession`` reads of a matrix: ``shape``
+    and ``@`` on a vector or a (d, m) block, whose columns are applied in
+    order.  After k reveals it holds theta, Q and U, (2k + 1) d floats, and
+    no d x d array; ``open_session`` preallocates the session's
+    min(budget, d) rows of Q and U.  xi and g are drawn from the instance's
+    generator in the order of the reveals.  The instance changes as it is
+    applied, so one thread uses it at a time.
+    """
+
+    def __init__(self, theta: np.ndarray, lam: float, seed: Seed = None):
+        theta = _frozen(theta)
+        _check_spike(theta, lam)
+        self.theta = theta
+        self.lam = float(lam)
+        self._rng = as_rng(seed)
+        self._Q = np.empty((0, theta.shape[0]))
+        self._U = np.empty_like(self._Q)
+        self._size = 0
+
+    @property
+    def dim(self) -> int:
+        return self.theta.shape[0]
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.dim, self.dim
+
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` revealed directions (at most d) in Q and U."""
+        extra = min(rows, self.dim) - len(self._Q)
+        if extra > 0:
+            self._Q = np.concatenate([self._Q, np.empty((extra, self.dim))])
+            self._U = np.concatenate([self._U, np.empty((extra, self.dim))])
+
+    def _reveal(self, b: np.ndarray) -> np.ndarray:
+        """Draw W b for a unit b orthogonal to the rows of Q, append b to Q
+        and W b to U, and return W b."""
+        k = self._size
+        if k == len(self._Q):
+            self._reserve(2 * k + 1)
+        Q = self._Q[: k + 1]
+        Q[k] = b
+        g = self._rng.standard_normal(self.dim)
+        xi = math.sqrt(2.0) * self._rng.standard_normal()
+        wb = np.append(self._U[:k] @ b, xi) @ Q
+        wb += _orthogonalize(Q, g)[0]
+        self._U[k] = wb
+        self._size = k + 1
+        return wb
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        k = self._size
+        # with w = 0, the carried image is -W (v - r)
+        r, img = _orthogonalize(self._Q[:k], v, self._U[:k], np.zeros(self.dim))
+        rnorm = np.linalg.norm(r)
+        if rnorm > DEGENERATE_TOL * np.linalg.norm(v):
+            img -= rnorm * self._reveal(r / rnorm)
+        img /= -math.sqrt(self.dim)
+        img += self.lam * float(self.theta @ v) * self.theta
+        return img
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[0] != self.dim:
+            raise ValueError(
+                f"M is {self.dim} x {self.dim}; cannot apply it to shape {v.shape}"
+            )
+        if v.ndim == 1:
+            return self._apply(v)
+        out = np.empty(v.shape)
+        for j in range(v.shape[1]):
+            out[:, j] = self._apply(v[:, j])
+        return out
+
+
+def make_lazy_spiked(d: int, lam: float, seed: Seed = None) -> LazySpikedInstance:
+    """Sample theta uniform on the sphere and return the matrix-free
+    instance that draws its GOE noise from the same generator as it is
+    applied (``LazySpikedInstance``); the instances of ``make_spiked`` have
+    the same law."""
+    _check_lam(lam)  # before the O(d) draw of theta
+    rng = as_rng(seed)
+    return LazySpikedInstance(sample_uniform_sphere(d, rng), lam, rng)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .instances import (
     DEGENERATE_TOL,
+    LazySpikedInstance,
     SpikedInstance,
     _frozen,
     _orthogonalize,
@@ -127,8 +128,9 @@ class Transcript:
 
     It keeps the session's basis, and so its handle to M, from which the
     projected responses are computed when read.  M must not change
-    meanwhile: an instance's matrix is read-only, and ``open_session`` makes
-    a bare matrix read-only too."""
+    meanwhile: an instance's matrix is read-only, ``open_session`` makes
+    a bare matrix read-only too, and a lazy instance draws nothing along
+    directions it has revealed."""
 
     steps: Tuple[TranscriptStep, ...]
     final_output: np.ndarray
@@ -264,15 +266,22 @@ class QuerySession:
         return self._transcript
 
 
-def open_session(inst: Union[SpikedInstance, np.ndarray], budget: int) -> QuerySession:
+def open_session(
+    inst: Union[SpikedInstance, LazySpikedInstance, np.ndarray], budget: int
+) -> QuerySession:
     """Start a budgeted query session against an instance or a bare matrix.
 
     A bare float matrix is made read-only in place, as an instance's matrix
     is: the session's transcript reads it again when its projected
-    responses are read.
+    responses are read.  A lazy instance is queried itself, with room for
+    min(budget, d) revealed directions made up front; reading projected
+    responses back draws nothing from it.
     """
     if isinstance(inst, SpikedInstance):
         matrix = inst.matrix
+    elif isinstance(inst, LazySpikedInstance):
+        inst._reserve(budget)
+        matrix = inst
     else:
         matrix = _frozen(_require_symmetric(inst))
     return QuerySession(matrix, budget)
@@ -327,7 +336,10 @@ def _step_overlaps(steps: Sequence[TranscriptStep], theta: np.ndarray) -> np.nda
 
 
 def score(transcript: Transcript, inst: SpikedInstance) -> Score:
-    """Rayleigh ratio of the output, spike overlap, and per-step overlaps."""
+    """Rayleigh ratio of the output, spike overlap, and per-step overlaps.
+    The Rayleigh ratio needs ||M||, so a lazy instance is a ValueError."""
+    if not isinstance(inst, SpikedInstance):
+        raise ValueError("score needs a SpikedInstance, whose ||M|| is computable")
     if transcript.dim != inst.dim:
         raise ValueError(
             f"transcript dimension {transcript.dim} != instance dimension {inst.dim}"

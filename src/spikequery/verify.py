@@ -18,6 +18,11 @@ their n GOE draws into chunks whose layout depends on (n, d) alone
 Trial or chunk j draws from its own trial_seed(seed, j) stream, and the
 results are combined in index order, so a report is byte-identical for any
 number of threads.  sphere-tail and kd run in the calling thread.
+
+overlap-growth and detection-gap read only a run's transcript, theta and
+Ritz value, so their trials query matrix-free instances
+(``make_lazy_spiked``): a trial holds O(T d) floats and no d x d array, and
+--d reaches 10^6.  reduction-events reads dense spectra and stays dense.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .instances import (
     _membership_of_spectrum,
     as_rng,
     available_cores,
+    make_lazy_spiked,
     make_spiked,
     map_trials,
     sample_goe,
@@ -143,6 +149,27 @@ def _require_fits(what: str, d: int, matrices: int, rows: int = 0) -> None:
             f"{what} needs {need} bytes, more than the {have} bytes of "
             f"physical memory"
         )
+
+
+#: Arrays of min(T, d) rows of length d that a trial of overlap-growth or
+#: detection-gap holds per instance: the lazy instance's revealed directions
+#: and their images, the session's basis and projected responses, its step
+#: records' queries and raw responses, and the Ritz accumulator's basis and
+#: images.
+LAZY_TRIAL_ARRAYS = 8
+
+
+def _require_lazy_trials_fit(d: int, T: int, n: int, per_trial: int) -> None:
+    """_require_fits for n trials of a lazy check, each holding
+    ``per_trial`` instances of LAZY_TRIAL_ARRAYS (min(T, d), d) arrays, on
+    as many threads as map_trials starts."""
+    threads = min(n, available_cores())
+    rows = min(T, d)
+    _require_fits(
+        f"{threads} trial threads of {per_trial} lazy instances, each with "
+        f"{LAZY_TRIAL_ARRAYS} {rows} x {d} arrays,",
+        d, 0, threads * per_trial * LAZY_TRIAL_ARRAYS * rows,
+    )
 
 
 def _unit_vector(d: int, i: int) -> np.ndarray:
@@ -353,7 +380,26 @@ def verify_conditional_law(
             np.matmul(resp, P.T, out=resp)
 
     map_trials(chunk, -(-n // size), workers=min(SLAB_WORKERS, available_cores()))
+    return McReport(
+        check_name="conditional-law",
+        n_samples=n,
+        seed=seed,
+        params={"d": d, "lam": lam, "k": k},
+        rows=_conditional_law_rows(queries, projectors, responses, lam, u),
+    )
 
+
+def _conditional_law_rows(
+    queries: Sequence[np.ndarray],
+    projectors: Sequence[np.ndarray],
+    responses: Sequence[np.ndarray],
+    lam: float,
+    u: np.ndarray,
+) -> Tuple[McRow, ...]:
+    """verify_conditional_law's rows for the (n, d) arrays of n projected
+    responses to each query, the projectors P_{i-1} off the queries before
+    it, and the spike lam u; the arrays are centered in place."""
+    n, d = responses[0].shape
     rows = []
     for i, v in enumerate(queries):
         P = projectors[i]
@@ -375,7 +421,7 @@ def verify_conditional_law(
         rel = np.linalg.norm(emp_cov - sigma / d) / np.linalg.norm(sigma / d)
         rows.append(one_sided_row(f"cov step {i + 1} rel-frobenius", float(rel), 0.10))
 
-    if k >= 2:
+    if len(queries) >= 2:
         cross = responses[0].T @ responses[1] / (n - 1)
         var_a = np.diag(projectors[0] + np.outer(queries[0], queries[0])) / d
         var_b = np.diag(projectors[1] + np.outer(queries[1], queries[1])) / d
@@ -386,14 +432,7 @@ def verify_conditional_law(
                 "cross-cov max entry", float(np.max(np.abs(cross))), extreme, se_entry
             )
         )
-
-    return McReport(
-        check_name="conditional-law",
-        n_samples=n,
-        seed=seed,
-        params={"d": d, "lam": lam, "k": k},
-        rows=tuple(rows),
-    )
+    return tuple(rows)
 
 
 def verify_gauss_quadratic(
@@ -575,8 +614,8 @@ def verify_overlap_growth(
 ) -> McReport:
     """Schedule violations of the closed-form overlap growth cap.
 
-    Runs n independent trials of the algorithm with budget T; a trial
-    violates if any orthonormalized query direction (or the final output, as
+    Runs n independent trials of the algorithm with budget T, each on its
+    own matrix-free instance (make_lazy_spiked); a trial violates if any orthonormalized query direction (or the final output, as
     the (T+1)-th vector) has d <v, theta>^2 above the closed-form schedule
     tau_1 (2 lam^2 c)^{k-1}.  The violation fraction must stay below
     2 delta / (1 - delta); the first query alone must stay below delta.
@@ -585,7 +624,7 @@ def verify_overlap_growth(
         raise ValueError(f"algorithm_kind must be one of {ALGORITHM_KINDS}")
     if lam < 1.0:
         raise ValueError(f"schedule regime needs lam >= 1, got {lam}")
-    _require_fits(f"one {d} x {d} instance", d, 1)
+    _require_lazy_trials_fit(d, T, n, 1)
     seed = _concrete_seed(seed)
     schedule = chi_tau_schedule(d, lam, delta, T).closed_form
     event_cap = schedule.taus
@@ -593,7 +632,7 @@ def verify_overlap_growth(
     def trial(i: int) -> Tuple[bool, bool]:
         """(any violation, a first-query violation) of trial i."""
         t_rng = as_rng(trial_seed(seed, i))
-        inst = make_spiked(d, lam, seed=t_rng)
+        inst = make_lazy_spiked(d, lam, seed=t_rng)
         session = open_session(inst, budget=T)
         v_hat, _ = run(session, AlgorithmConfig(kind=algorithm_kind, seed=t_rng))
         transcript = session.transcript
@@ -635,21 +674,23 @@ def verify_detection_gap(
 ) -> McReport:
     """Null vs spiked discrimination through the Lanczos Ritz value.
 
-    Thresholds the Ritz value after T queries at (2 + lam) / 2 and reports
-    type-I, type-II, and their sum next to the theoretical lower bound on
-    the error of any T-query test (which the empirical sum must respect).
+    Each trial runs Lanczos on a null and a spiked matrix-free instance
+    (make_lazy_spiked).  Thresholds the Ritz value after T queries at
+    (2 + lam) / 2 and reports type-I, type-II, and their sum next to the
+    theoretical lower bound on the error of any T-query test (which the
+    empirical sum must respect).
     """
     if lam <= 2.0:
         raise ValueError(f"detection gap needs lam > 2, got {lam}")
-    _require_fits(f"one {d} x {d} instance", d, 1)
+    _require_lazy_trials_fit(d, T, n, 2)
     seed = _concrete_seed(seed)
     threshold = (2.0 + lam) / 2.0
 
     def trial(i: int) -> Tuple[bool, bool]:
         """(type-I error, type-II error) of trial i."""
         t_rng = as_rng(trial_seed(seed, i))
-        null_inst = make_spiked(d, 0.0, seed=t_rng)
-        alt_inst = make_spiked(d, lam, seed=t_rng)
+        null_inst = make_lazy_spiked(d, 0.0, seed=t_rng)
+        alt_inst = make_lazy_spiked(d, lam, seed=t_rng)
         stats = []
         for inst in (null_inst, alt_inst):
             session = open_session(inst, budget=min(T, d))

@@ -21,7 +21,14 @@ from spikequery.cli import (
     build_parser,
     main,
 )
-from spikequery.verify import CHECKS, CSV_HEADER, McReport, McRow
+from spikequery.verify import (
+    CHECKS,
+    CSV_HEADER,
+    LAZY_TRIAL_ARRAYS,
+    QUICK_PARAMS,
+    McReport,
+    McRow,
+)
 
 
 def run_main(argv, capsys):
@@ -328,11 +335,14 @@ def test_extreme_values_exit_without_traceback(argv, capsys):
 
 @pytest.mark.parametrize("check", ["overlap-growth", "detection-gap"])
 def test_instance_larger_than_memory_is_a_usage_error(check, capsys):
+    # one trial thread holds per instance LAZY_TRIAL_ARRAYS (T, d) arrays
     code, _, err = run_main(
         ["verify", "--check", check, "--d", "1000000000000", "--quick", "--n", "1"], capsys
     )
+    per_trial = {"overlap-growth": 1, "detection-gap": 2}[check]
+    rows = per_trial * LAZY_TRIAL_ARRAYS * QUICK_PARAMS[check]["T"]
     assert code == 2
-    assert f"needs {8 * 10**24} bytes" in err and "bytes of physical memory" in err
+    assert f"needs {8 * 10**12 * rows} bytes" in err and "bytes of physical memory" in err
 
 
 @pytest.mark.parametrize("check", ["gauss-quadratic", "conditional-law"])

@@ -12,9 +12,11 @@ from scipy.sparse.linalg import eigsh
 
 from spikequery import instances
 from spikequery import (
+    LazySpikedInstance,
     Membership,
     SpikedInstance,
     check_membership,
+    make_lazy_spiked,
     make_spiked,
     rayleigh,
     sample_goe,
@@ -91,8 +93,9 @@ def test_goe_rejects_zero_dim():
         sample_goe(0)
 
 
-def test_goe_entrywise_variances_d3():
-    draws = np.stack([sample_goe(3, seed=t) for t in range(20_000)])
+def _assert_goe_entry_variances_d3(draws):
+    """Entry variances of a stack of 3 x 3 draws: 2 on the diagonal and 1
+    off it, each within 3 standard errors."""
     n = draws.shape[0]
     # variance of the empirical variance of N(0, s^2) is ~ 2 s^4 / n
     for i in range(3):
@@ -103,6 +106,10 @@ def test_goe_entrywise_variances_d3():
         se = np.sqrt(2.0 / n)
         v = draws[:, i, j].var()
         assert abs(v - 1.0) <= 3 * se, f"offdiag ({i},{j}) variance {v:.3f}"
+
+
+def test_goe_entrywise_variances_d3():
+    _assert_goe_entry_variances_d3(np.stack([sample_goe(3, seed=t) for t in range(20_000)]))
 
 
 def test_goe_norm_scale_d500():
@@ -269,6 +276,67 @@ def test_spiked_arrays_immutable():
     inst = make_spiked(10, 1.0, seed=1)
     with pytest.raises(ValueError):
         inst.matrix[0, 0] = 99.0
+
+
+# --------------------------------------------------------- make_lazy_spiked
+
+def _completed(inst):
+    """The matrix a lazy instance answers for, column j its answer to e_j."""
+    return np.column_stack([inst @ e for e in np.eye(inst.dim)])
+
+
+@pytest.mark.parametrize("lam", [0.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 17, 40])
+def test_lazy_instance_completion_is_symmetric_and_read_back_draws_nothing(d, lam):
+    inst = make_lazy_spiked(d, lam, seed=d)
+    M = _completed(inst)
+    assert np.max(np.abs(M - M.T)) <= 1e-12
+    state = inst._rng.bit_generator.state
+    assert np.array_equal(inst @ np.eye(d), M)  # one block of revealed directions
+    assert inst._rng.bit_generator.state == state
+
+
+def test_lazy_instance_completion_has_goe_entry_variances():
+    draws = np.empty((20_000, 3, 3))
+    for t in range(len(draws)):
+        inst = make_lazy_spiked(3, 2.0, seed=t)
+        draws[t] = np.sqrt(3) * (_completed(inst) - 2.0 * np.outer(inst.theta, inst.theta))
+    _assert_goe_entry_variances_d3(draws)
+
+
+def test_lazy_instance_draws_theta_first_and_a_block_column_by_column():
+    d = 50
+    inst = make_lazy_spiked(d, 1.5, seed=4)
+    assert np.array_equal(inst.theta, sample_uniform_sphere(d, np.random.default_rng(4)))
+    V = np.random.default_rng(5).standard_normal((d, 4))
+    twin = make_lazy_spiked(d, 1.5, seed=4)
+    assert np.array_equal(inst @ V, np.column_stack([twin @ v for v in V.T]))
+    assert inst.shape == (d, d)
+
+
+def test_lazy_instance_answers_are_linear_in_the_query():
+    d = 30
+    inst = make_lazy_spiked(d, 2.0, seed=6)
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal(d), rng.standard_normal(d)
+    ma, mb = inst @ a, inst @ b
+    assert np.max(np.abs(inst @ (2.0 * a - b) - (2.0 * ma - mb))) <= 1e-12
+    assert np.array_equal(inst @ np.zeros(d), np.zeros(d))
+
+
+def test_lazy_instance_rejects_bad_spikes_and_shapes():
+    with pytest.raises(ValueError, match="spike strength"):
+        make_lazy_spiked(5, -1.0, seed=0)
+    with pytest.raises(ValueError, match="spike strength"):
+        make_lazy_spiked(10**12, float("nan"))  # before theta's 8 TB draw
+    with pytest.raises(ValueError, match="unit vector"):
+        LazySpikedInstance(np.ones(4), 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        LazySpikedInstance(np.full(4, np.nan), 1.0)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        make_lazy_spiked(0, 1.0)
+    with pytest.raises(ValueError, match="cannot apply"):
+        make_lazy_spiked(5, 1.0, seed=0) @ np.ones(4)
 
 
 # ------------------------------------------------------ blocked symmetry check

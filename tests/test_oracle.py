@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikequery import make_spiked, sample_goe, sample_uniform_sphere, spectrum
+from spikequery import (
+    AlgorithmConfig,
+    LazySpikedInstance,
+    make_lazy_spiked,
+    make_spiked,
+    run,
+    sample_goe,
+    sample_uniform_sphere,
+    spectrum,
+)
 from spikequery.oracle import (
     BudgetExhaustedError,
     QuerySession,
@@ -450,6 +459,77 @@ def test_lazy_projected_responses_of_near_dependent_power_session():
         v = _unit(sess.query(v))
     t = sess.finalize(v)
     _assert_projected_match_reference(inst.matrix, t)
+
+
+# ------------------------------------------------------ matrix-free instances
+
+def _counting_reveals(monkeypatch):
+    """A list that grows by one per direction any lazy instance reveals."""
+    reveals = []
+    reveal = LazySpikedInstance._reveal
+
+    def counting(self, b):
+        reveals.append(b)
+        return reveal(self, b)
+
+    monkeypatch.setattr(LazySpikedInstance, "_reveal", counting)
+    return reveals
+
+
+@pytest.mark.parametrize("d, budget", [(200, 8), (5, 12)])
+@pytest.mark.parametrize("kind", ["power", "lanczos", "random"])
+def test_lazy_instance_reveals_one_direction_per_fresh_query(kind, d, budget, monkeypatch):
+    reveals = _counting_reveals(monkeypatch)
+    inst = make_lazy_spiked(d, 3.0, seed=1)
+    session = open_session(inst, budget=budget)
+    run(session, AlgorithmConfig(kind=kind, seed=2))
+    steps = session.transcript.steps
+    fresh = sum(not st.degenerate for st in steps)
+    assert len(reveals) == fresh == session.basis_size == min(len(steps), d)
+    assert inst._Q.shape == (min(budget, d), d)  # preallocated, never grown
+    for i, st in enumerate(steps, start=1):
+        assert session.projected_view(i) is st
+        assert st.projected_response.shape == (d,)
+    assert len(reveals) == fresh
+    assert np.array_equal(np.array(reveals), session.basis().T)
+
+
+def test_lazy_instance_repeated_query_is_degenerate_and_draws_nothing(monkeypatch):
+    reveals = _counting_reveals(monkeypatch)
+    d = 100
+    v = sample_uniform_sphere(d, seed=3)
+    session = open_session(make_lazy_spiked(d, 2.0, seed=4), budget=3)
+    first = session.query(v)
+    again = session.query(v)
+    assert len(reveals) == 1
+    assert session.projected_view(2).degenerate
+    assert np.max(np.abs(again - first)) <= 1e-12
+
+
+def _project_off(B, x):
+    """x minus its projection on the orthonormal columns of B."""
+    return x - B @ (B.T @ x)
+
+
+def test_lazy_instance_projected_responses_match_its_completed_matrix():
+    # the session's projected responses are those of the dense matrix the
+    # instance answers for, completed afterwards along e_1..e_d
+    d = 12
+    inst = make_lazy_spiked(d, 2.5, seed=5)
+    session = open_session(inst, budget=4)
+    run(session, AlgorithmConfig(kind="lanczos", seed=6))
+    M = np.column_stack([inst @ e for e in np.eye(d)])
+    for st in session.transcript.steps:
+        reference = _project_off(session.basis()[:, : st.step - 1], M @ st.basis_vector)
+        assert np.max(np.abs(st.projected_response - reference)) <= 1e-12
+
+
+def test_score_rejects_a_lazy_instance():
+    inst = make_lazy_spiked(20, 2.0, seed=7)
+    session = open_session(inst, budget=2)
+    run(session, AlgorithmConfig(kind="power", seed=8))
+    with pytest.raises(ValueError, match="SpikedInstance"):
+        score(session.transcript, inst)
 
 
 # --------------------------------------------------------------------- score

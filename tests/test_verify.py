@@ -6,7 +6,8 @@ shared pass convention (one-sided, 3 stderr slack), bit-for-bit
 reproducibility from the recorded seed, the CSV and summary formats, the
 error conditions, and two invariants that cut across modules: the
 sqrt(2)-Lipschitz tail of the spike quadratic form and the per-step KL cap
-on the conditional response laws.
+on the conditional response laws.  Runs on matrix-free instances are
+compared in law with runs on dense ones.
 """
 
 import math
@@ -15,12 +16,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
-from spikequery.algorithms import ALGORITHM_KINDS
+from spikequery.algorithms import ALGORITHM_KINDS, AlgorithmConfig, run
 from spikequery.bounds import chi_tau_schedule
 from spikequery.divergences import TruncationEvent, gaussian_kl
 from spikequery.instances import (
+    LazySpikedInstance,
     as_rng,
+    make_lazy_spiked,
     make_spiked,
     sample_goe,
     sample_uniform_sphere,
@@ -519,6 +523,83 @@ def test_trial_checks_hold_few_instances_under_the_pool(name, per_trial, monkeyp
     _cores(monkeypatch, 3)
     d = QUICK_PARAMS[name]["d"]
     assert _quick_peak(name) <= (3 * per_trial + 2) * 8 * d * d
+
+
+class TestLazyInstanceLaw:
+    """Runs on matrix-free instances have the law of runs on dense ones, and
+    their projected responses the conditional law."""
+
+    # 30 two-sample KS tests below, at family-wise level 0.01
+    ALPHA = 0.01 / 30
+
+    @staticmethod
+    def _statistics(make, kind, lam, T, seed):
+        """Per-step d <b_k, theta>^2, the final <v_hat, theta>^2 and, for a
+        Ritz output, its value, as the columns of one row per trial; 1000
+        trials at d = 300."""
+        d = 300
+
+        def trial(i):
+            rng = as_rng(trial_seed(seed, i))
+            inst = make(d, lam, seed=rng)
+            session = open_session(inst, budget=T)
+            v_hat, ritz = run(session, AlgorithmConfig(kind=kind, seed=rng))
+            steps = session.transcript.steps
+            row = [d * float(st.basis_vector @ inst.theta) ** 2 for st in steps]
+            row.append(float(v_hat @ inst.theta) ** 2)
+            return row + ([] if ritz is None else [ritz])
+
+        return np.array(instances.map_trials(trial, 1000))
+
+    @pytest.mark.parametrize(
+        "case, kind, lam, T",
+        [(0, "power", 3.0, 5), (1, "lanczos", 3.0, 5), (2, "random", 3.0, 5),
+         (3, "lanczos", 0.0, 3), (4, "lanczos", 8.0, 3)],
+    )
+    def test_runs_match_dense_runs_in_law(self, case, kind, lam, T):
+        lazy = self._statistics(make_lazy_spiked, kind, lam, T, seed=2 * case)
+        dense = self._statistics(make_spiked, kind, lam, T, seed=2 * case + 1)
+        assert lazy.shape == dense.shape == (1000, T + 1 + (kind != "power"))
+        for column in range(lazy.shape[1]):
+            p = ks_2samp(lazy[:, column], dense[:, column]).pvalue
+            assert p > self.ALPHA, f"{kind} lam={lam} column {column}: KS p = {p:.2g}"
+
+    def test_projected_responses_meet_the_conditional_law(self):
+        # verify_conditional_law's rows on responses drawn through sessions
+        d, n, lam = 40, 8_000, 1.5
+        u = unit(np.eye(d)[0] + np.eye(d)[1])
+        queries = list(np.linalg.qr(as_rng(70).standard_normal((d, 3)))[0].T)
+        responses = [np.empty((n, d)) for _ in queries]
+        rng = as_rng(71)
+        for i in range(n):
+            session = open_session(LazySpikedInstance(u, lam, rng), budget=len(queries))
+            for v in queries:
+                session.query(v)
+            for j, resp in enumerate(responses):
+                resp[i] = session.projected_view(j + 1).projected_response
+        projectors, P = [], np.eye(d)
+        for v in queries:
+            projectors.append(P)
+            P = P - np.outer(v, v)
+        rows = verify._conditional_law_rows(queries, projectors, responses, lam, u)
+        assert len(rows) == 7  # a mean and a covariance row per step, one cross row
+        assert all(r.passed for r in rows), rows
+
+
+def test_lazy_overlap_growth_holds_o_of_T_d_floats(monkeypatch):
+    # one trial thread at d = 2e5, where a d x d array would be 320 GB: the
+    # instance, session and Ritz accumulator hold LAZY_TRIAL_ARRAYS = 8
+    # (T, d) arrays, and the passes of a query a few d-vectors more (the
+    # peak measured 10.0 T d 8 B)
+    _cores(monkeypatch, 1)
+    d, T = 200_000, 5
+    tracemalloc.start()
+    try:
+        verify_overlap_growth("lanczos", d, 3.0, 0.05, T, 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * T * d * 8
 
 
 class TestThreadCountInvariance:
