@@ -3,7 +3,8 @@ verification into reproducible batch runs with CSV outputs.
 
 Four subcommands:
 
-  simulate   per-trial algorithm runs: Rayleigh ratio, spike overlap
+  simulate   per-trial algorithm runs on matrix-free instances
+             (make_lazy_spiked): Rayleigh ratio, spike overlap
              <v_hat, theta>^2, and per-step scaled overlaps
              d <b_k, theta>^2, plus a median row.
   bounds     tabulates the closed-form bounds and tau schedules over T.
@@ -49,9 +50,16 @@ from .bounds import (
     main_theorem_bound,
     min_queries,
 )
-from .instances import as_rng, make_spiked, map_trials, trial_seed
+from .instances import as_rng, available_cores, make_lazy_spiked, map_trials, trial_seed
 from .oracle import open_session, score
-from .verify import CHECKS, reports_summary, reports_to_csv, run_check
+from .verify import (
+    CHECKS,
+    _require_fits,
+    _require_lazy_trials_fit,
+    reports_summary,
+    reports_to_csv,
+    run_check,
+)
 
 OUTPUT_DIR_ENV = "SPIKEQUERY_OUTPUT_DIR"
 
@@ -238,6 +246,10 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
         _require(c.lam >= 0, f"lambda must be >= 0, got {c.lam}")
         _require(c.lam <= LAMBDA_MAX, f"lambda must be <= {LAMBDA_MAX:g}, got {c.lam}")
         _require(c.T >= 1, f"T must be >= 1, got {c.T}")
+        try:  # a trial holds a lazy instance's arrays and its session's
+            _require_lazy_trials_fit(c.d, c.T, c.trials, 1, workers=c.jobs)
+        except ValueError as exc:
+            raise UsageError(f"simulate at d={c.d}: {exc}")
 
     elif c.subcommand == "bounds":
         # the bounds take d into float arithmetic
@@ -305,6 +317,14 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
                 f"target must exceed the matched eigenratio gamma = {gamma:.6g} "
                 f"at d={d} so the main bound applies, got {c.target}",
             )
+        # every trial thread holds one d x d instance
+        threads = min(len(c.d_grid) * c.trials, c.jobs or available_cores())
+        d = max(c.d_grid)
+        try:
+            _require_fits(f"{threads} trial threads, each with one {d} x {d} instance,",
+                          d, threads)
+        except ValueError as exc:
+            raise UsageError(f"scaling at d={d}: {exc}")
 
     return config
 
@@ -313,7 +333,7 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
 
 def _simulate_trial(config: RunConfig, i: int) -> Tuple:
     rng = as_rng(trial_seed(config.seed, i))
-    inst = make_spiked(config.d, config.lam, seed=rng)
+    inst = make_lazy_spiked(config.d, config.lam, seed=rng)
     session = open_session(inst, budget=config.T)
     run(session, AlgorithmConfig(kind=config.alg, seed=rng))
     made = session.transcript.queries_made

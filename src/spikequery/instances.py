@@ -22,7 +22,9 @@ W as an init-only argument, is checked in full.
 a ``LazySpikedInstance`` draws W only along the directions it is applied
 to, by the GOE's orthogonal invariance, and after k of them holds
 (2k + 1) d floats.  It answers matrix-vector products, and so serves a
-query session, but has no spectrum or operator norm.
+query session, and ``spectral_norm`` solves its operator norm through those
+products, revealing the directions the solve applies it to; it has no
+dense spectrum.
 """
 
 from __future__ import annotations
@@ -429,11 +431,16 @@ class LazySpikedInstance:
         return self.dim, self.dim
 
     def _reserve(self, rows: int) -> None:
-        """Make room for ``rows`` revealed directions (at most d) in Q and U."""
-        extra = min(rows, self.dim) - len(self._Q)
-        if extra > 0:
-            self._Q = np.concatenate([self._Q, np.empty((extra, self.dim))])
-            self._U = np.concatenate([self._U, np.empty((extra, self.dim))])
+        """Make room for ``rows`` revealed directions (at most d) in Q and U.
+        Only the rows in use are copied, so the pages of the rest are not
+        touched before a reveal writes them."""
+        rows = min(rows, self.dim)
+        if rows > len(self._Q):
+            k = self._size
+            for name in ("_Q", "_U"):
+                grown = np.empty((rows, self.dim))
+                grown[:k] = getattr(self, name)[:k]
+                setattr(self, name, grown)
 
     def _reveal(self, b: np.ndarray) -> np.ndarray:
         """Draw W b for a unit b orthogonal to the rows of Q, append b to Q
@@ -621,7 +628,7 @@ def _lanczos_norm(apply: Callable[[np.ndarray], np.ndarray], d: int) -> float:
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
-def spectral_norm(M: Union[SpikedInstance, np.ndarray]) -> float:
+def spectral_norm(M: Union[SpikedInstance, LazySpikedInstance, np.ndarray]) -> float:
     """Operator norm of a symmetric matrix, or of an instance's matrix.
 
     An instance's matrix is read as it is, since it is finite and exactly
@@ -630,7 +637,16 @@ def spectral_norm(M: Union[SpikedInstance, np.ndarray]) -> float:
     the Lanczos solve of ``_lanczos_norm`` for the largest-magnitude
     eigenvalue, which is the operator norm by definition; the two agree to
     about 1e-14 relative on symmetric input.
+
+    A lazy instance is solved by ``_lanczos_norm`` through its own ``@`` at
+    every d, with the same stopping rule, so the norm is that of the matrix
+    its answers belong to, not an asymptotic value.  Each Lanczos step
+    applies it once and reveals at most one direction, drawn from the
+    instance's generator; directions revealed before, such as a session's
+    queries, stay as they are.
     """
+    if isinstance(M, LazySpikedInstance):
+        return _lanczos_norm(M.__matmul__, M.dim)
     M = M.matrix if isinstance(M, SpikedInstance) else _require_symmetric(M)
     d = M.shape[0]
     if d <= DENSE_NORM_MAX_DIM:

@@ -20,7 +20,9 @@ projected records, so the two views carry the same information;
 
 The session object deliberately exposes no handle to M or to the planted
 spike: scoring against ground truth takes the instance as an explicit
-argument.
+argument.  ``score`` reads M only through applies made after the session
+is finalized, which no session charges, so it scores a matrix-free
+instance (``make_lazy_spiked``) as it scores a dense one.
 """
 
 from __future__ import annotations
@@ -335,18 +337,33 @@ def _step_overlaps(steps: Sequence[TranscriptStep], theta: np.ndarray) -> np.nda
     )
 
 
-def score(transcript: Transcript, inst: SpikedInstance) -> Score:
+def score(
+    transcript: Transcript, inst: Union[SpikedInstance, LazySpikedInstance]
+) -> Score:
     """Rayleigh ratio of the output, spike overlap, and per-step overlaps.
-    The Rayleigh ratio needs ||M||, so a lazy instance is a ValueError."""
-    if not isinstance(inst, SpikedInstance):
-        raise ValueError("score needs a SpikedInstance, whose ||M|| is computable")
+
+    The Rayleigh ratio v_hat^T M v_hat / ||M|| reads M through applies that
+    no session charges, made after the session is finalized, so the
+    transcript is unchanged: ||M|| from ``spectral_norm`` and v_hat^T M
+    v_hat from one apply of v_hat.  On a lazy instance, which the session
+    must have queried, these applies reveal the norm solve's directions and
+    at most one more; reading the transcript's projected responses
+    afterwards still draws nothing, since their directions were revealed
+    by the queries.
+    """
+    if isinstance(inst, SpikedInstance):
+        matrix = inst.matrix
+    elif isinstance(inst, LazySpikedInstance):
+        matrix = inst
+    else:
+        raise ValueError("score needs a SpikedInstance or a LazySpikedInstance")
     if transcript.dim != inst.dim:
         raise ValueError(
             f"transcript dimension {transcript.dim} != instance dimension {inst.dim}"
         )
     v_hat = transcript.final_output
     norm = spectral_norm(inst)
-    ratio = float(v_hat @ inst.matrix @ v_hat) / norm
+    ratio = float(v_hat @ (matrix @ v_hat)) / norm
     overlap = float(v_hat @ inst.theta) ** 2
     return Score(
         rayleigh_ratio=ratio,

@@ -159,11 +159,14 @@ def _require_fits(what: str, d: int, matrices: int, rows: int = 0) -> None:
 LAZY_TRIAL_ARRAYS = 8
 
 
-def _require_lazy_trials_fit(d: int, T: int, n: int, per_trial: int) -> None:
+def _require_lazy_trials_fit(
+    d: int, T: int, n: int, per_trial: int, workers: Optional[int] = None
+) -> None:
     """_require_fits for n trials of a lazy check, each holding
     ``per_trial`` instances of LAZY_TRIAL_ARRAYS (min(T, d), d) arrays, on
-    as many threads as map_trials starts."""
-    threads = min(n, available_cores())
+    as many threads as map_trials starts with ``workers`` (default: every
+    available core)."""
+    threads = min(n, available_cores() if workers is None else workers)
     rows = min(T, d)
     _require_fits(
         f"{threads} trial threads of {per_trial} lazy instances, each with "

@@ -2,12 +2,22 @@
 shapes, header echoes, reproducibility (including across --jobs), output
 routing, and exit codes (0 pass, 1 check failure, 2 usage/regime error)."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from spikequery import AlgorithmConfig, instances, make_spiked, open_session, run, score
+from spikequery import (
+    AlgorithmConfig,
+    LazySpikedInstance,
+    instances,
+    make_lazy_spiked,
+    open_session,
+    run,
+    score,
+    verify,
+)
 from spikequery.cli import (
     OUTPUT_DIR_ENV,
     RunConfig,
@@ -222,7 +232,7 @@ class TestSimulate:
         _, rows = parse_csv(out)
         for i in range(3):
             rng = instances.as_rng(instances.trial_seed(seed, i))
-            inst = make_spiked(d, 3.0, seed=rng)
+            inst = make_lazy_spiked(d, 3.0, seed=rng)
             session = open_session(inst, budget=T)
             run(session, AlgorithmConfig(kind=alg, seed=rng))
             s = score(session.transcript, inst)
@@ -321,6 +331,10 @@ _EXTREME_ARGV = [
 ] + [
     ["verify", "--check", check, "--d", "200000", "--quick"]
     for check in ("gauss-quadratic", "conditional-law", "reduction-events")
+] + [
+    ["simulate", "--alg", "power", "--d", "1000000000000", "--lambda", "3", "--T", "6",
+     "--trials", "1"],
+    ["scaling", "--alg", "power", "--d-grid", "1000000", "--lambda", "8", "--trials", "1"],
 ]
 
 
@@ -343,6 +357,70 @@ def test_instance_larger_than_memory_is_a_usage_error(check, capsys):
     rows = per_trial * LAZY_TRIAL_ARRAYS * QUICK_PARAMS[check]["T"]
     assert code == 2
     assert f"needs {8 * 10**12 * rows} bytes" in err and "bytes of physical memory" in err
+
+
+def _physical_memory(monkeypatch, pages):
+    """Make the process see ``pages`` pages of 4096 bytes of physical memory."""
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr(verify.os, "sysconf", lambda name: sizes[name])
+
+
+@pytest.mark.parametrize("jobs, threads", [([], 2), (["--jobs", "1"], 1), (["--jobs", "5"], 3)])
+def test_simulate_larger_than_memory_is_a_usage_error(jobs, threads, monkeypatch, capsys):
+    # a trial thread holds LAZY_TRIAL_ARRAYS (T, d) arrays; --jobs caps the
+    # threads, which are at most the trials and by default the cores
+    monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: set(range(2)))
+    _physical_memory(monkeypatch, 1000)
+    d, T = 100_000, 6
+    code, out, err = run_main(
+        ["simulate", "--alg", "power", "--d", str(d), "--lambda", "3", "--T", str(T),
+         "--trials", "3"] + jobs, capsys)
+    need = 8 * d * threads * LAZY_TRIAL_ARRAYS * T
+    assert code == 2 and out == ""
+    assert f"needs {need} bytes, more than the 4096000 bytes of physical memory" in err
+
+
+@pytest.mark.parametrize("jobs, threads", [([], 2), (["--jobs", "1"], 1)])
+def test_scaling_instances_larger_than_memory_are_a_usage_error(
+    jobs, threads, monkeypatch, capsys
+):
+    # every trial thread holds one d x d instance of the largest grid d
+    monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: set(range(2)))
+    _physical_memory(monkeypatch, 1000)
+    code, out, err = run_main(
+        ["scaling", "--alg", "power", "--d-grid", "1000,500", "--lambda", "8",
+         "--trials", "3"] + jobs, capsys)
+    assert code == 2 and out == ""
+    assert f"with one 1000 x 1000 instance, needs {8 * 1000**2 * threads} bytes" in err
+    assert "more than the 4096000 bytes of physical memory" in err
+
+
+def test_simulate_trial_holds_no_dxd_array(monkeypatch, capsys):
+    # one trial at d = 2e5, where a d x d array would be 320 GB: the lazy
+    # instance holds two rows of d floats per revealed direction (the T
+    # queries', the norm solve's and at most one more), grown by doubling;
+    # the norm solve, the session and the Ritz accumulator a few rows more
+    # (the peak measured 6.0-7.8 revealed rows)
+    reveals = []
+    reveal = LazySpikedInstance._reveal
+
+    def counting(self, b):
+        reveals.append(b)
+        return reveal(self, b)
+
+    monkeypatch.setattr(LazySpikedInstance, "_reveal", counting)
+    d, T = 200_000, 6
+    tracemalloc.start()
+    try:
+        code, _, _ = run_main(
+            ["simulate", "--alg", "power", "--d", str(d), "--lambda", "3", "--T", str(T),
+             "--trials", "1", "--jobs", "1"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert T < len(reveals) < 64
+    assert peak < 10 * len(reveals) * d * 8
 
 
 @pytest.mark.parametrize("check", ["gauss-quadratic", "conditional-law"])

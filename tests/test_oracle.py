@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from spikequery import (
     AlgorithmConfig,
@@ -17,8 +18,10 @@ from spikequery import (
     run,
     sample_goe,
     sample_uniform_sphere,
+    spectral_norm,
     spectrum,
 )
+from spikequery import instances, oracle
 from spikequery.oracle import (
     BudgetExhaustedError,
     QuerySession,
@@ -524,12 +527,106 @@ def test_lazy_instance_projected_responses_match_its_completed_matrix():
         assert np.max(np.abs(st.projected_response - reference)) <= 1e-12
 
 
-def test_score_rejects_a_lazy_instance():
-    inst = make_lazy_spiked(20, 2.0, seed=7)
-    session = open_session(inst, budget=2)
-    run(session, AlgorithmConfig(kind="power", seed=8))
-    with pytest.raises(ValueError, match="SpikedInstance"):
-        score(session.transcript, inst)
+@pytest.mark.parametrize("lam", [0.0, 1.5, 3.0, 1e150])
+@pytest.mark.parametrize("d", [2, 3, 17, 40])
+@pytest.mark.parametrize("kind", ["power", "lanczos", "random"])
+def test_lazy_score_is_that_of_its_completed_matrix(kind, d, lam):
+    # score reads v_hat^T M v_hat and ||M|| of the matrix the instance
+    # answers for, which completing it along e_1..e_d afterwards fixes
+    rng = np.random.default_rng(100 * d + int(lam % 97))
+    inst = make_lazy_spiked(d, lam, seed=rng)
+    session = open_session(inst, budget=4)
+    v_hat, _ = run(session, AlgorithmConfig(kind=kind, seed=rng))
+    s = score(session.transcript, inst)
+    M = np.column_stack([inst @ e for e in np.eye(d)])
+    norm = np.max(np.abs(np.linalg.eigvalsh((M + M.T) / 2)))
+    assert abs(s.rayleigh_ratio - float(v_hat @ M @ v_hat) / norm) <= 1e-12
+    assert abs(spectral_norm(inst) - norm) <= 1e-12 * norm
+    assert s.spike_overlap == float(v_hat @ inst.theta) ** 2
+
+
+def _counting_norm_applies(monkeypatch):
+    """A list that grows by one per apply the operator-norm solve makes."""
+    applies = []
+    solve = instances._lanczos_norm
+
+    def counting(apply, d):
+        def counted(v):
+            applies.append(v)
+            return apply(v)
+
+        return solve(counted, d)
+
+    monkeypatch.setattr(instances, "_lanczos_norm", counting)
+    return applies
+
+
+@pytest.mark.parametrize("kind", ["power", "lanczos", "random"])
+def test_lazy_score_charges_no_query_and_reveals_only_its_solve(kind, monkeypatch):
+    reveals = _counting_reveals(monkeypatch)
+    applies = _counting_norm_applies(monkeypatch)
+    d, T = 400, 6
+    inst = make_lazy_spiked(d, 3.0, seed=9)
+    session = open_session(inst, budget=T)
+    run(session, AlgorithmConfig(kind=kind, seed=10))
+    assert len(reveals) == T
+    score(session.transcript, inst)
+    assert session.transcript.queries_made == session.queries_made == T
+    assert 8 <= len(applies) and len(reveals) - T <= len(applies) + 1
+    # the queries' directions stay revealed: reading back draws nothing
+    state = inst._rng.bit_generator.state
+    for st in session.transcript.steps:
+        st.projected_response
+    assert inst._rng.bit_generator.state == state
+
+
+class TestLazyScoreLaw:
+    """Scores of runs on matrix-free instances have the law of scores of runs
+    on dense ones, at the spike power iteration finds and on the null
+    instances whose extreme eigenvalues nearly tie, where the norm solve
+    takes longest."""
+
+    CASES = [(0, "power", 3.0), (1, "lanczos", 0.0)]
+    # two KS tests (Rayleigh ratio and ||M||) per case, at family-wise level 0.01
+    ALPHA = 0.01 / (2 * len(CASES))
+
+    @staticmethod
+    def _statistics(make, kind, lam, seed, monkeypatch):
+        """(rayleigh_ratio, ||M||) of 500 trials at d = 300, T = 5, with
+        ||M|| the value score divides by."""
+        d, T = 300, 5
+        norms = {}
+
+        def recording(inst):
+            norms[id(inst)] = norm = spectral_norm(inst)
+            return norm
+
+        monkeypatch.setattr(oracle, "spectral_norm", recording)
+
+        def trial(i):
+            rng = instances.as_rng(instances.trial_seed(seed, i))
+            inst = make(d, lam, seed=rng)
+            session = open_session(inst, budget=T)
+            run(session, AlgorithmConfig(kind=kind, seed=rng))
+            return score(session.transcript, inst).rayleigh_ratio, norms.pop(id(inst))
+
+        return np.array(instances.map_trials(trial, 500))
+
+    @pytest.mark.parametrize("case, kind, lam", CASES)
+    def test_scores_match_dense_scores_in_law(self, case, kind, lam, monkeypatch):
+        lazy = self._statistics(make_lazy_spiked, kind, lam, 2 * case + 40, monkeypatch)
+        dense = self._statistics(make_spiked, kind, lam, 2 * case + 41, monkeypatch)
+        for column, name in enumerate(["rayleigh_ratio", "norm"]):
+            p = ks_2samp(lazy[:, column], dense[:, column]).pvalue
+            assert p > self.ALPHA, f"{kind} lam={lam} {name}: KS p = {p:.2g}"
+
+
+def test_score_rejects_what_is_not_an_instance():
+    M = sample_goe(5, seed=11)
+    session = open_session(M, budget=1)
+    t = session.finalize(np.eye(5)[0])
+    with pytest.raises(ValueError, match="SpikedInstance or a LazySpikedInstance"):
+        score(t, M)
 
 
 # --------------------------------------------------------------------- score
