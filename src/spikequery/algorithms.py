@@ -9,9 +9,10 @@ subspace it happened to observe.  The Ritz computation itself runs on
 (query, response) pairs alone: orthonormalizing the queries while applying
 the identical linear operations to the responses yields the compressed
 quadratic form H = B^T M B without ever touching M.  It is incremental:
-each accepted pair costs one two-pass Gram-Schmidt step against the basis
-so far (the oracle's kernel and tolerance) and adds one row and column to
-H, so a run of T queries costs O(T^2 d) in all.  ``run`` is the one entry
+each accepted pair costs one Gram-Schmidt step against the basis so far
+(the oracle's kernel and tolerance: one pass, and a second only where the
+first cancels most of the query) and adds one row and column to H, so a
+run of T queries costs O(T^2 d) in all.  ``run`` is the one entry
 point for all three kinds: it spends the session's budget and solves the
 Ritz problem once, after the last query, where ``iterate_candidates``
 solves it after every query.
@@ -184,7 +185,7 @@ def _steps(
             # queries (full reorthogonalization), unit-normalized
             r = ritz.residual(w)
             rnorm = np.linalg.norm(r)
-            if rnorm < DEGENERATE_TOL:
+            if rnorm <= DEGENERATE_TOL * np.linalg.norm(w):  # <=: w = 0 closes too
                 return  # Krylov space closed
             direction = r / rnorm
         return
@@ -204,9 +205,10 @@ def run(
 
     Power iteration outputs its final iterate; Lanczos and the random
     baseline output the Ritz maximizer of the span they queried, computed
-    once, after the last query.  On Lanczos breakdown (Krylov residual below
-    DEGENERATE_TOL) the run stops before the session's budget
-    is spent and the finalized transcript is flagged early_termination.
+    once, after the last query.  On Lanczos breakdown (the response's
+    residual against the queried span at most DEGENERATE_TOL times its
+    norm) the run stops before the session's budget is spent and the
+    finalized transcript is flagged early_termination.
     """
     budget = session.remaining
     candidate = None

@@ -328,6 +328,12 @@ def _exp_of_product(exponent: float) -> float:
     return 1.0 if math.isnan(exponent) else _exp(exponent)
 
 
+def _times(a: float, b: float) -> float:
+    """a * b for non-NaN factors, with 0 * inf taken as 0 (the module's
+    0 * f'(inf) = 0 convention) and a product past the float range as inf."""
+    return 0.0 if a == 0.0 or b == 0.0 else a * b
+
+
 def g_chi(
     u: np.ndarray,
     s: np.ndarray,
@@ -391,8 +397,9 @@ def likelihood_product_bound(
     overlap = abs(float(np.asarray(u, dtype=float) @ np.asarray(s, dtype=float)))
     if math.isnan(lam) or math.isnan(overlap):
         raise ValueError("lam and <u, s> must not be NaN")
-    S = float(taus[:T].sum())
-    return _exp_of_product(_square(lam) * (overlap * S + S * S / d))
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        S = float(taus[:T].sum())
+    return _exp(_times(_square(lam), _times(overlap, S) + S * (S / d)))
 
 
 def sphere_mgf_bound(lambda_arg: float, d: int) -> float:

@@ -58,8 +58,9 @@ TILE = 128
 #: null instances, whose extreme eigenvalues nearly tie.
 DENSE_NORM_MAX_DIM = 256
 
-#: Residual norm below which a unit vector adds no new basis direction: a
-#: degenerate oracle query, or a Krylov breakdown of ``_lanczos_norm``.
+#: Residual norm, relative to the vector's, below which a vector adds no new
+#: basis direction: a degenerate oracle query, or a Krylov breakdown of
+#: Lanczos (``algorithms``) and of ``_lanczos_norm``.
 DEGENERATE_TOL = 1e-10
 
 #: Conservative value of E||W||/sqrt(d) for GOE noise, used by threshold
@@ -169,21 +170,29 @@ def _orthogonalize(
     w: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Residual of v against the orthonormal rows of Q, by classical
-    Gram-Schmidt in two passes (CGS2), each pass one block ``Q @ r`` and one
-    ``c @ Q`` product.
+    Gram-Schmidt: one pass, one block ``Q @ r`` and one ``c @ Q`` product,
+    and a second pass only when the first left less than 1/sqrt(2) of v's
+    norm (2 |r|^2 < |v|^2), the reorthogonalization test of Daniel, Gragg,
+    Kaufman and Stewart (Math. Comp. 1976).  Where the first pass cancels
+    less, its residual is already orthogonal to Q to working precision;
+    where it cancels more, the second pass restores that, and a third is
+    never needed ("twice is enough": Giraud, Langou and Rozloznik, 2005).
 
     When images and w are given, the same combinations of the rows of images
-    are subtracted from w: with images[j] = M Q[j] and w = M v, the second
-    return value is M applied to the residual.  Returns fresh arrays; the
-    inputs are not modified.
+    are subtracted from w, the coefficients of both passes summed into one
+    product: with images[j] = M Q[j] and w = M v, the second return value
+    is M applied to the residual.  Returns fresh arrays; the inputs are not
+    modified.
     """
     r = np.array(v, dtype=float)
-    img = None if w is None else np.array(w, dtype=float)
-    for _ in range(2):
-        c = Q @ r
-        r -= c @ Q
-        if img is not None:
-            img -= c @ images
+    vv = float(r @ r)
+    c = Q @ r
+    r -= c @ Q
+    if 2.0 * float(r @ r) < vv:
+        again = Q @ r
+        r -= again @ Q
+        c += again
+    img = None if w is None else w - c @ images
     return r, img
 
 
@@ -406,10 +415,12 @@ class LazySpikedInstance:
     The instance offers what a ``QuerySession`` reads of a matrix: ``shape``
     and ``@`` on a vector or a (d, m) block, whose columns are applied in
     order.  After k reveals it holds theta, Q and U, (2k + 1) d floats, and
-    no d x d array; ``open_session`` preallocates the session's
-    min(budget, d) rows of Q and U.  xi and g are drawn from the instance's
-    generator in the order of the reveals.  The instance changes as it is
-    applied, so one thread uses it at a time.
+    no d x d array.  A session opened on it before its first reveal
+    preallocates min(budget, d) rows of Q and U and takes the rows of Q as
+    its basis, in place: the decomposition above is the session's
+    Gram-Schmidt step.  xi and g are drawn from the instance's generator in
+    the order of the reveals.  The instance changes as it is applied, so
+    one thread uses it at a time.
     """
 
     def __init__(self, theta: np.ndarray, lam: float, seed: Seed = None):

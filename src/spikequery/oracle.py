@@ -5,13 +5,15 @@ An algorithm interacts with a hidden symmetric matrix M only through
 then commits to a final unit vector via ``session.finalize(v_hat)``.  Each
 charged query applies M once, to v, and leaves one record, a
 ``TranscriptStep``: the query, its raw response, and the equivalent reduced
-view.  Queries are orthonormalized on the fly (classical Gram-Schmidt, two
-passes, as block products against a preallocated basis array), and each
-step i that adds a basis direction b_i has a projected response
-P_{i-1} M b_i, where P_{i-1} projects onto the orthogonal complement of the
-earlier basis.  Projected responses are computed only when read
-(``TranscriptStep.projected_response``, on a step from
-``session.projected_view(i)`` or from the sealed transcript), never by
+view.  Queries are orthonormalized on the fly (classical Gram-Schmidt as
+block products against a preallocated basis array, with a second pass only
+where the first cancels most of the query; on a matrix-free instance the
+instance's own decomposition of the query, whose revealed directions are
+the basis), and each step i that adds a basis direction b_i has a
+projected response P_{i-1} M b_i, where P_{i-1} projects onto the
+orthogonal complement of the earlier basis.  Projected responses are
+computed only when read (``TranscriptStep.projected_response``, on a step
+from ``session.projected_view(i)`` or from the sealed transcript), never by
 ``session.finalize``: the images of all basis directions not yet imaged
 come from one block product with M, and each is then projected against the
 directions before it.  Raw responses are exactly recoverable from the
@@ -56,18 +58,42 @@ class SessionFinalizedError(RuntimeError):
 
 
 class _Basis:
-    """The orthonormal basis of a session's queries, in a preallocated
-    (capacity, d) array, and the projected response of each row, computed
-    when read.
+    """The orthonormal basis of a session's queries, in a (capacity, d)
+    array, and the projected response of each row, computed when read.
+
+    Against a matrix the rows are preallocated here, and each query's
+    direction is its residual against them (``_orthogonalize``), normalized.
+    Against a lazy instance the rows are the instance's own revealed
+    directions, in its storage: applying the instance to a query already
+    decomposes it against them, and reveals its new direction as the next
+    row, or none for a degenerate query.  The instance must have revealed
+    nothing before the session, and be applied to fresh directions only
+    through it while it takes queries.
 
     Row j's projected response is P_{j-1} M b_j.  A read first fills every
     row added since the last read: their images under M in one block
     product, then each image orthogonalized against the rows before it.
     """
 
-    def __init__(self, apply: Callable[[np.ndarray], np.ndarray], capacity: int, d: int):
+    def __init__(
+        self,
+        apply: Callable[[np.ndarray], np.ndarray],
+        capacity: int,
+        d: int,
+        lazy: Optional[LazySpikedInstance] = None,
+    ):
         self._apply = apply
-        self._rows = np.empty((capacity, d))
+        self._lazy = lazy
+        if lazy is None:
+            self._rows = np.empty((capacity, d))
+        else:
+            if lazy._size:
+                raise ValueError(
+                    "a lazy instance opens a session only before it reveals any "
+                    "direction; draw a fresh one with make_lazy_spiked"
+                )
+            lazy._reserve(capacity)
+            self._rows = lazy._Q[:capacity]  # a view: shared, not copied
         self._size = 0
         self._projected = np.empty_like(self._rows)
         self._projected_size = 0
@@ -80,16 +106,30 @@ class _Basis:
         """The rows in use, as a view."""
         return self._rows[: self._size]
 
-    def extend(self, r: np.ndarray) -> Optional[int]:
-        """Add r, a residual against the rows, normalized, and return its row
-        index; None when r is numerically zero or the basis is full."""
-        rnorm = np.linalg.norm(r)
+    def query(self, v: np.ndarray) -> Tuple[np.ndarray, Optional[int]]:
+        """M v, and the index of the row that v's direction off the rows
+        adds; None when v adds none, being numerically in their span (its
+        residual below DEGENERATE_TOL) or the basis full."""
         k = self._size
-        if rnorm < DEGENERATE_TOL or k == self._rows.shape[0]:
-            return None
-        self._rows[k] = r / rnorm
+        if self._lazy is not None:
+            if self._lazy._size != k:
+                raise RuntimeError(
+                    "the lazy instance revealed directions outside its session"
+                )
+            w = self._apply(v)
+            if self._lazy._size == k:
+                return w, None
+        else:
+            w = self._apply(v)
+            if k == len(self._rows):
+                return w, None
+            r = _orthogonalize(self.rows, v)[0]
+            rnorm = np.linalg.norm(r)
+            if rnorm < DEGENERATE_TOL:
+                return w, None
+            self._rows[k] = r / rnorm
         self._size = k + 1
-        return k
+        return w, k
 
     def projected(self, j: int) -> np.ndarray:
         lo, hi = self._projected_size, self._size
@@ -169,7 +209,7 @@ class QuerySession:
     rows.  ``finalize`` seals the same step records into the transcript.
     """
 
-    def __init__(self, matrix: np.ndarray, budget: int):
+    def __init__(self, matrix: Union[np.ndarray, LazySpikedInstance], budget: int):
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
         # The only handle to the hidden matrix is this bound matvec; the
@@ -178,7 +218,12 @@ class QuerySession:
         self._dim = int(matrix.shape[0])
         self._budget = int(budget)
         # the basis of R^d never holds more than d vectors, whatever the budget
-        self._basis = _Basis(self._apply, min(self._budget, self._dim), self._dim)
+        self._basis = _Basis(
+            self._apply,
+            min(self._budget, self._dim),
+            self._dim,
+            matrix if isinstance(matrix, LazySpikedInstance) else None,
+        )
         self._steps: List[TranscriptStep] = []
         self._transcript: Optional[Transcript] = None
 
@@ -220,10 +265,7 @@ class QuerySession:
         if self.remaining <= 0:
             raise BudgetExhaustedError(f"budget of {self._budget} queries exhausted")
         v = _check_query_vector(v, self._dim)
-        w = self._apply(v)
-
-        r, _ = _orthogonalize(self._basis.rows, v)
-        idx = self._basis.extend(r)
+        w, idx = self._basis.query(v)
         self._steps.append(
             TranscriptStep(
                 step=len(self._steps) + 1,
@@ -275,14 +317,15 @@ def open_session(
 
     A bare float matrix is made read-only in place, as an instance's matrix
     is: the session's transcript reads it again when its projected
-    responses are read.  A lazy instance is queried itself, with room for
-    min(budget, d) revealed directions made up front; reading projected
-    responses back draws nothing from it.
+    responses are read.  A lazy instance is queried itself, and must not
+    have revealed a direction yet (ValueError otherwise): its revealed
+    directions become the session's basis, in min(budget, d) rows of its
+    storage made up front, and reading projected responses back draws
+    nothing from it.
     """
     if isinstance(inst, SpikedInstance):
         matrix = inst.matrix
     elif isinstance(inst, LazySpikedInstance):
-        inst._reserve(budget)
         matrix = inst
     else:
         matrix = _frozen(_require_symmetric(inst))

@@ -152,10 +152,12 @@ def _require_fits(what: str, d: int, matrices: int, rows: int = 0) -> None:
 
 
 #: Arrays of min(T, d) rows of length d that a trial of overlap-growth or
-#: detection-gap holds per instance: the lazy instance's revealed directions
-#: and their images, the session's basis and projected responses, its step
-#: records' queries and raw responses, and the Ritz accumulator's basis and
-#: images.
+#: detection-gap holds per instance: the lazy instance's revealed directions,
+#: which are also the session's basis, and their images, the session's
+#: projected responses, its step records' queries and raw responses, and
+#: the Ritz accumulator's basis and images.  That is seven; the eighth is
+#: headroom for the directions that scoring's norm solve reveals beyond
+#: them, which this count does not yet bound.
 LAZY_TRIAL_ARRAYS = 8
 
 

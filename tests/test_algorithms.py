@@ -12,7 +12,13 @@ from spikequery.algorithms import (
     ritz_from_pairs,
     run,
 )
-from spikequery.instances import SpikedInstance, make_spiked, rayleigh, spectral_norm
+from spikequery.instances import (
+    SpikedInstance,
+    make_lazy_spiked,
+    make_spiked,
+    rayleigh,
+    spectral_norm,
+)
 from spikequery.oracle import open_session
 
 
@@ -145,6 +151,23 @@ class TestLanczos:
         assert session.queries_made == 1
         assert overlap(out, init) == pytest.approx(1.0, abs=1e-12)
         assert session.transcript.early_termination
+
+    @pytest.mark.parametrize("lam", [3.0, 1e6, 1e150])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("make", [make_spiked, make_lazy_spiked])
+    def test_breakdown_is_relative_to_the_response(self, make, d, lam):
+        # the Krylov space closes after d queries, whatever the scale of M;
+        # at d = 3 and lam = 1e150 it closes after 2, since W's part of
+        # M q_2, of order 1, is below the rounding of lam theta <theta, q_2>
+        closes = 2 if (d, lam) == (3, 1e150) else d
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            session = open_session(make(d, lam, seed=rng), budget=6)
+            run(session, AlgorithmConfig(kind="lanczos", seed=rng))
+            t = session.transcript
+            assert t.queries_made == closes
+            assert t.early_termination
+            assert not any(st.degenerate for st in t.steps)
 
     def test_ritz_value_monotone_in_budget(self):
         inst = make_spiked(40, 2.0, seed=29)

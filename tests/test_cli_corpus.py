@@ -1,0 +1,29 @@
+"""The CLI comparison corpus of tools/cli_corpus.py."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("cli_corpus", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_corpus_holds_156_distinct_calls():
+    calls = _tool().corpus()
+    assert len(calls) == 156
+    assert len({tuple(argv) for argv in calls}) == 156
+    assert sum(argv[0] == "simulate" for argv in calls) == 147
+
+
+def test_a_small_call_digests_the_same_twice():
+    tool = _tool()
+    argv = "simulate --alg lanczos --d 30 --lambda 3 --T 40 --trials 3 --seed 1".split()
+    first = tool.digest(argv)
+    assert first["argv"] == argv and first["exit"] == 0
+    assert len(first["stdout"]) == len(first["stderr"]) == 64
+    assert tool.digest(argv) == first

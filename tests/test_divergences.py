@@ -418,6 +418,14 @@ class TestLikelihoodProductBound:
         u = np.eye(d)[0]
         assert likelihood_product_bound(u, u, [1.0, 1.0], 0.0, d, 2) == 1.0
 
+    def test_schedule_sum_past_the_float_range_caps_at_inf(self):
+        # S = sum of taus overflows: S^2 / d is inf, and a zero overlap
+        # times S is 0 by the 0 * inf = 0 convention, not a NaN that hides it
+        u, s = np.eye(4)[0], np.eye(4)[1]
+        taus = [8.988465674311579e307, 8.98846567431158e307]
+        assert likelihood_product_bound(u, s, taus, 1.0, 1) == math.inf
+        assert likelihood_product_bound(u, s, taus, 0.0, 1) == 1.0
+
     def test_schedule_validation(self):
         u = np.eye(4)[0]
         with pytest.raises(ValueError, match="positive"):
@@ -582,6 +590,10 @@ def test_g_chi_total_on_domain(d, data, lam, seed, basis):
 @example(taus=[], lam=1e300, d=10, T=None, seed=0, basis=True)
 @example(taus=[1.0, math.inf], lam=0.0, d=10, T=None, seed=0, basis=True)
 @example(taus=[1.0, 2.0], lam=1e200, d=10, T=None, seed=0, basis=True)
+@example(
+    taus=[8.988465674311579e307, 8.98846567431158e307], lam=0.0, d=1, T=None, seed=0,
+    basis=True,
+)
 def test_likelihood_product_bound_total_on_domain(taus, lam, d, T, seed, basis):
     u, s = _unit_vectors(4, 2, seed, basis)
     try:

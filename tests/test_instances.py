@@ -1,6 +1,7 @@
 """Unit tests for instance generation, the spectral ground-truth oracle and
 the trial map."""
 
+import math
 import threading
 import time
 
@@ -276,6 +277,62 @@ def test_spiked_arrays_immutable():
     inst = make_spiked(10, 1.0, seed=1)
     with pytest.raises(ValueError):
         inst.matrix[0, 0] = 99.0
+
+
+# ------------------------------------------------- the orthogonalization kernel
+
+class _CountingRows(np.ndarray):
+    """Orthonormal rows that count the ``Q @ r`` products made with them:
+    one per Gram-Schmidt pass."""
+
+    def __matmul__(self, other):
+        self.passes += 1
+        return np.matmul(self.view(np.ndarray), other)
+
+
+def _kernel_input(d, k, rho, seed):
+    """(k orthonormal rows of R^d, a unit v whose residual against them has
+    norm rho)."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((d, k)))[0].T.copy()
+    g = rng.standard_normal(d)
+    for _ in range(3):  # b orthogonal to the rows to working precision
+        g -= (Q @ g) @ Q
+    a = rng.standard_normal(k)
+    v = rho * g / np.linalg.norm(g) + math.sqrt(1.0 - rho**2) * (a / np.linalg.norm(a)) @ Q
+    return Q, v
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.72, 0.70, 1e-4, 1e-8])
+@pytest.mark.parametrize("d, k", [(50, 1), (50, 20), (1000, 5), (1000, 200)])
+def test_orthogonalize_makes_a_second_pass_exactly_when_the_first_cancels(d, k, rho):
+    Q, v = _kernel_input(d, k, rho, seed=d + k)
+    first = v - (Q @ v) @ Q  # the first pass, as the kernel makes it
+    rows = Q.view(_CountingRows)
+    rows.passes = 0
+    r, _ = instances._orthogonalize(rows, v)
+    assert rows.passes == (2 if 2.0 * (first @ first) < v @ v else 1)
+    if rho in (0.72, 1.0):  # more than 1/sqrt(2) of v survives the first pass
+        assert rows.passes == 1
+    else:
+        assert rows.passes == 2
+    assert np.linalg.norm(r) == pytest.approx(rho, rel=1e-6)
+    # orthogonal to the rows within 4 k eps of its own norm (measured: 0.33)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(Q @ r)) <= 4 * k * eps * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("rho", [1.0, 1e-4, 1e-8])
+@pytest.mark.parametrize("d, k", [(50, 20), (1000, 200)])
+def test_orthogonalize_carries_images_to_the_residual(d, k, rho):
+    Q, v = _kernel_input(d, k, rho, seed=d - k)
+    M = sample_goe(d, seed=k) / math.sqrt(d)
+    w = M @ v
+    r, img = instances._orthogonalize(Q, v, Q @ M, w)  # row j: M q_j
+    scale = np.max(np.abs(np.linalg.eigvalsh(M))) * np.linalg.norm(v)
+    assert np.linalg.norm(img - M @ r) <= 1e-12 * scale
+    assert np.array_equal(r, instances._orthogonalize(Q, v)[0])
+    assert np.array_equal(w, M @ v)  # inputs untouched
 
 
 # --------------------------------------------------------- make_lazy_spiked

@@ -509,6 +509,49 @@ def test_lazy_instance_repeated_query_is_degenerate_and_draws_nothing(monkeypatc
     assert np.max(np.abs(again - first)) <= 1e-12
 
 
+def test_lazy_session_needs_an_instance_that_revealed_nothing():
+    d = 50
+    inst = make_lazy_spiked(d, 2.0, seed=11)
+    inst @ sample_uniform_sphere(d, seed=12)
+    with pytest.raises(ValueError, match="before it reveals"):
+        open_session(inst, budget=3)
+    used = make_lazy_spiked(d, 2.0, seed=13)
+    run(open_session(used, budget=3), AlgorithmConfig(kind="power", seed=14))
+    with pytest.raises(ValueError, match="before it reveals"):
+        open_session(used, budget=3)
+    # a direction revealed behind an open session's back stops its next query
+    inst = make_lazy_spiked(d, 2.0, seed=15)
+    session = open_session(inst, budget=3)
+    session.query(sample_uniform_sphere(d, seed=16))
+    inst @ sample_uniform_sphere(d, seed=17)
+    with pytest.raises(RuntimeError, match="outside its session"):
+        session.query(sample_uniform_sphere(d, seed=18))
+
+
+@pytest.mark.parametrize("kind", ["power", "lanczos", "random"])
+def test_lazy_session_decomposes_each_query_once(kind, monkeypatch):
+    # the instance's decomposition of a query is the session's Gram-Schmidt
+    # step: neither side orthogonalizes the query a second time
+    decomposed = []
+    kernel = instances._orthogonalize
+
+    def counting(Q, v, *args):
+        decomposed.append(np.array(v))
+        return kernel(Q, v, *args)
+
+    monkeypatch.setattr(instances, "_orthogonalize", counting)
+    monkeypatch.setattr(oracle, "_orthogonalize", counting)
+    d, T = 200, 8
+    inst = make_lazy_spiked(d, 3.0, seed=19)
+    session = open_session(inst, budget=T)
+    run(session, AlgorithmConfig(kind=kind, seed=20))
+    queries = [st.query for st in session.transcript.steps]
+    assert len(queries) == T
+    of_queries = [v for v in decomposed if any(np.array_equal(v, q) for q in queries)]
+    assert len(of_queries) == T
+    assert np.shares_memory(session._basis.rows, inst._Q)  # one store of the basis
+
+
 def _project_off(B, x):
     """x minus its projection on the orthonormal columns of B."""
     return x - B @ (B.T @ x)
