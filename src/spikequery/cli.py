@@ -246,8 +246,8 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
         _require(c.lam >= 0, f"lambda must be >= 0, got {c.lam}")
         _require(c.lam <= LAMBDA_MAX, f"lambda must be <= {LAMBDA_MAX:g}, got {c.lam}")
         _require(c.T >= 1, f"T must be >= 1, got {c.T}")
-        try:  # a trial holds a lazy instance's arrays and its session's
-            _require_lazy_trials_fit(c.d, c.T, c.trials, 1, workers=c.jobs)
+        try:  # a trial holds a lazy instance's arrays, its session's and its score's
+            _require_lazy_trials_fit(c.d, c.T, c.trials, 1, workers=c.jobs, scored=True)
         except ValueError as exc:
             raise UsageError(f"simulate at d={c.d}: {exc}")
 

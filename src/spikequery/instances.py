@@ -22,9 +22,9 @@ W as an init-only argument, is checked in full.
 a ``LazySpikedInstance`` draws W only along the directions it is applied
 to, by the GOE's orthogonal invariance, and after k of them holds
 (2k + 1) d floats.  It answers matrix-vector products, and so serves a
-query session, and ``spectral_norm`` solves its operator norm through those
-products, revealing the directions the solve applies it to; it has no
-dense spectrum.
+query session, and ``spectral_norm`` solves its operator norm by
+Rayleigh-Ritz on the directions it has revealed, revealing more only where
+their span falls short; it has no dense spectrum.
 """
 
 from __future__ import annotations
@@ -57,6 +57,14 @@ TILE = 128
 #: it the Lanczos solve of ``_lanczos_norm`` is as fast or faster, also on
 #: null instances, whose extreme eigenvalues nearly tie.
 DENSE_NORM_MAX_DIM = 256
+
+#: Rows a lazy instance reserves at once, beyond those it has revealed, for
+#: the directions its norm solve reveals (``_RevealedSpan``).  At lam = 3
+#: the solve revealed at most 24 over 20 seeds each of power and random at
+#: d = 2000, T = 6, 18 after power at d = 10^6, and none after Lanczos at
+#: d = 1000, T = 64; on null instances it reveals more, and the instance
+#: grows past these rows by doubling.
+NORM_SOLVE_ROWS = 32
 
 #: Residual norm, relative to the vector's, below which a vector adds no new
 #: basis direction: a degenerate oracle query, or a Krylov breakdown of
@@ -418,8 +426,11 @@ class LazySpikedInstance:
     no d x d array.  A session opened on it before its first reveal
     preallocates min(budget, d) rows of Q and U and takes the rows of Q as
     its basis, in place: the decomposition above is the session's
-    Gram-Schmidt step.  xi and g are drawn from the instance's generator in
-    the order of the reveals.  The instance changes as it is applied, so
+    Gram-Schmidt step.  ``spectral_norm`` reads M on span(Q) from theta, Q
+    and U without a reveal (``_RevealedSpan``), and reserves NORM_SOLVE_ROWS
+    more rows of Q and U at once for the directions its solve reveals.  xi
+    and g are drawn from the instance's generator in the order of the
+    reveals.  The instance changes as it is applied, so
     one thread uses it at a time.
     """
 
@@ -453,9 +464,10 @@ class LazySpikedInstance:
                 grown[:k] = getattr(self, name)[:k]
                 setattr(self, name, grown)
 
-    def _reveal(self, b: np.ndarray) -> np.ndarray:
+    def _reveal(self, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Draw W b for a unit b orthogonal to the rows of Q, append b to Q
-        and W b to U, and return W b."""
+        and W b to U, and return W b and its coefficients <q_j, W b> on the
+        rows of Q, b's included."""
         k = self._size
         if k == len(self._Q):
             self._reserve(2 * k + 1)
@@ -463,11 +475,12 @@ class LazySpikedInstance:
         Q[k] = b
         g = self._rng.standard_normal(self.dim)
         xi = math.sqrt(2.0) * self._rng.standard_normal()
-        wb = np.append(self._U[:k] @ b, xi) @ Q
+        h = np.append(self._U[:k] @ b, xi)
+        wb = h @ Q
         wb += _orthogonalize(Q, g)[0]
         self._U[k] = wb
         self._size = k + 1
-        return wb
+        return wb, h
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         k = self._size
@@ -475,7 +488,7 @@ class LazySpikedInstance:
         r, img = _orthogonalize(self._Q[:k], v, self._U[:k], np.zeros(self.dim))
         rnorm = np.linalg.norm(r)
         if rnorm > DEGENERATE_TOL * np.linalg.norm(v):
-            img -= rnorm * self._reveal(r / rnorm)
+            img -= rnorm * self._reveal(r / rnorm)[0]
         img /= -math.sqrt(self.dim)
         img += self.lam * float(self.theta @ v) * self.theta
         return img
@@ -492,6 +505,19 @@ class LazySpikedInstance:
         for j in range(v.shape[1]):
             out[:, j] = self._apply(v[:, j])
         return out
+
+    def _rayleigh(self, v: np.ndarray) -> float:
+        """v^T M v, with M applied to v by ``@``, which reveals v's direction
+        off the revealed span.  ``@`` answers a v within DEGENERATE_TOL of
+        the span as if it lay in it, and so leaves out v^T W r / sqrt(d) for
+        v's residual r, a term of first order in |r|.  Here it is added back
+        from the revealed rows, which fix the part of W r on the span
+        (<q_j, W r> = <W q_j, r>), so only r^T W r / sqrt(d) is left out."""
+        w = self @ v
+        k = self._size
+        Q = self._Q[:k]
+        r = _orthogonalize(Q, v)[0]
+        return float(v @ w) + float((Q @ v) @ (self._U[:k] @ r)) / math.sqrt(self.dim)
 
 
 def make_lazy_spiked(d: int, lam: float, seed: Seed = None) -> LazySpikedInstance:
@@ -551,8 +577,8 @@ def _tridiagonal(diag: List[float], off: List[float]) -> np.ndarray:
 
 def _next_check(k: int, now: Tuple[float, float], goals: Tuple[float, float],
                 last: Optional[Tuple[int, Tuple[float, float]]]) -> int:
-    """Step of the next convergence check of ``_lanczos_norm``, made at step
-    k with residuals ``now`` against their ``goals``.
+    """Step of the next convergence check of a norm solve, made at basis
+    size k with residuals ``now`` against their ``goals``.
 
     Each residual still above its goal is extrapolated at its geometric rate
     since the previous check ``last`` = (step, residuals) to the step where
@@ -573,6 +599,50 @@ def _next_check(k: int, now: Tuple[float, float], goals: Tuple[float, float],
     return k + min(steps, k)
 
 
+def _top_index(vals: np.ndarray) -> int:
+    """Index of the value of largest magnitude among ascending ``vals``."""
+    return len(vals) - 1 if abs(vals[-1]) >= abs(vals[0]) else 0
+
+
+class _Checks:
+    """The convergence checks of a norm solve (``_lanczos_norm``,
+    ``_revealed_span_norm``): the stopping rule, and the basis size ``at``
+    of the next check.
+
+    A check reads the Ritz values ``vals`` of the solve's compression
+    (ascending, at least two) and the residual norms ``residual(i)`` of the
+    Ritz vectors at the two ends.  With theta the Ritz value of largest
+    magnitude, r its residual, gap the distance from theta to the nearest
+    other Ritz value, theta' the Ritz value at the other end and r' its
+    residual, the check passes once both
+      - r^2 / gap <= eps |theta|, the quadratic bound on theta's error, with
+        eps the float epsilon, and
+      - |theta'| + r' <= |theta|, so theta' cannot overtake theta.
+    A failed check sets the next one where the residuals' rates predict the
+    two bounds to hold (``_next_check``).
+    """
+
+    def __init__(self, first: int):
+        self.at = first
+        self._last: Optional[Tuple[int, Tuple[float, float]]] = None
+
+    def passed(
+        self, k: int, vals: np.ndarray, residual: Callable[[int], float]
+    ) -> Optional[float]:
+        """|theta| if the check at basis size k passes, else None."""
+        eps = np.finfo(float).eps
+        top = _top_index(vals)
+        end = len(vals) - 1 - top
+        theta, other = abs(vals[top]), abs(vals[end])
+        gap = float(np.min(np.abs(np.delete(vals, top) - vals[top])))
+        now = (residual(top), residual(end))
+        if now[0] ** 2 <= eps * theta * gap and other + now[1] <= theta:
+            return float(theta)
+        goals = (math.sqrt(eps * theta * gap), theta - other)
+        self.at, self._last = _next_check(k, now, goals, self._last), (k, now)
+        return None
+
+
 def _lanczos_norm(apply: Callable[[np.ndarray], np.ndarray], d: int) -> float:
     """Largest eigenvalue magnitude of the symmetric linear map ``apply`` on
     R^d, by Lanczos from the start vector 1/sqrt(d), one ``apply`` per step.
@@ -580,16 +650,10 @@ def _lanczos_norm(apply: Callable[[np.ndarray], np.ndarray], d: int) -> float:
     Every new direction is orthogonalized against the whole basis by
     ``_orthogonalize`` (full reorthogonalization), so the tridiagonal T_k of
     alpha_j = <q_j, A q_j> and beta_j = |A q_j - its projection on the
-    basis| is the compression of A to the Krylov basis.  With Ritz pairs
-    (theta_i, s_i) of T_k and residuals r_i = beta_k |s_i[-1]|, the solve
-    stops at the Ritz value theta of largest magnitude once both
-      - r^2 / gap <= eps |theta|, the quadratic bound on theta's error, with
-        gap the distance from theta to the nearest other Ritz value and eps
-        the float epsilon, and
-      - |theta'| + r' <= |theta| for the Ritz value theta' at the other end
-        of the spectrum, which then cannot overtake theta.
-    T_k is solved only at checks: the first at k = 8, each later one where
-    the residuals' rates predict the two bounds to hold (``_next_check``).
+    basis| is the compression of A to the Krylov basis, and the residual of
+    its Ritz pair (theta_i, s_i) is beta_k |s_i[-1]|.  T_k is solved only at
+    the checks of ``_Checks``, the first at k = 8, and the solve stops at the
+    first that passes.
 
     When A q_k lies in the basis (a Krylov breakdown, beta_k <= DEGENERATE_TOL
     |A q_k|), the basis spans an invariant subspace; as ARPACK does, the
@@ -599,12 +663,11 @@ def _lanczos_norm(apply: Callable[[np.ndarray], np.ndarray], d: int) -> float:
     the largest magnitude among all eigenvalues of T_d.  The zero map gives
     0.0.
     """
-    eps = np.finfo(float).eps
     Q = np.empty((min(d, 64), d))
     diag: List[float] = []
     off: List[float] = []  # off[j] couples q_j and q_{j+1}; 0 after a breakdown
     q = np.full(d, 1.0 / np.sqrt(d))
-    check_at, last = 8, None
+    checks = _Checks(8)
     for k in range(1, d + 1):  # k: basis size once q is in
         if k > len(Q):
             Q = np.concatenate([Q, np.empty((min(d, 2 * len(Q)) - len(Q), d))])
@@ -623,19 +686,162 @@ def _lanczos_norm(apply: Callable[[np.ndarray], np.ndarray], d: int) -> float:
             continue
         off.append(beta)
         q = r / beta
-        if k < check_at:
+        if k < checks.at:
             continue
         vals, vecs = np.linalg.eigh(_tridiagonal(diag, off[:-1]))
-        top = k - 1 if abs(vals[-1]) >= abs(vals[0]) else 0
-        theta, other = abs(vals[top]), abs(vals[k - 1 - top])
-        res = beta * np.abs(vecs[-1])
-        gap = float(np.min(np.abs(np.delete(vals, top) - vals[top])))
-        now = (res[top], res[k - 1 - top])
-        if now[0] ** 2 <= eps * theta * gap and other + now[1] <= theta:
-            return float(theta)
-        goals = (math.sqrt(eps * theta * gap), theta - other)
-        check_at, last = _next_check(k, now, goals, last), (k, now)
+        norm = checks.passed(k, vals, lambda i: beta * abs(vecs[-1, i]))
+        if norm is not None:
+            return norm
     vals = np.linalg.eigvalsh(_tridiagonal(diag, off))
+    return float(max(abs(vals[0]), abs(vals[-1])))
+
+
+class _RevealedSpan:
+    """Rayleigh-Ritz on the directions a lazy instance has revealed, and a
+    Krylov expansion of them that reveals at most one direction per step.
+
+    With Q the instance's revealed rows and U their images under W, M is
+    known on span(Q) without a reveal:
+
+        M Q^T s = lam theta <Q theta, s> + U^T s / sqrt(d),
+
+    so the compression H = Q M Q^T and the residual of every Ritz vector
+    Q^T s are known too.  H grows by one row, Q M b, per direction b the
+    expansion reveals, read from the coefficients of W b on Q that the
+    reveal computes; the instance's Q is the only basis.  On an instance
+    that has revealed nothing, the span starts from 1/sqrt(d), revealed.
+
+    ``expand`` makes one step of Lanczos on K(M, x) from the start vector x
+    of ``restart``, with the Lanczos vectors u_j kept as coefficients on the
+    rows of Q.  It reveals the part of M u_j off span(Q), orthogonalized
+    once, and takes u_{j+1} from the coefficients of M u_j on the grown span,
+    orthogonalized against u_1 ... u_j.  A u_j whose image lies in the span
+    (residual at most DEGENERATE_TOL |M u_j|) reveals nothing; when K(M, x)
+    closes in the span, the expansion continues from a fresh direction, a
+    fixed-seed Gaussian vector orthogonalized against Q, as
+    ``_lanczos_norm`` does.
+    """
+
+    def __init__(self, inst: LazySpikedInstance):
+        self._inst = inst
+        self._scale = math.sqrt(inst.dim)
+        inst._reserve(inst._size + NORM_SOLVE_ROWS)  # once for the solve
+        if inst._size == 0:
+            inst._reveal(np.full(inst.dim, 1.0 / self._scale))
+        k = inst._size
+        cap = len(inst._Q)
+        self._H = np.empty((cap, cap))
+        self._lanczos = np.zeros((cap, cap))  # row j: u_{j+1} on the rows of Q
+        self._qtheta = np.empty(cap)
+        self._qtheta[:k] = inst._Q[:k] @ inst.theta
+        # row i of H holds <q_j, M q_i> for j <= i, mirrored above the diagonal
+        rows = inst._U[:k] @ inst._Q[:k].T
+        rows /= self._scale
+        rows += inst.lam * np.outer(self._qtheta[:k], self._qtheta[:k])
+        self._H[:k, :k] = np.tril(rows) + np.tril(rows, -1).T
+        self.k = k
+        self._j = 0  # Lanczos vectors made since the last restart
+
+    @property
+    def H(self) -> np.ndarray:
+        return self._H[: self.k, : self.k]
+
+    def _reveal(self, b: np.ndarray) -> None:
+        """Reveal the unit b, orthogonal to Q, and add its row Q M b to H."""
+        inst, k = self._inst, self.k
+        h = inst._reveal(b)[1]
+        if k == len(self._H):
+            cap = len(inst._Q)
+            for name in ("_H", "_lanczos"):
+                grown = np.zeros((cap, cap))
+                grown[:k, :k] = getattr(self, name)[:k, :k]
+                setattr(self, name, grown)
+            self._qtheta = np.concatenate([self._qtheta[:k], np.empty(cap - k)])
+        self._qtheta[k] = tb = float(b @ inst.theta)
+        row = self._H[k, : k + 1]
+        np.multiply(self._qtheta[: k + 1], inst.lam * tb, out=row)
+        row += h / self._scale
+        self._H[: k + 1, k] = row
+        self.k = k + 1
+
+    def image(self, s: np.ndarray) -> np.ndarray:
+        """M Q^T s, for coefficients s on the rows of Q."""
+        inst, k = self._inst, len(s)
+        w = s @ inst._U[:k]
+        w /= self._scale
+        w += (inst.lam * float(self._qtheta[:k] @ s)) * inst.theta
+        return w
+
+    def residual(self, s: np.ndarray, value: float) -> float:
+        """|M x - value x| for x = Q^T s."""
+        w = self.image(s)
+        w -= value * (s @ self._inst._Q[: len(s)])
+        return math.sqrt(float(w @ w))
+
+    def restart(self, s: np.ndarray) -> None:
+        """Start the Lanczos expansion from the unit vector Q^T s."""
+        self._lanczos[0, : len(s)] = s
+        self._j = 1
+
+    def expand(self) -> None:
+        """One Lanczos step; on a complete span (k = d) it does nothing."""
+        k, j, d = self.k, self._j, self._inst.dim
+        Q = self._inst._Q[:k]
+        u = self._lanczos[j - 1, :k]
+        c = self.H @ u  # M u's coefficients on the span
+        w = self.image(u)
+        # M u off the span: its known part on the span subtracted, then the
+        # rounding left on the span by the kernel
+        r = _orthogonalize(Q, w - c @ Q)[0]
+        rho = math.sqrt(float(r @ r))
+        if rho > DEGENERATE_TOL * math.sqrt(float(w @ w)):
+            self._reveal(r / rho)
+            c = np.append(c, rho)
+        size = math.sqrt(float(c @ c))
+        c = _orthogonalize(self._lanczos[:j, : len(c)], c)[0]
+        beta = math.sqrt(float(c @ c))
+        if beta <= DEGENERATE_TOL * size:  # <=: M u = 0 closes too
+            if self.k == d:
+                return
+            # K(M, x) closed in the span: continue from a fresh direction
+            fresh = np.random.default_rng(self.k).standard_normal(d)
+            r = _orthogonalize(self._inst._Q[: self.k], fresh)[0]
+            self._reveal(r / math.sqrt(float(r @ r)))
+            c = np.zeros(self.k)
+            c[-1] = beta = 1.0
+        self._lanczos[j, : len(c)] = c / beta
+        self._j = j + 1
+
+
+def _revealed_span_norm(inst: LazySpikedInstance) -> float:
+    """Largest eigenvalue magnitude of a lazy instance's matrix, by
+    Rayleigh-Ritz on the span of the directions it has revealed.
+
+    The first check (``_Checks``) is made on the span as it stands, so a
+    span that already meets the stopping rule, such as a converged Lanczos
+    session's, is scored with no reveal.  After each check that fails, the
+    expansion (``_RevealedSpan.expand``) restarts from the span's top Ritz
+    vector, as thick-restart Lanczos does (Wu and Simon, SIAM J. Matrix
+    Anal. Appl. 2000).  A power or Lanczos session's span is a Krylov space
+    and this restart keeps it one, so there the solve is Lanczos continued
+    from the session's steps.  Once the span is all of R^d (k = d), the
+    norm is that of H.
+    """
+    span = _RevealedSpan(inst)
+    d = inst.dim
+    checks = _Checks(span.k)
+    while span.k < d:
+        if span.k >= checks.at:
+            vals, vecs = np.linalg.eigh(span.H)
+            if span.k > 1:  # one Ritz value has no gap to test
+                norm = checks.passed(
+                    span.k, vals, lambda i: span.residual(vecs[:, i], vals[i])
+                )
+                if norm is not None:
+                    return norm
+            span.restart(vecs[:, _top_index(vals)])
+        span.expand()
+    vals = np.linalg.eigvalsh(span.H)
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
@@ -649,15 +855,16 @@ def spectral_norm(M: Union[SpikedInstance, LazySpikedInstance, np.ndarray]) -> f
     eigenvalue, which is the operator norm by definition; the two agree to
     about 1e-14 relative on symmetric input.
 
-    A lazy instance is solved by ``_lanczos_norm`` through its own ``@`` at
-    every d, with the same stopping rule, so the norm is that of the matrix
-    its answers belong to, not an asymptotic value.  Each Lanczos step
-    applies it once and reveals at most one direction, drawn from the
-    instance's generator; directions revealed before, such as a session's
-    queries, stay as they are.
+    A lazy instance is solved at every d by ``_revealed_span_norm``:
+    Rayleigh-Ritz on the directions it has revealed, a session's queries
+    among them, grown one revealed direction at a time along a Krylov
+    space, with ``_lanczos_norm``'s stopping rule.  So the norm is that of
+    the matrix its answers belong to, not an asymptotic value.  Directions
+    revealed before stay as they are; the new ones are drawn from the
+    instance's generator.
     """
     if isinstance(M, LazySpikedInstance):
-        return _lanczos_norm(M.__matmul__, M.dim)
+        return _revealed_span_norm(M)
     M = M.matrix if isinstance(M, SpikedInstance) else _require_symmetric(M)
     d = M.shape[0]
     if d <= DENSE_NORM_MAX_DIM:

@@ -387,17 +387,21 @@ def score(
 
     The Rayleigh ratio v_hat^T M v_hat / ||M|| reads M through applies that
     no session charges, made after the session is finalized, so the
-    transcript is unchanged: ||M|| from ``spectral_norm`` and v_hat^T M
-    v_hat from one apply of v_hat.  On a lazy instance, which the session
-    must have queried, these applies reveal the norm solve's directions and
-    at most one more; reading the transcript's projected responses
-    afterwards still draws nothing, since their directions were revealed
-    by the queries.
+    transcript is unchanged: ||M|| from ``spectral_norm``, then v_hat^T M
+    v_hat from one apply of v_hat (on a lazy instance through
+    ``LazySpikedInstance._rayleigh``, which also reads a v_hat within
+    DEGENERATE_TOL of the revealed span to second order).  On a lazy
+    instance, which the session must have queried, the norm solve starts
+    from the span of the queries and reveals only the directions it expands
+    that span by, and the apply of v_hat at most one more; reading the
+    transcript's projected responses afterwards still draws nothing, since
+    their directions were revealed by the queries.
     """
     if isinstance(inst, SpikedInstance):
-        matrix = inst.matrix
+        def quadratic(v: np.ndarray) -> float:
+            return float(v @ (inst.matrix @ v))
     elif isinstance(inst, LazySpikedInstance):
-        matrix = inst
+        quadratic = inst._rayleigh
     else:
         raise ValueError("score needs a SpikedInstance or a LazySpikedInstance")
     if transcript.dim != inst.dim:
@@ -406,7 +410,7 @@ def score(
         )
     v_hat = transcript.final_output
     norm = spectral_norm(inst)
-    ratio = float(v_hat @ (matrix @ v_hat)) / norm
+    ratio = quadratic(v_hat) / norm
     overlap = float(v_hat @ inst.theta) ** 2
     return Score(
         rayleigh_ratio=ratio,

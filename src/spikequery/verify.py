@@ -45,6 +45,7 @@ from .bounds import (
 )
 from .divergences import TruncationEvent
 from .instances import (
+    NORM_SOLVE_ROWS,
     SPECTRUM_DIM_CAP,
     Seed,
     _fill_goe,
@@ -151,29 +152,37 @@ def _require_fits(what: str, d: int, matrices: int, rows: int = 0) -> None:
         )
 
 
-#: Arrays of min(T, d) rows of length d that a trial of overlap-growth or
-#: detection-gap holds per instance: the lazy instance's revealed directions,
-#: which are also the session's basis, and their images, the session's
-#: projected responses, its step records' queries and raw responses, and
-#: the Ritz accumulator's basis and images.  That is seven; the eighth is
-#: headroom for the directions that scoring's norm solve reveals beyond
-#: them, which this count does not yet bound.
-LAZY_TRIAL_ARRAYS = 8
+#: Arrays of min(T, d) rows of length d that a trial of overlap-growth,
+#: detection-gap or simulate holds per instance: the lazy instance's revealed
+#: directions, which are also the session's basis, and their images, the
+#: session's projected responses, its step records' queries and raw
+#: responses, and the Ritz accumulator's basis and images.
+LAZY_TRIAL_ARRAYS = 7
 
 
 def _require_lazy_trials_fit(
-    d: int, T: int, n: int, per_trial: int, workers: Optional[int] = None
+    d: int, T: int, n: int, per_trial: int, workers: Optional[int] = None,
+    scored: bool = False,
 ) -> None:
     """_require_fits for n trials of a lazy check, each holding
     ``per_trial`` instances of LAZY_TRIAL_ARRAYS (min(T, d), d) arrays, on
     as many threads as map_trials starts with ``workers`` (default: every
-    available core)."""
+    available core).
+
+    A ``scored`` instance (simulate's) holds min(T, d) + 2 NORM_SOLVE_ROWS
+    rows more: its norm solve regrows the instance's two arrays once, by
+    NORM_SOLVE_ROWS rows, while the session keeps its view of the old
+    directions.  That bounds the solve on spiked instances; on null ones it
+    reveals more rows than it reserves."""
     threads = min(n, available_cores() if workers is None else workers)
     rows = min(T, d)
+    solve = rows + 2 * NORM_SOLVE_ROWS if scored else 0
+    what = f"{LAZY_TRIAL_ARRAYS} {rows} x {d} arrays"
+    if scored:
+        what += f" and {solve} rows of length {d} for the norm solve"
     _require_fits(
-        f"{threads} trial threads of {per_trial} lazy instances, each with "
-        f"{LAZY_TRIAL_ARRAYS} {rows} x {d} arrays,",
-        d, 0, threads * per_trial * LAZY_TRIAL_ARRAYS * rows,
+        f"{threads} trial threads of {per_trial} lazy instances, each with {what},",
+        d, 0, threads * per_trial * (LAZY_TRIAL_ARRAYS * rows + solve),
     )
 
 

@@ -367,17 +367,20 @@ def _physical_memory(monkeypatch, pages):
 
 @pytest.mark.parametrize("jobs, threads", [([], 2), (["--jobs", "1"], 1), (["--jobs", "5"], 3)])
 def test_simulate_larger_than_memory_is_a_usage_error(jobs, threads, monkeypatch, capsys):
-    # a trial thread holds LAZY_TRIAL_ARRAYS (T, d) arrays; --jobs caps the
-    # threads, which are at most the trials and by default the cores
+    # a trial thread holds LAZY_TRIAL_ARRAYS (T, d) arrays, and T +
+    # 2 NORM_SOLVE_ROWS rows more once the norm solve regrows the instance;
+    # --jobs caps the threads, which are at most the trials and by default
+    # the cores
     monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: set(range(2)))
     _physical_memory(monkeypatch, 1000)
     d, T = 100_000, 6
     code, out, err = run_main(
         ["simulate", "--alg", "power", "--d", str(d), "--lambda", "3", "--T", str(T),
          "--trials", "3"] + jobs, capsys)
-    need = 8 * d * threads * LAZY_TRIAL_ARRAYS * T
+    need = 8 * d * threads * (LAZY_TRIAL_ARRAYS * T + T + 2 * instances.NORM_SOLVE_ROWS)
     assert code == 2 and out == ""
     assert f"needs {need} bytes, more than the 4096000 bytes of physical memory" in err
+    assert f"and {T + 2 * instances.NORM_SOLVE_ROWS} rows of length {d} for the norm solve" in err
 
 
 @pytest.mark.parametrize("jobs, threads", [([], 2), (["--jobs", "1"], 1)])
@@ -398,9 +401,10 @@ def test_scaling_instances_larger_than_memory_are_a_usage_error(
 def test_simulate_trial_holds_no_dxd_array(monkeypatch, capsys):
     # one trial at d = 2e5, where a d x d array would be 320 GB: the lazy
     # instance holds two rows of d floats per revealed direction (the T
-    # queries', the norm solve's and at most one more), grown by doubling;
-    # the norm solve, the session and the Ritz accumulator a few rows more
-    # (the peak measured 6.0-7.8 revealed rows)
+    # queries', the norm solve's and at most one more), in arrays the norm
+    # solve regrows once, to NORM_SOLVE_ROWS rows beyond those in use; the
+    # session and the solve a few rows more (the peak measured 5.5 revealed
+    # rows, at 24 reveals)
     reveals = []
     reveal = LazySpikedInstance._reveal
 

@@ -13,11 +13,12 @@ def _tool():
     return module
 
 
-def test_corpus_holds_156_distinct_calls():
+def test_corpus_holds_168_distinct_calls():
     calls = _tool().corpus()
-    assert len(calls) == 156
-    assert len({tuple(argv) for argv in calls}) == 156
-    assert sum(argv[0] == "simulate" for argv in calls) == 147
+    assert len(calls) == 168
+    assert len({tuple(argv) for argv in calls}) == 168
+    assert sum(argv[0] == "simulate" for argv in calls) == 159
+    assert sum(argv[0] == "simulate" and argv[5:7] == ["--lambda", "0"] for argv in calls) == 12
 
 
 def test_a_small_call_digests_the_same_twice():

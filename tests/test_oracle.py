@@ -1,6 +1,7 @@
 """Unit tests for the budgeted query oracle and transcript mechanics."""
 
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import chi2, ks_2samp, kstest
+from scipy.stats import norm as normal
 
 from spikequery import (
     AlgorithmConfig,
@@ -570,57 +572,148 @@ def test_lazy_instance_projected_responses_match_its_completed_matrix():
         assert np.max(np.abs(st.projected_response - reference)) <= 1e-12
 
 
+@pytest.mark.parametrize("budget", [4, 30])
 @pytest.mark.parametrize("lam", [0.0, 1.5, 3.0, 1e150])
 @pytest.mark.parametrize("d", [2, 3, 17, 40])
 @pytest.mark.parametrize("kind", ["power", "lanczos", "random"])
-def test_lazy_score_is_that_of_its_completed_matrix(kind, d, lam):
+def test_lazy_score_is_that_of_its_completed_matrix(kind, d, lam, budget):
     # score reads v_hat^T M v_hat and ||M|| of the matrix the instance
     # answers for, which completing it along e_1..e_d afterwards fixes
     rng = np.random.default_rng(100 * d + int(lam % 97))
     inst = make_lazy_spiked(d, lam, seed=rng)
-    session = open_session(inst, budget=4)
+    session = open_session(inst, budget=budget)
     v_hat, _ = run(session, AlgorithmConfig(kind=kind, seed=rng))
+    queried = inst._size
+    norm_solve = spectral_norm(inst)
+    if kind == "lanczos" and budget == 30:
+        # a span that already meets the stopping rule: the solve reveals nothing
+        assert inst._size == queried
     s = score(session.transcript, inst)
     M = np.column_stack([inst @ e for e in np.eye(d)])
     norm = np.max(np.abs(np.linalg.eigvalsh((M + M.T) / 2)))
+    assert abs(norm_solve - norm) <= 1e-12 * norm
     assert abs(s.rayleigh_ratio - float(v_hat @ M @ v_hat) / norm) <= 1e-12
     assert abs(spectral_norm(inst) - norm) <= 1e-12 * norm
     assert s.spike_overlap == float(v_hat @ inst.theta) ** 2
 
 
-def _counting_norm_applies(monkeypatch):
-    """A list that grows by one per apply the operator-norm solve makes."""
-    applies = []
-    solve = instances._lanczos_norm
+def _counting_solve_reveals(monkeypatch):
+    """A list that grows by one per direction a lazy norm solve reveals."""
+    reveals = []
+    reveal = instances._RevealedSpan._reveal
 
-    def counting(apply, d):
-        def counted(v):
-            applies.append(v)
-            return apply(v)
+    def counting(self, b):
+        reveals.append(b)
+        return reveal(self, b)
 
-        return solve(counted, d)
-
-    monkeypatch.setattr(instances, "_lanczos_norm", counting)
-    return applies
+    monkeypatch.setattr(instances._RevealedSpan, "_reveal", counting)
+    return reveals
 
 
-@pytest.mark.parametrize("kind", ["power", "lanczos", "random"])
-def test_lazy_score_charges_no_query_and_reveals_only_its_solve(kind, monkeypatch):
+@pytest.mark.parametrize(
+    "kind, d, T",
+    [("power", 400, 6), ("lanczos", 400, 6), ("random", 400, 6), ("lanczos", 1000, 64)],
+)
+def test_lazy_score_charges_no_query_and_reveals_only_its_solve(kind, d, T, monkeypatch):
     reveals = _counting_reveals(monkeypatch)
-    applies = _counting_norm_applies(monkeypatch)
-    d, T = 400, 6
+    solve = _counting_solve_reveals(monkeypatch)
     inst = make_lazy_spiked(d, 3.0, seed=9)
     session = open_session(inst, budget=T)
     run(session, AlgorithmConfig(kind=kind, seed=10))
+    transcript = session.transcript
+    steps, v_hat = transcript.steps, transcript.final_output.copy()
     assert len(reveals) == T
-    score(session.transcript, inst)
-    assert session.transcript.queries_made == session.queries_made == T
-    assert 8 <= len(applies) and len(reveals) - T <= len(applies) + 1
+    score(transcript, inst)
+    assert transcript.queries_made == session.queries_made == T
+    assert session.transcript is transcript and transcript.steps is steps
+    assert np.array_equal(transcript.final_output, v_hat)
+    # the solve's own expansion directions, then v_hat's when it lies off
+    # their span; a Ritz vector of the queried span never does
+    extra = len(reveals) - T
+    assert len(solve) <= extra <= len(solve) + (kind == "power")
+    # the instance grew once, by the solve's reservation
+    assert extra <= instances.NORM_SOLVE_ROWS
+    assert inst._Q.shape == (T + instances.NORM_SOLVE_ROWS, d)
+    if T == 64:
+        assert extra == 0  # a converged Lanczos session is scored with no reveal
     # the queries' directions stay revealed: reading back draws nothing
     state = inst._rng.bit_generator.state
-    for st in session.transcript.steps:
+    for st in transcript.steps:
         st.projected_response
     assert inst._rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("kind", ["power", "lanczos", "random"])
+def test_lazy_rayleigh_ratio_is_at_most_one(kind):
+    # The norm solve's span holds the span of the queries, so by interlacing
+    # its top Ritz value bounds that of every vector in the queried span:
+    # Lanczos and random output one, and their ratio exceeds 1 only by the
+    # rounding of v_hat^T M v_hat, a few eps (up to 9 eps seen over 300
+    # converged Lanczos trials, as on the dense completion).  Power's output
+    # lies one step off the queried span, and its ratio is bounded by the
+    # stopping rule's quadratic bound, also after degenerate steps, where
+    # v_hat lies within DEGENERATE_TOL of the span (T = 64).
+    eps = np.finfo(float).eps
+    for d, lam, T, seed in itertools.product((300, 1000), (0.0, 1.5, 3.0), (6, 64), range(3)):
+        rng = np.random.default_rng([d, int(2 * lam), T, seed])
+        inst = make_lazy_spiked(d, lam, seed=rng)
+        session = open_session(inst, budget=T)
+        run(session, AlgorithmConfig(kind=kind, seed=rng))
+        ratio = score(session.transcript, inst).rayleigh_ratio
+        assert ratio <= 1.0 + (1e-12 if kind == "power" else 16 * eps), (d, lam, T, seed)
+
+
+def test_null_solve_compression_is_the_lanczos_tridiagonal_of_a_goe(monkeypatch):
+    # At lam = 0 a Lanczos session and the norm solve that continues it build
+    # H = Q M Q^T on the Krylov space of the session's start vector, which is
+    # independent of W.  So H is the Lanczos tridiagonal of GOE / sqrt(d):
+    # independent alpha_k ~ N(0, 2/d) and beta_k ~ chi_{d-k} / sqrt(d)
+    # (Trotter, Adv. Math. 1984; Dumitriu and Edelman, J. Math. Phys. 2002).
+    # Rows 1..12 come from the session's queries, 13..24 from the solve,
+    # which checks at 12 and restarts from the top Ritz vector; at d = 10^4
+    # there is no dense reference to compare with.
+    d, T, K, n = 10_000, 12, 24, 120
+
+    class Enough(Exception):
+        pass
+
+    expand = instances._RevealedSpan.expand
+
+    def stop_at_K(self):
+        if self.k >= K:
+            raise Enough(self.H.copy())
+        expand(self)
+
+    def trial(i):
+        rng = instances.as_rng(instances.trial_seed(2024, i))
+        inst = make_lazy_spiked(d, 0.0, seed=rng)
+        run(open_session(inst, budget=T), AlgorithmConfig(kind="lanczos", seed=rng))
+        try:
+            spectral_norm(inst)
+        except Enough as stop:
+            return stop.args[0]
+        raise AssertionError("the solve converged before K rows")
+
+    monkeypatch.setattr(instances._RevealedSpan, "expand", stop_at_K)
+    H = np.array(instances.map_trials(trial, n))
+    assert H.shape == (n, K, K)
+    band = np.abs(np.subtract.outer(np.arange(K), np.arange(K))) <= 1
+    assert np.max(np.abs(H[:, ~band])) <= 1e-12
+    # each entry through its own distribution function: U(0, 1) under the law
+    alpha = normal.cdf(np.diagonal(H, axis1=1, axis2=2) * np.sqrt(d / 2))
+    beta = chi2.cdf(np.diagonal(H, offset=1, axis1=1, axis2=2) ** 2 * d, d - np.arange(1, K))
+    # one test per entry, and one per entry kind over the session's rows and
+    # over the solve's, which catches a small error common to many entries;
+    # family-wise level 0.01
+    tests = {f"alpha_{k + 1}": alpha[:, k] for k in range(K)}
+    tests.update({f"beta_{k + 1}": beta[:, k] for k in range(K - 1)})
+    tests.update({
+        "session alphas": alpha[:, :T], "solve alphas": alpha[:, T:],
+        "session betas": beta[:, : T - 1], "solve betas": beta[:, T - 1 :],
+    })
+    for name, u in tests.items():
+        p = kstest(u.ravel(), "uniform").pvalue
+        assert p > 0.01 / len(tests), f"{name}: KS p = {p:.2g}"
 
 
 class TestLazyScoreLaw:

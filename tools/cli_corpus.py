@@ -1,10 +1,13 @@
 """Run the CLI comparison corpus in process and print one JSON line per call.
 
-The corpus is the fixed set of 156 ``spikequery`` calls against which a
+The corpus is the fixed set of 168 ``spikequery`` calls against which a
 change's outputs are compared with its parent's:
 
 - ``simulate --alg {power,lanczos,random} --d {500,1000,2000} --lambda 3
   --T {6,64} --trials 2`` at seeds 1-8 (144 calls);
+- ``simulate --alg {power,lanczos,random} --d {300,2000} --lambda 0 --T 6
+  --trials 2`` at seeds 1-2 (12 calls), the null instances on which the
+  norm solve runs longest;
 - ``simulate --alg lanczos --d 30 --lambda 3 --T 40 --trials 3`` at seeds 1-3;
 - ``verify --check all --quick`` at seeds 0-4;
 - ``scaling --alg lanczos --d-grid 200,300,600 --lambda 4 --trials 3`` at
@@ -49,6 +52,12 @@ def corpus() -> List[List[str]]:
         for alg in ("power", "lanczos", "random")
         for d in (500, 1000, 2000)
         for T in (6, 64)
+    ]
+    calls += [
+        f"simulate --alg {alg} --d {d} --lambda 0 --T 6 --trials 2 --seed {seed}"
+        for seed in (1, 2)
+        for alg in ("power", "lanczos", "random")
+        for d in (300, 2000)
     ]
     calls += [f"simulate --alg lanczos --d 30 --lambda 3 --T 40 --trials 3 --seed {s}"
               for s in (1, 2, 3)]
