@@ -5,14 +5,12 @@ iteration re-normalizes responses; Lanczos builds an orthonormal Krylov
 basis (full orthogonalization against all prior directions) and outputs the
 Rayleigh-Ritz maximizer; the non-adaptive baseline queries independent
 random directions and extracts the same Ritz maximizer from whatever
-subspace it happened to observe.  The Ritz computation itself runs on
-(query, response) pairs alone: orthonormalizing the queries while applying
-the identical linear operations to the responses yields the compressed
-quadratic form H = B^T M B without ever touching M.  It is incremental:
-each accepted pair costs one Gram-Schmidt step against the basis so far
-(the oracle's kernel and tolerance: one pass, and a second only where the
-first cancels most of the query) and adds one row and column to H, so a
-run of T queries costs O(T^2 d) in all.  ``run`` is the one entry
+subspace it happened to observe.  The Ritz pair is the session's
+(``QuerySession.ritz``): the top eigenpair of the compression H = B^T M B
+that the session grows by one row and column per query from the query and
+its response alone, so the algorithms keep no basis of their own.
+Lanczos's next direction is its response orthogonalized once against the
+session's basis (``QuerySession.residual``).  ``run`` is the one entry
 point for all three kinds: it spends the session's budget and solves the
 Ritz problem once, after the last query, where ``iterate_candidates``
 solves it after every query.
@@ -21,14 +19,13 @@ solves it after every query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .instances import (
     DEGENERATE_TOL,
     Seed,
-    _orthogonalize,
     as_rng,
     make_spiked,
     sample_uniform_sphere,
@@ -62,74 +59,6 @@ class AlgorithmConfig:
             if abs(np.linalg.norm(init) - 1.0) > 1e-8:
                 raise ValueError("supplied init must be unit norm")
             object.__setattr__(self, "init", init)
-
-
-class _RitzAccumulator:
-    """Incremental Rayleigh-Ritz over the span of (query, response) pairs.
-
-    Keeps the orthonormal basis Q (rows), its images MQ and the symmetrized
-    compressed form H = (Q MQ^T + MQ Q^T)/2, preallocated for ``capacity``
-    directions (at most d).  ``add`` orthogonalizes a query against Q and
-    carries its response through the same combinations, then appends one
-    row to Q and MQ and one row and column to H; a query whose residual
-    falls below DEGENERATE_TOL adds nothing.
-    """
-
-    def __init__(self, d: int, capacity: int):
-        rows = min(capacity, d)
-        self._Q = np.empty((rows, d))
-        self._MQ = np.empty((rows, d))
-        self._H = np.empty((rows, rows))
-        self._k = 0
-
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        """v with its component in the span of the accepted queries removed."""
-        return _orthogonalize(self._Q[: self._k], v)[0]
-
-    def add(self, v: np.ndarray, w: np.ndarray) -> None:
-        k = self._k
-        if k == self._Q.shape[0]:
-            return  # the basis already spans every direction it can hold
-        r, img = _orthogonalize(self._Q[:k], v, self._MQ[:k], w)
-        rnorm = np.linalg.norm(r)
-        if rnorm < DEGENERATE_TOL:
-            return
-        self._Q[k] = r / rnorm
-        self._MQ[k] = img / rnorm
-        h = (self._MQ[: k + 1] @ self._Q[k] + self._Q[: k + 1] @ self._MQ[k]) / 2.0
-        self._H[k, : k + 1] = h
-        self._H[: k + 1, k] = h
-        self._k = k + 1
-
-    def top(self) -> Tuple[Optional[np.ndarray], float]:
-        """Top Ritz vector lifted to R^d and its Ritz value; (None, -inf)
-        while no direction has been accepted."""
-        k = self._k
-        if k == 0:
-            return None, -np.inf
-        vals, vecs = np.linalg.eigh(self._H[:k, :k])
-        v_hat = vecs[:, -1] @ self._Q[:k]
-        v_hat /= np.linalg.norm(v_hat)
-        return v_hat, float(vals[-1])
-
-
-def ritz_from_pairs(
-    queries: Sequence[np.ndarray], responses: Sequence[np.ndarray]
-) -> Tuple[Optional[np.ndarray], float]:
-    """Rayleigh-Ritz maximizer over the span of observed query directions.
-
-    Feeds every (query, response) pair to a Ritz accumulator, which
-    orthonormalizes the queries while carrying the responses through the
-    same linear combinations.  Returns the top eigenvector of the
-    compressed form B^T M B lifted back to R^d, plus its Ritz value.
-    Returns (None, -inf) if no direction survives orthonormalization.
-    """
-    if len(queries) == 0:
-        return None, -np.inf
-    acc = _RitzAccumulator(np.shape(queries[0])[0], len(queries))
-    for v, w in zip(queries, responses):
-        acc.add(v, w)
-    return acc.top()
 
 
 def _initial_vector(config: AlgorithmConfig, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,16 +103,14 @@ def _steps(
             yield lambda v=v: (v.copy(), None)
         return
 
-    ritz = _RitzAccumulator(d, T)
     if config.kind == "lanczos":
         direction = v
         for _ in range(T):
             w = session.query(direction)
-            ritz.add(direction, w)
-            yield ritz.top
+            yield session.ritz
             # next direction: response orthogonalized against all prior
             # queries (full reorthogonalization), unit-normalized
-            r = ritz.residual(w)
+            r = session.residual(w)
             rnorm = np.linalg.norm(r)
             if rnorm <= DEGENERATE_TOL * np.linalg.norm(w):  # <=: w = 0 closes too
                 return  # Krylov space closed
@@ -192,9 +119,8 @@ def _steps(
 
     # random-nonadaptive: i.i.d. sphere queries, Ritz over the observed span
     for _ in range(T):
-        direction = sample_uniform_sphere(d, rng)
-        ritz.add(direction, session.query(direction))
-        yield ritz.top
+        session.query(sample_uniform_sphere(d, rng))
+        yield session.ritz
 
 
 def run(

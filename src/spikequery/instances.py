@@ -21,10 +21,11 @@ W as an init-only argument, is checked in full.
 ``make_lazy_spiked`` draws an instance of the same law that never forms M:
 a ``LazySpikedInstance`` draws W only along the directions it is applied
 to, by the GOE's orthogonal invariance, and after k of them holds
-(2k + 1) d floats.  It answers matrix-vector products, and so serves a
-query session, and ``spectral_norm`` solves its operator norm by
-Rayleigh-Ritz on the directions it has revealed, revealing more only where
-their span falls short; it has no dense spectrum.
+(2k + 1) d floats and the k x k compression of M to their span.  It
+answers matrix-vector products, and so serves a query session, and
+``spectral_norm`` solves its operator norm by Rayleigh-Ritz on the
+directions it has revealed, revealing more only where their span falls
+short; it has no dense spectrum.
 """
 
 from __future__ import annotations
@@ -420,18 +421,24 @@ class LazySpikedInstance:
     Every answer is therefore one matrix's, and that matrix has the law of
     ``make_spiked``'s.
 
+    M is known on span(Q) without a reveal: M Q^T s = lam theta <Q theta, s>
+    + U^T s / sqrt(d) (``_image``).  So each reveal also writes the new row
+    and column of the compression H = Q M Q^T, lam <q_j, theta> <b, theta> +
+    <q_j, W b> / sqrt(d), from the coefficients <q_j, W b> it draws W b from,
+    and keeps Q theta.
+
     The instance offers what a ``QuerySession`` reads of a matrix: ``shape``
     and ``@`` on a vector or a (d, m) block, whose columns are applied in
-    order.  After k reveals it holds theta, Q and U, (2k + 1) d floats, and
-    no d x d array.  A session opened on it before its first reveal
-    preallocates min(budget, d) rows of Q and U and takes the rows of Q as
-    its basis, in place: the decomposition above is the session's
-    Gram-Schmidt step.  ``spectral_norm`` reads M on span(Q) from theta, Q
-    and U without a reveal (``_RevealedSpan``), and reserves NORM_SOLVE_ROWS
-    more rows of Q and U at once for the directions its solve reveals.  xi
-    and g are drawn from the instance's generator in the order of the
-    reveals.  The instance changes as it is applied, so
-    one thread uses it at a time.
+    order.  After k reveals it holds theta, Q and U, (2k + 1) d floats, H,
+    k^2 floats, and no d x d array.  A session opened on it before its first
+    reveal preallocates min(budget, d) rows and takes Q, U and H as its
+    basis, images and compression, read through the instance: the
+    decomposition above is the session's Gram-Schmidt step.
+    ``spectral_norm`` solves on span(Q) from H (``_RevealedSpan``), and
+    reserves NORM_SOLVE_ROWS more rows at once for the directions its solve
+    reveals, so the arrays are regrown then.  xi and g are drawn from the
+    instance's generator in the order of the reveals.  The instance changes
+    as it is applied, so one thread uses it at a time.
     """
 
     def __init__(self, theta: np.ndarray, lam: float, seed: Seed = None):
@@ -442,6 +449,8 @@ class LazySpikedInstance:
         self._rng = as_rng(seed)
         self._Q = np.empty((0, theta.shape[0]))
         self._U = np.empty_like(self._Q)
+        self._H = np.empty((0, 0))
+        self._qtheta = np.empty(0)
         self._size = 0
 
     @property
@@ -453,21 +462,26 @@ class LazySpikedInstance:
         return self.dim, self.dim
 
     def _reserve(self, rows: int) -> None:
-        """Make room for ``rows`` revealed directions (at most d) in Q and U.
-        Only the rows in use are copied, so the pages of the rest are not
-        touched before a reveal writes them."""
+        """Make room for ``rows`` revealed directions (at most d) in Q, U, H
+        and Q theta.  Only the rows in use are copied, so the pages of the
+        rest are not touched before a reveal writes them."""
         rows = min(rows, self.dim)
         if rows > len(self._Q):
             k = self._size
-            for name in ("_Q", "_U"):
-                grown = np.empty((rows, self.dim))
-                grown[:k] = getattr(self, name)[:k]
+            for name, shape, in_use in (
+                ("_Q", (rows, self.dim), np.s_[:k]),
+                ("_U", (rows, self.dim), np.s_[:k]),
+                ("_H", (rows, rows), np.s_[:k, :k]),
+                ("_qtheta", (rows,), np.s_[:k]),
+            ):
+                grown = np.empty(shape)
+                grown[in_use] = getattr(self, name)[in_use]
                 setattr(self, name, grown)
 
-    def _reveal(self, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Draw W b for a unit b orthogonal to the rows of Q, append b to Q
-        and W b to U, and return W b and its coefficients <q_j, W b> on the
-        rows of Q, b's included."""
+    def _reveal(self, b: np.ndarray) -> np.ndarray:
+        """Draw W b for a unit b orthogonal to the rows of Q, append b to Q,
+        W b to U and <b, theta> to Q theta, write b's row and column of H,
+        and return W b."""
         k = self._size
         if k == len(self._Q):
             self._reserve(2 * k + 1)
@@ -475,12 +489,26 @@ class LazySpikedInstance:
         Q[k] = b
         g = self._rng.standard_normal(self.dim)
         xi = math.sqrt(2.0) * self._rng.standard_normal()
-        h = np.append(self._U[:k] @ b, xi)
+        h = np.append(self._U[:k] @ b, xi)  # <q_j, W b>, b's included
         wb = h @ Q
         wb += _orthogonalize(Q, g)[0]
         self._U[k] = wb
+        self._qtheta[k] = tb = float(b @ self.theta)
+        row = self._H[k, : k + 1]
+        np.multiply(self._qtheta[: k + 1], self.lam * tb, out=row)
+        row += h / math.sqrt(self.dim)
+        self._H[: k + 1, k] = row
         self._size = k + 1
-        return wb, h
+        return wb
+
+    def _image(self, s: np.ndarray) -> np.ndarray:
+        """M Q^T s, for coefficients s on the first len(s) rows of Q, with no
+        reveal."""
+        k = len(s)
+        w = s @ self._U[:k]
+        w /= math.sqrt(self.dim)
+        w += (self.lam * float(self._qtheta[:k] @ s)) * self.theta
+        return w
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         k = self._size
@@ -488,7 +516,7 @@ class LazySpikedInstance:
         r, img = _orthogonalize(self._Q[:k], v, self._U[:k], np.zeros(self.dim))
         rnorm = np.linalg.norm(r)
         if rnorm > DEGENERATE_TOL * np.linalg.norm(v):
-            img -= rnorm * self._reveal(r / rnorm)[0]
+            img -= rnorm * self._reveal(r / rnorm)
         img /= -math.sqrt(self.dim)
         img += self.lam * float(self.theta @ v) * self.theta
         return img
@@ -700,16 +728,13 @@ class _RevealedSpan:
     """Rayleigh-Ritz on the directions a lazy instance has revealed, and a
     Krylov expansion of them that reveals at most one direction per step.
 
-    With Q the instance's revealed rows and U their images under W, M is
-    known on span(Q) without a reveal:
-
-        M Q^T s = lam theta <Q theta, s> + U^T s / sqrt(d),
-
-    so the compression H = Q M Q^T and the residual of every Ritz vector
-    Q^T s are known too.  H grows by one row, Q M b, per direction b the
-    expansion reveals, read from the coefficients of W b on Q that the
-    reveal computes; the instance's Q is the only basis.  On an instance
-    that has revealed nothing, the span starts from 1/sqrt(d), revealed.
+    M is known on span(Q) without a reveal (``LazySpikedInstance._image``),
+    so the instance's compression H = Q M Q^T and the residual of every
+    Ritz vector Q^T s are known too.  Each direction the expansion reveals
+    adds its row to H, written by the instance's reveal; the instance's Q
+    and H are the only basis and compression, read through the instance
+    since the solve regrows them.  On an instance that has revealed nothing,
+    the span starts from 1/sqrt(d), revealed.
 
     ``expand`` makes one step of Lanczos on K(M, x) from the start vector x
     of ``restart``, with the Lanczos vectors u_j kept as coefficients on the
@@ -724,57 +749,34 @@ class _RevealedSpan:
 
     def __init__(self, inst: LazySpikedInstance):
         self._inst = inst
-        self._scale = math.sqrt(inst.dim)
         inst._reserve(inst._size + NORM_SOLVE_ROWS)  # once for the solve
         if inst._size == 0:
-            inst._reveal(np.full(inst.dim, 1.0 / self._scale))
-        k = inst._size
+            inst._reveal(np.full(inst.dim, 1.0 / math.sqrt(inst.dim)))
         cap = len(inst._Q)
-        self._H = np.empty((cap, cap))
         self._lanczos = np.zeros((cap, cap))  # row j: u_{j+1} on the rows of Q
-        self._qtheta = np.empty(cap)
-        self._qtheta[:k] = inst._Q[:k] @ inst.theta
-        # row i of H holds <q_j, M q_i> for j <= i, mirrored above the diagonal
-        rows = inst._U[:k] @ inst._Q[:k].T
-        rows /= self._scale
-        rows += inst.lam * np.outer(self._qtheta[:k], self._qtheta[:k])
-        self._H[:k, :k] = np.tril(rows) + np.tril(rows, -1).T
-        self.k = k
         self._j = 0  # Lanczos vectors made since the last restart
 
     @property
+    def k(self) -> int:
+        return self._inst._size
+
+    @property
     def H(self) -> np.ndarray:
-        return self._H[: self.k, : self.k]
+        return self._inst._H[: self.k, : self.k]
 
     def _reveal(self, b: np.ndarray) -> None:
-        """Reveal the unit b, orthogonal to Q, and add its row Q M b to H."""
+        """Reveal the unit b, orthogonal to Q; the instance adds its row to H."""
         inst, k = self._inst, self.k
-        h = inst._reveal(b)[1]
-        if k == len(self._H):
+        inst._reveal(b)
+        if k == len(self._lanczos):
             cap = len(inst._Q)
-            for name in ("_H", "_lanczos"):
-                grown = np.zeros((cap, cap))
-                grown[:k, :k] = getattr(self, name)[:k, :k]
-                setattr(self, name, grown)
-            self._qtheta = np.concatenate([self._qtheta[:k], np.empty(cap - k)])
-        self._qtheta[k] = tb = float(b @ inst.theta)
-        row = self._H[k, : k + 1]
-        np.multiply(self._qtheta[: k + 1], inst.lam * tb, out=row)
-        row += h / self._scale
-        self._H[: k + 1, k] = row
-        self.k = k + 1
-
-    def image(self, s: np.ndarray) -> np.ndarray:
-        """M Q^T s, for coefficients s on the rows of Q."""
-        inst, k = self._inst, len(s)
-        w = s @ inst._U[:k]
-        w /= self._scale
-        w += (inst.lam * float(self._qtheta[:k] @ s)) * inst.theta
-        return w
+            grown = np.zeros((cap, cap))
+            grown[:k, :k] = self._lanczos[:k, :k]
+            self._lanczos = grown
 
     def residual(self, s: np.ndarray, value: float) -> float:
         """|M x - value x| for x = Q^T s."""
-        w = self.image(s)
+        w = self._inst._image(s)
         w -= value * (s @ self._inst._Q[: len(s)])
         return math.sqrt(float(w @ w))
 
@@ -789,7 +791,7 @@ class _RevealedSpan:
         Q = self._inst._Q[:k]
         u = self._lanczos[j - 1, :k]
         c = self.H @ u  # M u's coefficients on the span
-        w = self.image(u)
+        w = self._inst._image(u)
         # M u off the span: its known part on the span subtracted, then the
         # rounding left on the span by the kernel
         r = _orthogonalize(Q, w - c @ Q)[0]

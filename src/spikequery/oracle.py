@@ -9,15 +9,21 @@ view.  Queries are orthonormalized on the fly (classical Gram-Schmidt as
 block products against a preallocated basis array, with a second pass only
 where the first cancels most of the query; on a matrix-free instance the
 instance's own decomposition of the query, whose revealed directions are
-the basis), and each step i that adds a basis direction b_i has a
-projected response P_{i-1} M b_i, where P_{i-1} projects onto the
-orthogonal complement of the earlier basis.  Projected responses are
-computed only when read (``TranscriptStep.projected_response``, on a step
-from ``session.projected_view(i)`` or from the sealed transcript), never by
-``session.finalize``: the images of all basis directions not yet imaged
-come from one block product with M, and each is then projected against the
-directions before it.  Raw responses are exactly recoverable from the
-projected records, so the two views carry the same information;
+the basis).  The session keeps one compression of M, H = B M B^T on the
+basis B, grown by one row per query that adds a direction, and the image
+M b_i of each direction: carried from the query's response (or, where
+carrying would lose digits, applied to b_i), or on a matrix-free instance
+read from the noise it drew for b_i.  H is a
+function of the queries and responses alone, so an algorithm may read it:
+``session.ritz()`` is the Rayleigh-Ritz pair of the span of the queries.
+
+Each step i that adds a basis direction b_i has a projected response
+P_{i-1} M b_i, where P_{i-1} projects onto the orthogonal complement of the
+earlier basis.  It is computed when read (``TranscriptStep.
+projected_response``, on a step from ``session.projected_view(i)`` or from
+the sealed transcript), from the carried image and H's column i, with no
+apply of M.  Raw responses are exactly recoverable from the projected
+records, so the two views carry the same information;
 ``reconstruct_raw_responses`` realizes that round trip.
 
 The session object deliberately exposes no handle to M or to the planted
@@ -58,21 +64,29 @@ class SessionFinalizedError(RuntimeError):
 
 
 class _Basis:
-    """The orthonormal basis of a session's queries, in a (capacity, d)
-    array, and the projected response of each row, computed when read.
+    """The orthonormal basis B of a session's queries, as the rows of a
+    (capacity, d) array, their images M b_j, and the compression
+    H = B M B^T, each grown by one row (and H by one column) per query that
+    adds a direction.
 
-    Against a matrix the rows are preallocated here, and each query's
-    direction is its residual against them (``_orthogonalize``), normalized.
-    Against a lazy instance the rows are the instance's own revealed
-    directions, in its storage: applying the instance to a query already
-    decomposes it against them, and reveals its new direction as the next
-    row, or none for a degenerate query.  The instance must have revealed
-    nothing before the session, and be applied to fresh directions only
-    through it while it takes queries.
+    Against a matrix the three are preallocated here.  A query's direction
+    is its residual against the rows (``_orthogonalize``), normalized, and
+    its image is carried from the query's response through the same
+    combinations of the earlier images.  Where the residual keeps less than
+    1/sqrt(2) of the query, carrying would lose the digits that cancel, so M
+    is applied to the direction itself (an apply no query is charged for).
+    Against a lazy instance they are the instance's own: applying it to a
+    query decomposes the query against its revealed directions and reveals
+    its new direction as the next row, or none for a degenerate query,
+    writing that row of H; the images are read from its noise images
+    (``LazySpikedInstance._image``).  They are read through the instance
+    at every use, since its norm solve regrows them.  The instance must
+    have revealed nothing before the session, and be applied to fresh
+    directions only through it while it takes queries.
 
-    Row j's projected response is P_{j-1} M b_j.  A read first fills every
-    row added since the last read: their images under M in one block
-    product, then each image orthogonalized against the rows before it.
+    Row j's projected response P_{j-1} M b_j is its image less its
+    components H[i, j] b_i on the rows before it, computed when read with
+    no apply of M.
     """
 
     def __init__(
@@ -85,7 +99,9 @@ class _Basis:
         self._apply = apply
         self._lazy = lazy
         if lazy is None:
-            self._rows = np.empty((capacity, d))
+            self._Q = np.empty((capacity, d))
+            self._MQ = np.empty((capacity, d))
+            self._H = np.empty((capacity, capacity))
         else:
             if lazy._size:
                 raise ValueError(
@@ -93,10 +109,7 @@ class _Basis:
                     "direction; draw a fresh one with make_lazy_spiked"
                 )
             lazy._reserve(capacity)
-            self._rows = lazy._Q[:capacity]  # a view: shared, not copied
         self._size = 0
-        self._projected = np.empty_like(self._rows)
-        self._projected_size = 0
 
     def __len__(self) -> int:
         return self._size
@@ -104,7 +117,14 @@ class _Basis:
     @property
     def rows(self) -> np.ndarray:
         """The rows in use, as a view."""
-        return self._rows[: self._size]
+        Q = self._Q if self._lazy is None else self._lazy._Q
+        return Q[: self._size]
+
+    @property
+    def H(self) -> np.ndarray:
+        """The compression on the rows in use, as a view."""
+        H = self._H if self._lazy is None else self._lazy._H
+        return H[: self._size, : self._size]
 
     def query(self, v: np.ndarray) -> Tuple[np.ndarray, Optional[int]]:
         """M v, and the index of the row that v's direction off the rows
@@ -121,24 +141,27 @@ class _Basis:
                 return w, None
         else:
             w = self._apply(v)
-            if k == len(self._rows):
+            if k == len(self._Q):
                 return w, None
-            r = _orthogonalize(self.rows, v)[0]
+            r, img = _orthogonalize(self._Q[:k], v, self._MQ[:k], w)
             rnorm = np.linalg.norm(r)
             if rnorm < DEGENERATE_TOL:
                 return w, None
-            self._rows[k] = r / rnorm
+            b = self._Q[k]
+            np.divide(r, rnorm, out=b)
+            self._MQ[k] = img / rnorm if 2.0 * rnorm**2 >= 1.0 else self._apply(b)
+            h = (self._MQ[: k + 1] @ b + self._Q[: k + 1] @ self._MQ[k]) / 2.0
+            self._H[k, : k + 1] = h
+            self._H[: k + 1, k] = h
         self._size = k + 1
         return w, k
 
     def projected(self, j: int) -> np.ndarray:
-        lo, hi = self._projected_size, self._size
-        if lo < hi:
-            images = self._apply(self._rows[lo:hi].T).T
-            for i in range(lo, hi):
-                self._projected[i] = _orthogonalize(self._rows[:i], images[i - lo])[0]
-            self._projected_size = hi
-        return self._projected[j]
+        if self._lazy is None:
+            image = self._MQ[j]
+        else:
+            image = self._lazy._image(np.eye(1, j + 1, j)[0])  # M Q^T e_j
+        return image - self.H[:j, j] @ self.rows[:j]
 
 
 @dataclass(frozen=True)
@@ -146,8 +169,8 @@ class TranscriptStep:
     """The record of one query, made when the query is.  A degenerate step
     adds no basis direction: its ``basis_vector`` is None and its
     ``projected_response`` the zero vector.  Otherwise the projected
-    response is computed on first read, with every other pending step of
-    the session, in one block product."""
+    response is computed at each read, from the session's carried image of
+    the basis vector and its compression."""
 
     step: int
     query: np.ndarray
@@ -168,11 +191,10 @@ class TranscriptStep:
 class Transcript:
     """Sealed record of a finished session: all steps plus the final output.
 
-    It keeps the session's basis, and so its handle to M, from which the
-    projected responses are computed when read.  M must not change
-    meanwhile: an instance's matrix is read-only, ``open_session`` makes
-    a bare matrix read-only too, and a lazy instance draws nothing along
-    directions it has revealed."""
+    It keeps the session's basis, with the images and the compression from
+    which the projected responses are computed when read; no read applies
+    M.  A lazy instance draws nothing along directions it has revealed, so
+    scoring it, which reveals more, leaves those reads unchanged."""
 
     steps: Tuple[TranscriptStep, ...]
     final_output: np.ndarray
@@ -203,10 +225,11 @@ class QuerySession:
     """Single-owner mutable state for one algorithm run against one matrix.
 
     ``query`` records each step as its ``TranscriptStep`` and extends the
-    basis; the projected response of each basis direction waits until it is
-    read.  The basis and the projected responses are preallocated
-    (min(budget, d), d) arrays, so the stored reduced view never exceeds d
-    rows.  ``finalize`` seals the same step records into the transcript.
+    basis, its images and the compression H; the projected response of each
+    basis direction is computed when read.  The basis and its images are
+    preallocated (min(budget, d), d) arrays, and H a square of that many
+    rows, so the stored reduced view never exceeds d rows.  ``finalize``
+    seals the same step records into the transcript.
     """
 
     def __init__(self, matrix: Union[np.ndarray, LazySpikedInstance], budget: int):
@@ -257,6 +280,27 @@ class QuerySession:
         """Orthonormalized query directions accumulated so far, as columns."""
         return self._basis.rows.T.copy()
 
+    def compression(self) -> np.ndarray:
+        """H = B^T M B for the basis B of ``basis()``, as a copy."""
+        return self._basis.H.copy()
+
+    def ritz(self) -> Tuple[Optional[np.ndarray], float]:
+        """The Rayleigh-Ritz maximizer over the span of the queries so far,
+        lifted to R^d, and its Ritz value: the top eigenpair of
+        ``compression()``.  (None, -inf) while no query has added a
+        direction."""
+        if len(self._basis) == 0:
+            return None, -np.inf
+        vals, vecs = np.linalg.eigh(self._basis.H)
+        v_hat = vecs[:, -1] @ self._basis.rows
+        v_hat /= np.linalg.norm(v_hat)
+        return v_hat, float(vals[-1])
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        """v with its component in the span of the queries so far removed
+        (one ``_orthogonalize`` against the basis)."""
+        return _orthogonalize(self._basis.rows, v)[0]
+
     # ------------------------------------------------------------- operations
 
     def query(self, v: np.ndarray) -> np.ndarray:
@@ -281,13 +325,10 @@ class QuerySession:
 
     def projected_view(self, i: int) -> TranscriptStep:
         """The record of step i (1-based), the same object the sealed
-        transcript holds, with its projected response computed (and those of
-        every basis row still pending, in one block product)."""
+        transcript holds; its projected response is computed when read."""
         if not (1 <= i <= self.queries_made):
             raise IndexError(f"step index {i} out of range 1..{self.queries_made}")
-        step = self._steps[i - 1]
-        step.projected_response  # the read images every pending basis row
-        return step
+        return self._steps[i - 1]
 
     def finalize(self, v_hat: np.ndarray, early_termination: bool = False) -> Transcript:
         """Seal the session's step records with its final output.  No
@@ -316,12 +357,12 @@ def open_session(
     """Start a budgeted query session against an instance or a bare matrix.
 
     A bare float matrix is made read-only in place, as an instance's matrix
-    is: the session's transcript reads it again when its projected
-    responses are read.  A lazy instance is queried itself, and must not
-    have revealed a direction yet (ValueError otherwise): its revealed
-    directions become the session's basis, in min(budget, d) rows of its
-    storage made up front, and reading projected responses back draws
-    nothing from it.
+    is, so that every response and carried image of the session is one
+    matrix's.  A lazy instance is queried itself, and must not have revealed
+    a direction yet (ValueError otherwise): its revealed directions, their
+    images and its compression become the session's, in min(budget, d) rows
+    of its storage made up front, and reading projected responses back
+    draws nothing from it.
     """
     if isinstance(inst, SpikedInstance):
         matrix = inst.matrix

@@ -136,14 +136,17 @@ def _binom_se(phat: float, n: int) -> float:
     return math.sqrt(max(phat * (1.0 - phat), 0.0) / n)
 
 
-def _require_fits(what: str, d: int, matrices: int, rows: int = 0) -> None:
+def _require_fits(
+    what: str, d: int, matrices: int, rows: int = 0, floats: int = 0
+) -> None:
     """Raise ValueError when ``matrices`` d x d float64 arrays plus ``rows``
-    more float64 rows of length d are larger than the machine's physical
-    memory, so that the check could never hold them; ``what`` names them in
-    the message.  Platforms without ``os.sysconf`` are not checked."""
+    more float64 rows of length d and ``floats`` more float64s are larger
+    than the machine's physical memory, so that the check could never hold
+    them; ``what`` names them in the message.  Platforms without
+    ``os.sysconf`` are not checked."""
     if not hasattr(os, "sysconf"):
         return
-    need = 8 * d * (matrices * d + rows)
+    need = 8 * (d * (matrices * d + rows) + floats)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
@@ -154,10 +157,10 @@ def _require_fits(what: str, d: int, matrices: int, rows: int = 0) -> None:
 
 #: Arrays of min(T, d) rows of length d that a trial of overlap-growth,
 #: detection-gap or simulate holds per instance: the lazy instance's revealed
-#: directions, which are also the session's basis, and their images, the
-#: session's projected responses, its step records' queries and raw
-#: responses, and the Ritz accumulator's basis and images.
-LAZY_TRIAL_ARRAYS = 7
+#: directions, which are also the session's basis, and their images under
+#: the noise, from which the session reads its basis images, and the
+#: session's step records' queries and raw responses.
+LAZY_TRIAL_ARRAYS = 4
 
 
 def _require_lazy_trials_fit(
@@ -165,24 +168,33 @@ def _require_lazy_trials_fit(
     scored: bool = False,
 ) -> None:
     """_require_fits for n trials of a lazy check, each holding
-    ``per_trial`` instances of LAZY_TRIAL_ARRAYS (min(T, d), d) arrays, on
-    as many threads as map_trials starts with ``workers`` (default: every
-    available core).
+    ``per_trial`` instances of LAZY_TRIAL_ARRAYS (min(T, d), d) arrays and
+    the min(T, d) x min(T, d) compression H, on as many threads as
+    map_trials starts with ``workers`` (default: every available core).
 
     A ``scored`` instance (simulate's) holds min(T, d) + 2 NORM_SOLVE_ROWS
-    rows more: its norm solve regrows the instance's two arrays once, by
-    NORM_SOLVE_ROWS rows, while the session keeps its view of the old
-    directions.  That bounds the solve on spiked instances; on null ones it
-    reveals more rows than it reserves."""
+    rows of length d more: its norm solve regrows the instance's two row
+    arrays once, by NORM_SOLVE_ROWS rows, while the step records keep views
+    of the old directions.  It regrows H to min(T, d) + NORM_SOLVE_ROWS rows
+    too, and keeps the Lanczos coefficients of its expansion in one more
+    square of that size.  That bounds the solve on spiked instances; on null
+    ones it reveals more rows than it reserves."""
     threads = min(n, available_cores() if workers is None else workers)
     rows = min(T, d)
-    solve = rows + 2 * NORM_SOLVE_ROWS if scored else 0
     what = f"{LAZY_TRIAL_ARRAYS} {rows} x {d} arrays"
     if scored:
-        what += f" and {solve} rows of length {d} for the norm solve"
+        solve, square = rows + 2 * NORM_SOLVE_ROWS, rows + NORM_SOLVE_ROWS
+        what += (f", and {solve} rows of length {d} and two {square} x {square} "
+                 f"arrays for the norm solve")
+        floats = 2 * square**2
+    else:
+        solve = 0
+        what += f" and a {rows} x {rows} compression"
+        floats = rows**2
     _require_fits(
         f"{threads} trial threads of {per_trial} lazy instances, each with {what},",
         d, 0, threads * per_trial * (LAZY_TRIAL_ARRAYS * rows + solve),
+        threads * per_trial * floats,
     )
 
 

@@ -9,7 +9,6 @@ from spikequery.algorithms import (
     AlgorithmConfig,
     iterate_candidates,
     queries_to_target,
-    ritz_from_pairs,
     run,
 )
 from spikequery.instances import (
@@ -68,15 +67,26 @@ class TestConfig:
             assert np.array_equal(session.transcript.final_output, out)
 
 
+def session_ritz(m, queries):
+    """The Ritz pair of a session on the bare matrix m after the queries."""
+    session = open_session(m, budget=max(len(queries), 1))
+    for q in queries:
+        session.query(q)
+    return session.ritz()
+
+
 class TestRitzFromPairs:
+    """The session's Ritz pair, read from the compression it grows from its
+    (query, response) pairs."""
+
     def test_empty_pairs(self):
-        vec, val = ritz_from_pairs([], [])
+        vec, val = session_ritz(np.eye(3), [])
         assert vec is None and val == -math.inf
 
     def test_single_pair_is_rayleigh(self):
         inst = diagonal_instance([3.0, 1.0, 0.5])
         q = np.array([3.0, 4.0, 0.0]) / 5.0
-        vec, val = ritz_from_pairs([q], [inst.matrix @ q])
+        vec, val = session_ritz(inst.matrix, [q])
         assert val == pytest.approx(rayleigh(inst.matrix, q))
         assert abs(vec @ q) == pytest.approx(1.0, abs=1e-12)
 
@@ -84,8 +94,7 @@ class TestRitzFromPairs:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6))
         m = (a + a.T) / 2.0
-        qs = [np.eye(6)[j] for j in range(6)]
-        vec, val = ritz_from_pairs(qs, [m @ q for q in qs])
+        vec, val = session_ritz(m, [np.eye(6)[j] for j in range(6)])
         w, v = np.linalg.eigh(m)
         assert val == pytest.approx(w[-1], abs=1e-10)
         assert overlap(vec, v[:, -1]) == pytest.approx(1.0, abs=1e-10)
@@ -93,7 +102,7 @@ class TestRitzFromPairs:
     def test_duplicate_queries_are_harmless(self):
         m = np.diag([2.0, 1.0])
         q = np.eye(2)[0]
-        vec, val = ritz_from_pairs([q, q], [m @ q, m @ q])
+        vec, val = session_ritz(m, [q, q])
         assert val == pytest.approx(2.0)
 
 
@@ -258,9 +267,8 @@ class TestIncrementalRitz:
             vals, vecs = np.linalg.eigh(basis.T @ m @ basis)
             assert overlap(cand, basis @ vecs[:, -1]) >= 1.0 - 1e-10
             assert abs(rayleigh(m, cand) - vals[-1]) <= 1e-10 * norm
-        vec, val = ritz_from_pairs(
-            [st.query for st in steps], [st.raw_response for st in steps]
-        )
+        # a fresh session fed the same queries, one Ritz solve at the end
+        vec, val = session_ritz(m, [st.query for st in steps])
         assert overlap(vec, candidates[-1]) >= 1.0 - 1e-10
         assert abs(val - vals[-1]) <= 1e-10 * norm
 

@@ -350,13 +350,16 @@ def test_extreme_values_exit_without_traceback(argv, capsys):
 @pytest.mark.parametrize("check", ["overlap-growth", "detection-gap"])
 def test_instance_larger_than_memory_is_a_usage_error(check, capsys):
     # one trial thread holds per instance LAZY_TRIAL_ARRAYS (T, d) arrays
+    # and the T x T compression
     code, _, err = run_main(
         ["verify", "--check", check, "--d", "1000000000000", "--quick", "--n", "1"], capsys
     )
     per_trial = {"overlap-growth": 1, "detection-gap": 2}[check]
-    rows = per_trial * LAZY_TRIAL_ARRAYS * QUICK_PARAMS[check]["T"]
+    T = QUICK_PARAMS[check]["T"]
+    need = 8 * per_trial * (10**12 * LAZY_TRIAL_ARRAYS * T + T * T)
     assert code == 2
-    assert f"needs {8 * 10**12 * rows} bytes" in err and "bytes of physical memory" in err
+    assert f"and a {T} x {T} compression" in err
+    assert f"needs {need} bytes" in err and "bytes of physical memory" in err
 
 
 def _physical_memory(monkeypatch, pages):
@@ -368,19 +371,24 @@ def _physical_memory(monkeypatch, pages):
 @pytest.mark.parametrize("jobs, threads", [([], 2), (["--jobs", "1"], 1), (["--jobs", "5"], 3)])
 def test_simulate_larger_than_memory_is_a_usage_error(jobs, threads, monkeypatch, capsys):
     # a trial thread holds LAZY_TRIAL_ARRAYS (T, d) arrays, and T +
-    # 2 NORM_SOLVE_ROWS rows more once the norm solve regrows the instance;
-    # --jobs caps the threads, which are at most the trials and by default
-    # the cores
+    # 2 NORM_SOLVE_ROWS rows more once the norm solve regrows the instance,
+    # with its compression and the solve's Lanczos coefficients, two squares
+    # of T + NORM_SOLVE_ROWS rows; --jobs caps the threads, which are at most
+    # the trials and by default the cores
     monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: set(range(2)))
     _physical_memory(monkeypatch, 1000)
     d, T = 100_000, 6
     code, out, err = run_main(
         ["simulate", "--alg", "power", "--d", str(d), "--lambda", "3", "--T", str(T),
          "--trials", "3"] + jobs, capsys)
-    need = 8 * d * threads * (LAZY_TRIAL_ARRAYS * T + T + 2 * instances.NORM_SOLVE_ROWS)
+    square = T + instances.NORM_SOLVE_ROWS
+    need = 8 * threads * (
+        d * (LAZY_TRIAL_ARRAYS * T + T + 2 * instances.NORM_SOLVE_ROWS) + 2 * square**2
+    )
     assert code == 2 and out == ""
     assert f"needs {need} bytes, more than the 4096000 bytes of physical memory" in err
-    assert f"and {T + 2 * instances.NORM_SOLVE_ROWS} rows of length {d} for the norm solve" in err
+    assert (f"and {T + 2 * instances.NORM_SOLVE_ROWS} rows of length {d} and two "
+            f"{square} x {square} arrays for the norm solve") in err
 
 
 @pytest.mark.parametrize("jobs, threads", [([], 2), (["--jobs", "1"], 1)])

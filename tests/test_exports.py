@@ -1,6 +1,7 @@
 """The package's import surface: every exported name resolves, the
-removed run wrappers, oracle forwarders, second step type and second
-residual tolerance stay removed, and the runtime imports no scipy."""
+removed run wrappers, oracle forwarders, second step type, second
+residual tolerance and Ritz-from-pairs function stay removed, and the
+runtime imports no scipy."""
 
 import os
 import subprocess
@@ -22,7 +23,8 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize(
     "name",
     ["run_power", "run_lanczos", "run_random_nonadaptive", "RUNNERS",
-     "query", "projected_view", "finalize", "ProjectedStep", "BREAKDOWN_TOL"],
+     "query", "projected_view", "finalize", "ProjectedStep", "BREAKDOWN_TOL",
+     "ritz_from_pairs"],
 )
 def test_removed_names_are_gone(name):
     assert name not in spikequery.__all__

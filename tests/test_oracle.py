@@ -63,6 +63,7 @@ def test_session_hides_matrix():
         "basis",
         "basis_size",
         "budget",
+        "compression",
         "dim",
         "finalize",
         "finalized",
@@ -70,6 +71,8 @@ def test_session_hides_matrix():
         "queries_made",
         "query",
         "remaining",
+        "residual",
+        "ritz",
         "transcript",
     }
     for name in ("matrix", "instance", "theta", "noise", "instance_matrix"):
@@ -340,12 +343,10 @@ def test_each_query_applies_matrix_once():
         assert M.columns == [1] * (k + 1)
     assert sess.basis_size == 6
     t = sess.finalize(v)
-    assert M.columns == [1] * 8  # sealing images nothing
-    t.steps[4].projected_response
-    assert M.columns == [1] * 8 + [6]  # one block product for the basis images
+    assert M.columns == [1] * 8  # sealing applies nothing
     for st in t.steps:
-        st.projected_response
-    assert M.columns == [1] * 8 + [6]
+        st.projected_response  # read from the carried images
+    assert M.columns == [1] * 8
 
 
 def test_images_computed_once_across_a_mid_session_read():
@@ -355,18 +356,24 @@ def test_images_computed_once_across_a_mid_session_read():
     rng = np.random.default_rng(24)
     for _ in range(4):
         sess.query(_unit(rng.standard_normal(d)))
-    sess.projected_view(2)
-    sess.projected_view(4)
-    assert M.columns == [1] * 4 + [4]
-    for _ in range(3):
+    early = [sess.projected_view(i).projected_response for i in (2, 4)]
+    assert M.columns == [1] * 4
+    for _ in range(2):
         sess.query(_unit(rng.standard_normal(d)))
+    # a query that keeps less than 1/sqrt(2) of itself off the span: its
+    # carried image would lose the digits that cancel, so its direction is
+    # applied once, as it is added
+    b1 = sess.basis()[:, 0]
+    sess.query(_unit(b1 + 0.1 * _unit(rng.standard_normal(d))))
+    assert sess.basis_size == 7
+    assert M.columns == [1] * 6 + [1, 1]
     t = sess.finalize(_unit(rng.standard_normal(d)))
-    assert M.columns == [1] * 4 + [4] + [1] * 3  # sealing images nothing
-    t.steps[0].projected_response  # imaged already; the read fills the pending rows
-    assert M.columns == [1] * 4 + [4] + [1] * 3 + [3]
     for st in t.steps:
         st.projected_response
-    assert M.columns == [1] * 4 + [4] + [1] * 3 + [3]
+    assert M.columns == [1] * 6 + [1, 1]  # sealing and reading apply nothing
+    for i, y in zip((2, 4), early):
+        assert np.array_equal(t.steps[i - 1].projected_response, y)
+    _assert_projected_match_reference(np.asarray(M), t)
 
 
 def test_bare_matrix_is_read_only_under_a_sealed_transcript():
@@ -570,6 +577,60 @@ def test_lazy_instance_projected_responses_match_its_completed_matrix():
     for st in session.transcript.steps:
         reference = _project_off(session.basis()[:, : st.step - 1], M @ st.basis_vector)
         assert np.max(np.abs(st.projected_response - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["power", "lanczos", "random"])
+def test_dense_compression_is_that_of_the_basis(kind):
+    # H grows from the carried images, which power's near-dependent queries
+    # take from an apply of their directions instead
+    d, T = 300, 40
+    inst = make_spiked(d, 3.0, seed=31)
+    session = open_session(inst, budget=T)
+    v_hat, value = run(session, AlgorithmConfig(kind=kind, seed=32))
+    B, H = session.basis(), session.compression()
+    norm = spectral_norm(inst)
+    assert H.shape == (session.basis_size,) * 2
+    assert np.array_equal(H, H.T)
+    assert np.max(np.abs(H - B.T @ inst.matrix @ B)) <= 1e-12 * norm
+    vec, top = session.ritz()
+    assert top == np.linalg.eigh(H)[0][-1]
+    if kind != "power":
+        assert np.array_equal(vec, v_hat) and top == value
+
+
+@pytest.mark.parametrize("budget", [4, 30])
+@pytest.mark.parametrize("d", [12, 40])
+@pytest.mark.parametrize("kind", ["power", "lanczos", "random"])
+def test_lazy_compression_is_that_of_its_completed_matrix(kind, d, budget):
+    # the compression and projected responses a session reads from the
+    # instance are those of the dense matrix the instance answers for,
+    # completed afterwards along e_1..e_d; scoring, which regrows the
+    # instance's arrays, leaves them as they were
+    inst = make_lazy_spiked(d, 2.5, seed=d + budget)
+    session = open_session(inst, budget=budget)
+    run(session, AlgorithmConfig(kind=kind, seed=7))
+    t = session.transcript
+    H = session.compression()
+    before = [st.projected_response for st in t.steps]
+    score(t, inst)
+    assert len(inst._Q) > min(budget, d) or inst._size == d
+    assert np.array_equal(session.compression(), H)
+    for st, y in zip(t.steps, before):
+        assert np.array_equal(st.projected_response, y)
+    M = np.column_stack([inst @ e for e in np.eye(d)])
+    norm = np.max(np.abs(np.linalg.eigvalsh((M + M.T) / 2)))
+    B = session.basis()
+    assert np.max(np.abs(H - B.T @ M @ B)) <= 1e-12 * norm
+    for st in t.steps:
+        if st.degenerate:
+            continue
+        k = len([s for s in t.steps[: st.step - 1] if not s.degenerate])
+        reference = _project_off(B[:, :k], M @ st.basis_vector)
+        assert np.linalg.norm(st.projected_response - reference) <= 1e-12 * norm
+    # as on a dense matrix; a degenerate query's response is that of its
+    # projection on the span, off by up to DEGENERATE_TOL |W| / sqrt(d)
+    for st, w in zip(t.steps, reconstruct_raw_responses(t)):
+        assert np.linalg.norm(st.raw_response - w) <= 1e-8
 
 
 @pytest.mark.parametrize("budget", [4, 30])

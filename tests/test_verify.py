@@ -588,9 +588,10 @@ class TestLazyInstanceLaw:
 
 def test_lazy_overlap_growth_holds_o_of_T_d_floats(monkeypatch):
     # one trial thread at d = 2e5, where a d x d array would be 320 GB: the
-    # instance, session and Ritz accumulator hold LAZY_TRIAL_ARRAYS = 8
-    # (T, d) arrays, and the passes of a query a few d-vectors more (the
-    # peak measured 10.0 T d 8 B)
+    # instance and the session hold LAZY_TRIAL_ARRAYS = 4 (T, d) arrays (the
+    # revealed directions, their noise images, the queries and the raw
+    # responses), and the passes of a query a few d-vectors more (the peak
+    # measured 6.0 T d 8 B)
     _cores(monkeypatch, 1)
     d, T = 200_000, 5
     tracemalloc.start()
@@ -599,7 +600,8 @@ def test_lazy_overlap_growth_holds_o_of_T_d_floats(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * T * d * 8
+    assert verify.LAZY_TRIAL_ARRAYS == 4
+    assert peak <= 7 * T * d * 8
 
 
 class TestThreadCountInvariance:
