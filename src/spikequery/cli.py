@@ -30,7 +30,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -153,7 +153,11 @@ def _parse_d_grid(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the four subcommands, built on the first call and
+    shared by every later one in the process (``main`` reuses it); parsing
+    leaves it unchanged, and callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="spikequery",
         description="Reproducible experiment runner for the spiked-matrix "

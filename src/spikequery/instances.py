@@ -172,26 +172,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _orthogonalize(
-    Q: np.ndarray,
-    v: np.ndarray,
-    images: Optional[np.ndarray] = None,
-    w: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Residual of v against the orthonormal rows of Q, by classical
-    Gram-Schmidt: one pass, one block ``Q @ r`` and one ``c @ Q`` product,
-    and a second pass only when the first left less than 1/sqrt(2) of v's
-    norm (2 |r|^2 < |v|^2), the reorthogonalization test of Daniel, Gragg,
+def _orthogonalize(Q: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(r, c): the residual r of v against the orthonormal rows of Q, and
+    the coefficients c with r = v - c Q, by classical Gram-Schmidt: one
+    pass, one block ``Q @ r`` and one ``c @ Q`` product, and a second pass
+    only when the first left less than 1/sqrt(2) of v's norm
+    (2 |r|^2 < |v|^2), the reorthogonalization test of Daniel, Gragg,
     Kaufman and Stewart (Math. Comp. 1976).  Where the first pass cancels
     less, its residual is already orthogonal to Q to working precision;
     where it cancels more, the second pass restores that, and a third is
     never needed ("twice is enough": Giraud, Langou and Rozloznik, 2005).
 
-    When images and w are given, the same combinations of the rows of images
-    are subtracted from w, the coefficients of both passes summed into one
-    product: with images[j] = M Q[j] and w = M v, the second return value
-    is M applied to the residual.  Returns fresh arrays; the inputs are not
-    modified.
+    c sums the coefficients of both passes, so a caller that keeps the
+    images M Q[j] as the rows of an array forms M r as M v - c @ images.
+    Returns fresh arrays; the inputs are not modified.
     """
     r = np.array(v, dtype=float)
     vv = float(r @ r)
@@ -201,8 +195,7 @@ def _orthogonalize(
         again = Q @ r
         r -= again @ Q
         c += again
-    img = None if w is None else w - c @ images
-    return r, img
+    return r, c
 
 
 @lru_cache(maxsize=16)
@@ -407,11 +400,17 @@ class LazySpikedInstance:
         W b = sum_j <W q_j, b> q_j + xi b + P g,
 
     since <q_j, W b> = <W q_j, b> for symmetric W, with xi ~ N(0, 2) and
-    g ~ N(0, I_d) fresh draws and P the projection off span(q_j, b).  The
+    g ~ N(0, I_d) fresh draws and P the projection off span(q_j, b).  With
+    b taken as the next direction q_k and h_j = <W q_j, b> for j < k,
+    h_k = xi, that is
+
+        W b = g + sum_j (h_j - <q_j, g>) q_j,
+
+    which ``_reveal`` forms in three passes over the revealed rows.  The
     instance keeps the q_j as the orthonormal rows of Q and the W q_j as the
     rows of U.  Applying M to v = Q^T c + |r| b, with r the residual of v
-    against Q (``_orthogonalize``, which carries the combinations of U
-    along), reveals W b, appends b to Q and W b to U, and returns
+    against Q and c its coefficients (``_orthogonalize``), reveals W b,
+    appends b to Q and W b to U, and returns
 
         lam theta <theta, v> + (U^T c + |r| W b) / sqrt(d).
 
@@ -481,18 +480,34 @@ class LazySpikedInstance:
     def _reveal(self, b: np.ndarray) -> np.ndarray:
         """Draw W b for a unit b orthogonal to the rows of Q, append b to Q,
         W b to U and <b, theta> to Q theta, write b's row and column of H,
-        and return W b."""
+        and return W b.
+
+        With b as Q's row k, W b = g + (h - t) Q for h_j = <W q_j, b> (the
+        fresh xi for j = k) and t = Q g: three passes over the (k, d) rows,
+        U b, Q g and (h - t) Q, with g's projection never formed.  Where
+        that projection cancels most of g (2 (|g|^2 - |t|^2) < |g|^2, the
+        test of ``_orthogonalize``), one pass would leave its residual off
+        orthogonal, and g is left to the kernel, which makes its second
+        pass there."""
         k = self._size
         if k == len(self._Q):
             self._reserve(2 * k + 1)
         Q = self._Q[: k + 1]
         Q[k] = b
         g = self._rng.standard_normal(self.dim)
-        xi = math.sqrt(2.0) * self._rng.standard_normal()
-        h = np.append(self._U[:k] @ b, xi)  # <q_j, W b>, b's included
-        wb = h @ Q
-        wb += _orthogonalize(Q, g)[0]
-        self._U[k] = wb
+        h = np.empty(k + 1)  # <q_j, W b>, b's included
+        np.matmul(self._U[:k], b, out=h[:k])
+        h[k] = math.sqrt(2.0) * self._rng.standard_normal()
+        wb = self._U[k]
+        t = Q @ g
+        gg = float(g @ g)
+        if 2.0 * (gg - float(t @ t)) >= gg:
+            np.subtract(h, t, out=t)
+            np.matmul(t, Q, out=wb)
+            wb += g
+        else:
+            wb[:] = _orthogonalize(Q, g)[0]
+            wb += h @ Q
         self._qtheta[k] = tb = float(b @ self.theta)
         row = self._H[k, : k + 1]
         np.multiply(self._qtheta[: k + 1], self.lam * tb, out=row)
@@ -512,14 +527,14 @@ class LazySpikedInstance:
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         k = self._size
-        # with w = 0, the carried image is -W (v - r)
-        r, img = _orthogonalize(self._Q[:k], v, self._U[:k], np.zeros(self.dim))
+        r, c = _orthogonalize(self._Q[:k], v)
+        wv = c @ self._U[:k]  # W (v - r)
         rnorm = np.linalg.norm(r)
         if rnorm > DEGENERATE_TOL * np.linalg.norm(v):
-            img -= rnorm * self._reveal(r / rnorm)
-        img /= -math.sqrt(self.dim)
-        img += self.lam * float(self.theta @ v) * self.theta
-        return img
+            wv += rnorm * self._reveal(r / rnorm)
+        wv /= math.sqrt(self.dim)
+        wv += self.lam * float(self.theta @ v) * self.theta
+        return wv
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

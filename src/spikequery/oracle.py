@@ -5,15 +5,17 @@ An algorithm interacts with a hidden symmetric matrix M only through
 then commits to a final unit vector via ``session.finalize(v_hat)``.  Each
 charged query applies M once, to v, and leaves one record, a
 ``TranscriptStep``: the query, its raw response, and the equivalent reduced
-view.  Queries are orthonormalized on the fly (classical Gram-Schmidt as
-block products against a preallocated basis array, with a second pass only
-where the first cancels most of the query; on a matrix-free instance the
-instance's own decomposition of the query, whose revealed directions are
-the basis).  The session keeps one compression of M, H = B M B^T on the
-basis B, grown by one row per query that adds a direction, and the image
-M b_i of each direction: carried from the query's response (or, where
-carrying would lose digits, applied to b_i), or on a matrix-free instance
-read from the noise it drew for b_i.  H is a
+view.  Queries are orthonormalized on the fly by one kernel,
+``instances._orthogonalize``: classical Gram-Schmidt as block products
+against a preallocated basis array, with a second pass only where the first
+cancels most of the query, returning the residual and the coefficients it
+took off (on a matrix-free instance, the instance's own decomposition of
+the query, whose revealed directions are the basis).  The session keeps one
+compression of M, H = B M B^T on the basis B, grown by one row per query
+that adds a direction, and the image M b_i of each direction: carried from
+the query's response through those coefficients (or, where carrying would
+lose digits, applied to b_i), or on a matrix-free instance read from the
+noise it drew for b_i.  H is a
 function of the queries and responses alone, so an algorithm may read it:
 ``session.ritz()`` is the Rayleigh-Ritz pair of the span of the queries.
 
@@ -36,6 +38,7 @@ instance (``make_lazy_spiked``) as it scores a dense one.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -71,10 +74,11 @@ class _Basis:
 
     Against a matrix the three are preallocated here.  A query's direction
     is its residual against the rows (``_orthogonalize``), normalized, and
-    its image is carried from the query's response through the same
-    combinations of the earlier images.  Where the residual keeps less than
-    1/sqrt(2) of the query, carrying would lose the digits that cancel, so M
-    is applied to the direction itself (an apply no query is charged for).
+    its image is carried from the query's response w as w - c @ images,
+    with c the coefficients the kernel took off the query.  Where the
+    residual keeps less than 1/sqrt(2) of the query, carrying would lose
+    the digits that cancel, so M is applied to the direction itself (an
+    apply no query is charged for).
     Against a lazy instance they are the instance's own: applying it to a
     query decomposes the query against its revealed directions and reveals
     its new direction as the next row, or none for a degenerate query,
@@ -143,13 +147,16 @@ class _Basis:
             w = self._apply(v)
             if k == len(self._Q):
                 return w, None
-            r, img = _orthogonalize(self._Q[:k], v, self._MQ[:k], w)
+            r, c = _orthogonalize(self._Q[:k], v)
             rnorm = np.linalg.norm(r)
             if rnorm < DEGENERATE_TOL:
                 return w, None
             b = self._Q[k]
             np.divide(r, rnorm, out=b)
-            self._MQ[k] = img / rnorm if 2.0 * rnorm**2 >= 1.0 else self._apply(b)
+            # M r = M v - c (M Q), carried while r keeps its digits
+            self._MQ[k] = (
+                (w - c @ self._MQ[:k]) / rnorm if 2.0 * rnorm**2 >= 1.0 else self._apply(b)
+            )
             h = (self._MQ[: k + 1] @ b + self._Q[: k + 1] @ self._MQ[k]) / 2.0
             self._H[k, : k + 1] = h
             self._H[: k + 1, k] = h
@@ -214,9 +221,13 @@ def _check_query_vector(v: np.ndarray, d: int, what: str = "query") -> np.ndarra
     v = np.asarray(v, dtype=float)
     if v.shape != (d,):
         raise ValueError(f"{what} must be a vector of length {d}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    # one pass: |v| is sqrt(v.dot(v)), as np.linalg.norm computes it, and
+    # the entries need a scan only when that sum is not finite (a NaN or an
+    # inf among them, or finite entries whose squares overflow)
+    s = float(v.dot(v))
+    if not math.isfinite(s) and not np.all(np.isfinite(v)):
         raise ValueError(f"{what} has non-finite entries")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+    if abs(math.sqrt(s) - 1.0) > UNIT_TOL:
         raise ValueError(f"{what} must be unit norm (tol {UNIT_TOL})")
     return v
 

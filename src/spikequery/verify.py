@@ -461,6 +461,19 @@ def _conditional_law_rows(
     return tuple(rows)
 
 
+def _gauss_quadratic_sd(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Standard deviation of each entry of one draw of W v1 (W v2)^T, for W
+    from the GOE and unit v1, v2.  (W v1)_i and (W v2)_j are jointly
+    Gaussian with variances 1 + v1_i^2 and 1 + v2_j^2 and covariance
+    delta_ij <v1, v2> + v2_i v1_j, so by Isserlis the entry's variance is
+    (1 + v1_i^2)(1 + v2_j^2) + (delta_ij <v1, v2> + v2_i v1_j)^2."""
+    cov = np.outer(v2, v1)
+    cov[np.diag_indices(len(v1))] += float(v1 @ v2)
+    var = np.outer(1.0 + v1**2, 1.0 + v2**2)
+    var += cov**2
+    return np.sqrt(var)
+
+
 def verify_gauss_quadratic(
     d: int,
     n: int,
@@ -469,7 +482,11 @@ def verify_gauss_quadratic(
     seed: Seed = None,
     tol: float = 0.05,
 ) -> McReport:
-    """E[W v1 v2^T W] = v2 v1^T + <v1, v2> I, checked entrywise by MC.
+    """E[W v1 v2^T W] = v2 v1^T + <v1, v2> I, checked entrywise by MC: the
+    largest error over the d^2 entries, each in units of its single-draw
+    standard deviation (``_gauss_quadratic_sd``, at least 1), is at most
+    tol.  So every entry is held to the same number of standard errors,
+    tol sqrt(n), as an entry of unit variance.
 
     Chunk j of the n draws (see _chunk_draws) draws from trial_seed(seed, j)
     and sums its own W v1 (W v2)^T; the chunks run through map_trials and
@@ -499,7 +516,8 @@ def verify_gauss_quadratic(
     err /= n  # the empirical E[W v1 v2^T W]; its theory value is taken off
     err -= np.outer(v2, v1)
     err[np.diag_indices(d)] -= float(v1 @ v2)
-    row = one_sided_row("max entry error", float(np.max(np.abs(err))), tol)
+    err /= _gauss_quadratic_sd(v1, v2)
+    row = one_sided_row("max standardized entry error", float(np.max(np.abs(err))), tol)
     return McReport(
         check_name="gauss-quadratic",
         n_samples=n,

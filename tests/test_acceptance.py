@@ -90,7 +90,7 @@ def test_03_conditional_response_law():
 def test_04_gaussian_quadratic_forms():
     """Quadratic-form identities of the GOE at d = 50, n = 100000: empirical
     moments of (v1' W v1, v1' W v2) match (variance 2, variance 1,
-    covariance 0) to max entry error 0.05."""
+    covariance 0) to max standardized entry error 0.05."""
     report = verify_gauss_quadratic(d=50, n=100_000, seed=104)
     for row in report.rows:
         assert row.passed, f"{row.label}: {row.empirical:.5f} > {row.bound:.5f}"

@@ -2,12 +2,18 @@
 shapes, header echoes, reproducibility (including across --jobs), output
 routing, and exit codes (0 pass, 1 check failure, 2 usage/regime error)."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spikequery
 from spikequery import (
     AlgorithmConfig,
     LazySpikedInstance,
@@ -640,3 +646,48 @@ class TestOutputRouting:
                   "--output", str(target)], capsys)
         assert target.exists()
         assert not (tmp_path / "envdir").exists()
+
+
+class TestSharedParser:
+    """``main`` reuses one parser per process; a call must not see what
+    earlier calls parsed, printed or failed on."""
+
+    CALLS = [
+        ["verify", "--check", "conditional-law", "--n", "1"],  # a usage error
+        ["--help"],
+        ["bounds", "--d", "1000", "--lambda", "8", "--T", "2"],
+        ["simulate", "--alg", "power", "--d", "50", "--lambda", "3", "--T", "3",
+         "--trials", "2", "--seed", "4"],
+    ]
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from spikequery import cli
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+    def run_together(self, calls):
+        """(exit code, stdout, stderr) of each call, all made in order in one
+        fresh interpreter."""
+        src = str(Path(spikequery.__file__).resolve().parents[1])
+        env = dict(os.environ, COLUMNS="80",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(calls)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return [tuple(json.loads(line)) for line in done.stdout.splitlines()]
+
+    def test_each_call_answers_as_in_a_fresh_interpreter(self):
+        alone = [self.run_together([argv])[0] for argv in self.CALLS]
+        assert [code for code, _, _ in alone] == [2, 0, 0, 0]
+        assert alone[1][1].startswith("usage: spikequery")
+        assert self.run_together(self.CALLS) == alone
+        assert self.run_together(self.CALLS[::-1]) == alone[::-1]
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()

@@ -310,7 +310,9 @@ def test_orthogonalize_makes_a_second_pass_exactly_when_the_first_cancels(d, k, 
     first = v - (Q @ v) @ Q  # the first pass, as the kernel makes it
     rows = Q.view(_CountingRows)
     rows.passes = 0
-    r, _ = instances._orthogonalize(rows, v)
+    given = v.copy()
+    r, c = instances._orthogonalize(rows, v)
+    assert np.array_equal(v, given)  # the input is not modified
     assert rows.passes == (2 if 2.0 * (first @ first) < v @ v else 1)
     if rho in (0.72, 1.0):  # more than 1/sqrt(2) of v survives the first pass
         assert rows.passes == 1
@@ -320,6 +322,9 @@ def test_orthogonalize_makes_a_second_pass_exactly_when_the_first_cancels(d, k, 
     # orthogonal to the rows within 4 k eps of its own norm (measured: 0.33)
     eps = np.finfo(float).eps
     assert np.max(np.abs(Q @ r)) <= 4 * k * eps * np.linalg.norm(r)
+    # r = v - c Q: c sums both passes' coefficients
+    assert np.max(np.abs(r + c @ Q - v)) <= 1e-14 * np.linalg.norm(v)
+    assert np.max(np.abs(Q @ r)) <= 1e-14 * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("rho", [1.0, 1e-4, 1e-8])
@@ -328,11 +333,10 @@ def test_orthogonalize_carries_images_to_the_residual(d, k, rho):
     Q, v = _kernel_input(d, k, rho, seed=d - k)
     M = sample_goe(d, seed=k) / math.sqrt(d)
     w = M @ v
-    r, img = instances._orthogonalize(Q, v, Q @ M, w)  # row j: M q_j
+    r, c = instances._orthogonalize(Q, v)
+    img = w - c @ (Q @ M)  # row j of Q @ M: M q_j
     scale = np.max(np.abs(np.linalg.eigvalsh(M))) * np.linalg.norm(v)
     assert np.linalg.norm(img - M @ r) <= 1e-12 * scale
-    assert np.array_equal(r, instances._orthogonalize(Q, v)[0])
-    assert np.array_equal(w, M @ v)  # inputs untouched
 
 
 # --------------------------------------------------------- make_lazy_spiked
@@ -351,6 +355,33 @@ def test_lazy_instance_completion_is_symmetric_and_read_back_draws_nothing(d, la
     state = inst._rng.bit_generator.state
     assert np.array_equal(inst @ np.eye(d), M)  # one block of revealed directions
     assert inst._rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("basis", ["standard", "random"])
+@pytest.mark.parametrize("lam", [0.0, 3.0])
+@pytest.mark.parametrize("d", [17, 40])
+def test_lazy_reveal_takes_both_branches_and_keeps_u_exact(d, lam, basis, monkeypatch):
+    # past k = d/2 the fresh draw's projection cancels most of it, and the
+    # reveal hands it to the kernel; before, it makes its three passes
+    kernel_calls = 0
+    kernel = instances._orthogonalize
+
+    def counting(Q, v):
+        nonlocal kernel_calls
+        kernel_calls += 1
+        return kernel(Q, v)
+
+    monkeypatch.setattr(instances, "_orthogonalize", counting)
+    inst = make_lazy_spiked(d, lam, seed=d)
+    O = np.eye(d) if basis == "standard" else np.linalg.qr(
+        np.random.default_rng(d).standard_normal((d, d)))[0]
+    M = (inst @ O) @ O.T
+    assert inst._size == d
+    # one kernel call per apply, and one more per reveal that makes two passes
+    two_pass = kernel_calls - d
+    assert 0 < two_pass < d
+    W = math.sqrt(d) * (M - lam * np.outer(inst.theta, inst.theta))
+    assert np.max(np.abs(inst._U[:d] - inst._Q[:d] @ W)) <= 1e-12
 
 
 def test_lazy_instance_completion_has_goe_entry_variances():

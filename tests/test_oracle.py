@@ -148,6 +148,46 @@ def test_query_rejects_non_unit_and_nonfinite():
         sess.query(np.array([np.nan, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("v, message", [
+    ([np.nan, 0.0, 0.0], "non-finite entries"),
+    ([np.inf, 0.0, 0.0], "non-finite entries"),
+    ([-np.inf, 0.0, 0.0], "non-finite entries"),
+    ([np.inf, -np.inf, 0.0], "non-finite entries"),
+    ([np.nan, np.inf, 1.0], "non-finite entries"),
+    ([1e200, 0.0, 0.0], "unit norm"),  # finite, but its square overflows
+    ([1e200, -1e200, 1.0], "unit norm"),
+    ([1.0, 1.0, 0.0], "unit norm"),
+    ([1.0 + 2e-8, 0.0, 0.0], "unit norm"),
+    ([0.0, 0.0, 0.0], "unit norm"),
+])
+def test_query_check_names_what_is_wrong(v, message):
+    # the squares of 1e200 overflow, with NumPy's warning, as in np.linalg.norm
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=f"query (has|must be) {message}"):
+            oracle._check_query_vector(np.array(v), 3)
+        with pytest.raises(ValueError, match=f"final output (has|must be) {message}"):
+            oracle._check_query_vector(np.array(v), 3, what="final output")
+
+
+def test_query_check_takes_the_unit_norm_as_np_linalg_norm_does():
+    # the check's |v| is sqrt(v.dot(v)), bit for bit np.linalg.norm's, so a
+    # vector at the edge of UNIT_TOL is accepted or refused as before
+    rng = np.random.default_rng(3)
+    for d in (1, 3, 50, 1000):
+        for _ in range(50):
+            v = rng.standard_normal(d)
+            v /= np.linalg.norm(v)
+            v *= 1.0 + rng.uniform(-1.5, 1.5) * oracle.UNIT_TOL
+            assert np.sqrt(v.dot(v)) == np.linalg.norm(v)
+            accepted = abs(np.linalg.norm(v) - 1.0) <= oracle.UNIT_TOL
+            try:
+                oracle._check_query_vector(v, d)
+            except ValueError:
+                assert not accepted
+            else:
+                assert accepted
+
+
 # ------------------------------------------------------------ projected_view
 
 def test_first_projected_equals_raw():

@@ -178,6 +178,41 @@ class TestGaussQuadratic:
         rep = verify_gauss_quadratic(6, 40_000, seed=9, tol=0.1)
         assert rep.passed
 
+    @pytest.mark.parametrize("seed", [273144812, 2047396679, 1131839233])
+    def test_quick_passes_where_the_unstandardized_maximum_failed(self, seed):
+        # entry (0, 1)'s single-draw variance is 4, and the raw maximum read
+        # 0.0513, 0.0511 and 0.0528 at these CLI seeds, past tol 0.05
+        rep = run_check("gauss-quadratic", quick=True, seed=seed)
+        assert rep.passed
+        assert rep.rows[0].label == "max standardized entry error"
+
+    def test_entry_sd_matches_monte_carlo(self):
+        d, n = 4, 200_000
+        rng = np.random.default_rng(60)
+        v1, v2 = unit(rng.standard_normal(d)), unit(rng.standard_normal(d))
+        a = rng.standard_normal((n, d, d))
+        w = (a + a.transpose(0, 2, 1)) / math.sqrt(2.0)  # off-diagonal var 1, diagonal 2
+        products = (w @ v1)[:, :, None] * (w @ v2)[:, None, :]
+        empirical = products.std(axis=0)
+        sd = verify._gauss_quadratic_sd(v1, v2)
+        assert np.all(sd >= 1.0)
+        # the sd of a sample sd is under 1% here
+        assert np.max(np.abs(empirical / sd - 1.0)) < 0.03
+
+    def test_quick_size_still_fails_a_mutated_sampler(self, monkeypatch):
+        goe_batch = verify._goe_batch
+
+        def inflated(*args):
+            w = goe_batch(*args)
+            diagonal = np.einsum("mii->mi", w).copy()
+            w *= 1.1
+            np.einsum("mii->mi", w)[...] = diagonal
+            return w
+
+        monkeypatch.setattr(verify, "_goe_batch", inflated)
+        for seed in (0, 1):
+            assert not run_check("gauss-quadratic", quick=True, seed=seed).passed
+
 
 class TestReductionEvents:
     def test_regime_violation(self):
@@ -410,7 +445,8 @@ class TestStreamedDrawsBitIdentical:
             chunk_rng = as_rng(trial_seed(58, j))
             y1, y2 = verify._goe_matvecs(chunk_rng, min(size, n - start), d, (v1, v2))
             acc += y1.T @ y2
-        err = np.max(np.abs(acc / n - np.outer(v2, v1) - (v1 @ v2) * np.eye(d)))
+        err = acc / n - np.outer(v2, v1) - (v1 @ v2) * np.eye(d)
+        err = np.max(np.abs(err / verify._gauss_quadratic_sd(v1, v2)))
         rep = verify_gauss_quadratic(d, n, v1, v2, seed=58)
         assert rep.rows[0].empirical == float(err)
 
