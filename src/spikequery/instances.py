@@ -484,11 +484,10 @@ class LazySpikedInstance:
 
         With b as Q's row k, W b = g + (h - t) Q for h_j = <W q_j, b> (the
         fresh xi for j = k) and t = Q g: three passes over the (k, d) rows,
-        U b, Q g and (h - t) Q, with g's projection never formed.  Where
-        that projection cancels most of g (2 (|g|^2 - |t|^2) < |g|^2, the
-        test of ``_orthogonalize``), one pass would leave its residual off
-        orthogonal, and g is left to the kernel, which makes its second
-        pass there."""
+        U b, Q g and (h - t) Q.  g's residual against Q is never formed or
+        normalized, only W b, whose entries carry an absolute error of order
+        eps max(|g|, |h|) however much of g the projection cancels, so one
+        pass is enough even when k nears d."""
         k = self._size
         if k == len(self._Q):
             self._reserve(2 * k + 1)
@@ -500,14 +499,9 @@ class LazySpikedInstance:
         h[k] = math.sqrt(2.0) * self._rng.standard_normal()
         wb = self._U[k]
         t = Q @ g
-        gg = float(g @ g)
-        if 2.0 * (gg - float(t @ t)) >= gg:
-            np.subtract(h, t, out=t)
-            np.matmul(t, Q, out=wb)
-            wb += g
-        else:
-            wb[:] = _orthogonalize(Q, g)[0]
-            wb += h @ Q
+        np.subtract(h, t, out=t)
+        np.matmul(t, Q, out=wb)
+        wb += g
         self._qtheta[k] = tb = float(b @ self.theta)
         row = self._H[k, : k + 1]
         np.multiply(self._qtheta[: k + 1], self.lam * tb, out=row)
