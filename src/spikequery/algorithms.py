@@ -9,8 +9,10 @@ subspace it happened to observe.  The Ritz pair is the session's
 (``QuerySession.ritz``): the top eigenpair of the compression H = B^T M B
 that the session grows by one row and column per query from the query and
 its response alone, so the algorithms keep no basis of their own.
-Lanczos's next direction is its response orthogonalized once against the
-session's basis (``QuerySession.residual``).  ``run`` is the one entry
+Lanczos's next direction is its last response off the session's basis
+(``QuerySession.residual``), read from H and the query's coefficients on
+the basis with one pass over it, and a second only where the first cancels
+most of the response.  ``run`` is the one entry
 point for all three kinds: it spends the session's budget and solves the
 Ritz problem once, after the last query, where ``iterate_candidates``
 solves it after every query.
@@ -18,6 +20,7 @@ solves it after every query.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -98,21 +101,23 @@ def _steps(
     if config.kind == "power":
         for _ in range(T):
             w = session.query(v)
-            norm = np.linalg.norm(w)
+            norm = math.sqrt(w.dot(w))
             v = w / norm if norm > 0 else v
             yield lambda v=v: (v.copy(), None)
         return
 
     if config.kind == "lanczos":
         direction = v
-        for _ in range(T):
+        for t in range(T):
             w = session.query(direction)
             yield session.ritz
-            # next direction: response orthogonalized against all prior
-            # queries (full reorthogonalization), unit-normalized
-            r = session.residual(w)
-            rnorm = np.linalg.norm(r)
-            if rnorm <= DEGENERATE_TOL * np.linalg.norm(w):  # <=: w = 0 closes too
+            if t == T - 1:
+                return  # no query follows to take a next direction
+            # next direction: the response off all prior queries' span (full
+            # reorthogonalization), unit-normalized
+            r = session.residual()
+            rnorm = math.sqrt(r.dot(r))
+            if rnorm <= DEGENERATE_TOL * math.sqrt(w.dot(w)):  # <=: w = 0 closes too
                 return  # Krylov space closed
             direction = r / rnorm
         return

@@ -50,11 +50,18 @@ from .bounds import (
     main_theorem_bound,
     min_queries,
 )
-from .instances import as_rng, available_cores, make_lazy_spiked, map_trials, trial_seed
+from .instances import (
+    MemoryLimitError,
+    _require_fits,
+    as_rng,
+    available_cores,
+    make_lazy_spiked,
+    map_trials,
+    trial_seed,
+)
 from .oracle import open_session, score
 from .verify import (
     CHECKS,
-    _require_fits,
     _require_lazy_trials_fit,
     reports_summary,
     reports_to_csv,
@@ -371,7 +378,10 @@ def _column_medians(table) -> np.ndarray:
 
 def cmd_simulate(config: RunConfig) -> str:
     T = config.T
-    results = map_trials(partial(_simulate_trial, config), config.trials, config.jobs)
+    try:  # a norm solve that outgrows the up-front count refuses to grow
+        results = map_trials(partial(_simulate_trial, config), config.trials, config.jobs)
+    except MemoryLimitError as exc:
+        raise UsageError(f"simulate at d={config.d}: {exc}")
 
     columns = ["trial", "T", "rayleigh_ratio", "spike_overlap"] + [
         f"step_overlap_{k}" for k in range(1, T + 1)

@@ -60,7 +60,9 @@ TILE = 128
 DENSE_NORM_MAX_DIM = 256
 
 #: Rows a lazy instance reserves at once, beyond those it has revealed, for
-#: the directions its norm solve reveals (``_RevealedSpan``).  At lam = 3
+#: the directions its norm solve reveals (``_RevealedSpan``).  The solve
+#: reserves them at its first restart, so a span that passes its first
+#: check, such as a converged Lanczos session's, grows nothing.  At lam = 3
 #: the solve revealed at most 24 over 20 seeds each of power and random at
 #: d = 2000, T = 6, 18 after power at d = 10^6, and none after Lanczos at
 #: d = 1000, T = 64; on null instances it reveals more, and the instance
@@ -164,6 +166,29 @@ def _require_symmetric(M: np.ndarray, name: str = "M") -> np.ndarray:
     if not _is_symmetric(M):
         raise ValueError(f"{name} must be exactly symmetric")
     return M
+
+
+class MemoryLimitError(ValueError):
+    """Raised when the arrays a computation would hold are larger than the
+    machine's physical memory, so that it could never finish."""
+
+
+def _require_fits(
+    what: str, d: int, matrices: int, rows: int = 0, floats: int = 0
+) -> None:
+    """Raise MemoryLimitError when ``matrices`` d x d float64 arrays plus
+    ``rows`` more float64 rows of length d and ``floats`` more float64s are
+    larger than the machine's physical memory; ``what`` names them in the
+    message.  Platforms without ``os.sysconf`` are not checked."""
+    if not hasattr(os, "sysconf"):
+        return
+    need = 8 * (d * (matrices * d + rows) + floats)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise MemoryLimitError(
+            f"{what} needs {need} bytes, more than the {have} bytes of "
+            f"physical memory"
+        )
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -424,7 +449,9 @@ class LazySpikedInstance:
     + U^T s / sqrt(d) (``_image``).  So each reveal also writes the new row
     and column of the compression H = Q M Q^T, lam <q_j, theta> <b, theta> +
     <q_j, W b> / sqrt(d), from the coefficients <q_j, W b> it draws W b from,
-    and keeps Q theta.
+    and keeps Q theta.  The eigendecomposition of H is made once per size of
+    H (``_eigh``): a session's Ritz pair and the first check of its norm
+    solve read the same one, and a reveal, which grows H, drops it.
 
     The instance offers what a ``QuerySession`` reads of a matrix: ``shape``
     and ``@`` on a vector or a (d, m) block, whose columns are applied in
@@ -433,11 +460,12 @@ class LazySpikedInstance:
     reveal preallocates min(budget, d) rows and takes Q, U and H as its
     basis, images and compression, read through the instance: the
     decomposition above is the session's Gram-Schmidt step.
-    ``spectral_norm`` solves on span(Q) from H (``_RevealedSpan``), and
-    reserves NORM_SOLVE_ROWS more rows at once for the directions its solve
-    reveals, so the arrays are regrown then.  xi and g are drawn from the
-    instance's generator in the order of the reveals.  The instance changes
-    as it is applied, so one thread uses it at a time.
+    ``spectral_norm`` solves on span(Q) from H (``_RevealedSpan``); a solve
+    that expands the span reserves NORM_SOLVE_ROWS more rows at once for the
+    directions it reveals, so the arrays are regrown then, and a regrowth
+    past physical memory is refused (``MemoryLimitError``).  xi and g are
+    drawn from the instance's generator in the order of the reveals.  The
+    instance changes as it is applied, so one thread uses it at a time.
     """
 
     def __init__(self, theta: np.ndarray, lam: float, seed: Seed = None):
@@ -451,6 +479,7 @@ class LazySpikedInstance:
         self._H = np.empty((0, 0))
         self._qtheta = np.empty(0)
         self._size = 0
+        self._eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def dim(self) -> int:
@@ -463,9 +492,15 @@ class LazySpikedInstance:
     def _reserve(self, rows: int) -> None:
         """Make room for ``rows`` revealed directions (at most d) in Q, U, H
         and Q theta.  Only the rows in use are copied, so the pages of the
-        rest are not touched before a reveal writes them."""
+        rest are not touched before a reveal writes them.  A growth whose
+        arrays are larger than physical memory is refused with
+        MemoryLimitError (``_require_fits``), before anything is allocated."""
         rows = min(rows, self.dim)
         if rows > len(self._Q):
+            _require_fits(
+                f"a lazy instance of dimension {self.dim} grown to {rows} "
+                f"revealed directions", self.dim, 0, 2 * rows, rows * rows + rows,
+            )
             k = self._size
             for name, shape, in_use in (
                 ("_Q", (rows, self.dim), np.s_[:k]),
@@ -508,7 +543,18 @@ class LazySpikedInstance:
         row += h / math.sqrt(self.dim)
         self._H[: k + 1, k] = row
         self._size = k + 1
+        self._eig = None
         return wb
+
+    def _eigh(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of the compression H on the revealed rows, made
+        once per size of H and shared by its readers (read-only)."""
+        if self._eig is None:
+            vals, vecs = np.linalg.eigh(self._H[: self._size, : self._size])
+            vals.setflags(write=False)
+            vecs.setflags(write=False)
+            self._eig = vals, vecs
+        return self._eig
 
     def _image(self, s: np.ndarray) -> np.ndarray:
         """M Q^T s, for coefficients s on the first len(s) rows of Q, with no
@@ -519,16 +565,20 @@ class LazySpikedInstance:
         w += (self.lam * float(self._qtheta[:k] @ s)) * self.theta
         return w
 
-    def _apply(self, v: np.ndarray) -> np.ndarray:
+    def _apply(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(M v, c), with c v's coefficients on the rows of Q after the
+        apply: v = Q^T c to working precision, unless v lay within
+        DEGENERATE_TOL of the span, whose residual c leaves out."""
         k = self._size
         r, c = _orthogonalize(self._Q[:k], v)
         wv = c @ self._U[:k]  # W (v - r)
-        rnorm = np.linalg.norm(r)
-        if rnorm > DEGENERATE_TOL * np.linalg.norm(v):
+        rnorm = math.sqrt(r.dot(r))
+        if rnorm > DEGENERATE_TOL * math.sqrt(v.dot(v)):
             wv += rnorm * self._reveal(r / rnorm)
+            c = np.append(c, rnorm)
         wv /= math.sqrt(self.dim)
         wv += self.lam * float(self.theta @ v) * self.theta
-        return wv
+        return wv, c
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -537,10 +587,10 @@ class LazySpikedInstance:
                 f"M is {self.dim} x {self.dim}; cannot apply it to shape {v.shape}"
             )
         if v.ndim == 1:
-            return self._apply(v)
+            return self._apply(v)[0]
         out = np.empty(v.shape)
         for j in range(v.shape[1]):
-            out[:, j] = self._apply(v[:, j])
+            out[:, j] = self._apply(v[:, j])[0]
         return out
 
     def _rayleigh(self, v: np.ndarray) -> float:
@@ -743,7 +793,10 @@ class _RevealedSpan:
     adds its row to H, written by the instance's reveal; the instance's Q
     and H are the only basis and compression, read through the instance
     since the solve regrows them.  On an instance that has revealed nothing,
-    the span starts from 1/sqrt(d), revealed.
+    the span starts from 1/sqrt(d), revealed.  The first ``restart`` reserves
+    NORM_SOLVE_ROWS rows of the instance and makes the array of Lanczos
+    coefficients, so a span that passes the first check allocates and
+    copies nothing.
 
     ``expand`` makes one step of Lanczos on K(M, x) from the start vector x
     of ``restart``, with the Lanczos vectors u_j kept as coefficients on the
@@ -758,11 +811,10 @@ class _RevealedSpan:
 
     def __init__(self, inst: LazySpikedInstance):
         self._inst = inst
-        inst._reserve(inst._size + NORM_SOLVE_ROWS)  # once for the solve
         if inst._size == 0:
             inst._reveal(np.full(inst.dim, 1.0 / math.sqrt(inst.dim)))
-        cap = len(inst._Q)
-        self._lanczos = np.zeros((cap, cap))  # row j: u_{j+1} on the rows of Q
+        # row j: u_{j+1} on the rows of Q; made at the first restart
+        self._lanczos: Optional[np.ndarray] = None
         self._j = 0  # Lanczos vectors made since the last restart
 
     @property
@@ -791,6 +843,11 @@ class _RevealedSpan:
 
     def restart(self, s: np.ndarray) -> None:
         """Start the Lanczos expansion from the unit vector Q^T s."""
+        if self._lanczos is None:  # the first: reserve once for the solve
+            inst = self._inst
+            inst._reserve(inst._size + NORM_SOLVE_ROWS)
+            cap = len(inst._Q)
+            self._lanczos = np.zeros((cap, cap))
         self._lanczos[0, : len(s)] = s
         self._j = 1
 
@@ -835,15 +892,17 @@ def _revealed_span_norm(inst: LazySpikedInstance) -> float:
     vector, as thick-restart Lanczos does (Wu and Simon, SIAM J. Matrix
     Anal. Appl. 2000).  A power or Lanczos session's span is a Krylov space
     and this restart keeps it one, so there the solve is Lanczos continued
-    from the session's steps.  Once the span is all of R^d (k = d), the
-    norm is that of H.
+    from the session's steps.  Each check reads the instance's
+    eigendecomposition of H (``LazySpikedInstance._eigh``), so the first
+    shares the session's Ritz solve.  Once the span is all of R^d (k = d),
+    the norm is that of H.
     """
     span = _RevealedSpan(inst)
     d = inst.dim
     checks = _Checks(span.k)
     while span.k < d:
         if span.k >= checks.at:
-            vals, vecs = np.linalg.eigh(span.H)
+            vals, vecs = inst._eigh()
             if span.k > 1:  # one Ritz value has no gap to test
                 norm = checks.passed(
                     span.k, vals, lambda i: span.residual(vecs[:, i], vals[i])

@@ -17,7 +17,11 @@ the query's response through those coefficients (or, where carrying would
 lose digits, applied to b_i), or on a matrix-free instance read from the
 noise it drew for b_i.  H is a
 function of the queries and responses alone, so an algorithm may read it:
-``session.ritz()`` is the Rayleigh-Ritz pair of the span of the queries.
+``session.ritz()`` is the Rayleigh-Ritz pair of the span of the queries,
+from one eigendecomposition of H per basis size on a matrix-free instance,
+which its norm solve shares, and ``session.residual()`` the last response
+off that span, w - B^T (H c) for the last query B^T c, with one pass over
+the basis where the query's response alone would take two.
 
 Each step i that adds a basis direction b_i has a projected response
 P_{i-1} M b_i, where P_{i-1} projects onto the orthogonal complement of the
@@ -91,6 +95,10 @@ class _Basis:
     Row j's projected response P_{j-1} M b_j is its image less its
     components H[i, j] b_i on the rows before it, computed when read with
     no apply of M.
+
+    Each query keeps its response w and its coefficients c on the rows (the
+    kernel's, with the new row's |r| appended), so that the response's
+    residual against the rows is read from H (``residual``).
     """
 
     def __init__(
@@ -114,6 +122,9 @@ class _Basis:
                 )
             lazy._reserve(capacity)
         self._size = 0
+        # the last query's response, its coefficients on the rows, and
+        # whether it added a row
+        self._last: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
 
     def __len__(self) -> int:
         return self._size
@@ -140,28 +151,47 @@ class _Basis:
                 raise RuntimeError(
                     "the lazy instance revealed directions outside its session"
                 )
-            w = self._apply(v)
-            if self._lazy._size == k:
-                return w, None
+            w, c = self._lazy._apply(v)
+            added = self._lazy._size > k
         else:
             w = self._apply(v)
-            if k == len(self._Q):
-                return w, None
             r, c = _orthogonalize(self._Q[:k], v)
-            rnorm = np.linalg.norm(r)
-            if rnorm < DEGENERATE_TOL:
-                return w, None
-            b = self._Q[k]
-            np.divide(r, rnorm, out=b)
-            # M r = M v - c (M Q), carried while r keeps its digits
-            self._MQ[k] = (
-                (w - c @ self._MQ[:k]) / rnorm if 2.0 * rnorm**2 >= 1.0 else self._apply(b)
-            )
-            h = (self._MQ[: k + 1] @ b + self._Q[: k + 1] @ self._MQ[k]) / 2.0
-            self._H[k, : k + 1] = h
-            self._H[: k + 1, k] = h
+            rnorm = math.sqrt(r.dot(r))
+            added = rnorm >= DEGENERATE_TOL and k < len(self._Q)
+            if added:
+                b = self._Q[k]
+                np.divide(r, rnorm, out=b)
+                # M r = M v - c (M Q), carried while r keeps its digits
+                self._MQ[k] = (
+                    (w - c @ self._MQ[:k]) / rnorm if 2.0 * rnorm**2 >= 1.0
+                    else self._apply(b)
+                )
+                h = (self._MQ[: k + 1] @ b + self._Q[: k + 1] @ self._MQ[k]) / 2.0
+                self._H[k, : k + 1] = h
+                self._H[: k + 1, k] = h
+                c = np.append(c, rnorm)
+        self._last = w, c, added
+        if not added:
+            return w, None
         self._size = k + 1
         return w, k
+
+    def eigh(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of H: on a lazy instance its own, made once per
+        size of H and shared with its norm solve (read-only)."""
+        if self._lazy is not None:
+            return self._lazy._eigh()
+        return np.linalg.eigh(self.H)
+
+    def residual(self) -> np.ndarray:
+        """The last response less its part on the rows (``QuerySession.
+        residual``)."""
+        w, c, added = self._last
+        B = self.rows
+        r = w - (self.H @ c) @ B
+        if not added or 2.0 * float(r @ r) < float(w @ w):
+            r -= (B @ r) @ B
+        return r
 
     def projected(self, j: int) -> np.ndarray:
         if self._lazy is None:
@@ -221,10 +251,12 @@ def _check_query_vector(v: np.ndarray, d: int, what: str = "query") -> np.ndarra
     v = np.asarray(v, dtype=float)
     if v.shape != (d,):
         raise ValueError(f"{what} must be a vector of length {d}, got shape {v.shape}")
-    # one pass: |v| is sqrt(v.dot(v)), as np.linalg.norm computes it, and
-    # the entries need a scan only when that sum is not finite (a NaN or an
-    # inf among them, or finite entries whose squares overflow)
-    s = float(v.dot(v))
+    # one pass: |v| is sqrt(v v), as np.linalg.norm computes it, and the
+    # entries need a scan only when that sum is not finite (a NaN or an inf
+    # among them, or finite entries whose squares overflow).  np.vdot makes
+    # the same BLAS dot as v.dot but raises no floating-point warning, so an
+    # overflow is an inf here, not NumPy's RuntimeWarning
+    s = float(np.vdot(v, v))
     if not math.isfinite(s) and not np.all(np.isfinite(v)):
         raise ValueError(f"{what} has non-finite entries")
     if abs(math.sqrt(s) - 1.0) > UNIT_TOL:
@@ -299,18 +331,25 @@ class QuerySession:
         """The Rayleigh-Ritz maximizer over the span of the queries so far,
         lifted to R^d, and its Ritz value: the top eigenpair of
         ``compression()``.  (None, -inf) while no query has added a
-        direction."""
+        direction.  On a lazy instance the eigendecomposition is the
+        instance's, which its norm solve reads too."""
         if len(self._basis) == 0:
             return None, -np.inf
-        vals, vecs = np.linalg.eigh(self._basis.H)
+        vals, vecs = self._basis.eigh()
         v_hat = vecs[:, -1] @ self._basis.rows
-        v_hat /= np.linalg.norm(v_hat)
+        v_hat /= math.sqrt(v_hat.dot(v_hat))
         return v_hat, float(vals[-1])
 
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        """v with its component in the span of the queries so far removed
-        (one ``_orthogonalize`` against the basis)."""
-        return _orthogonalize(self._basis.rows, v)[0]
+    def residual(self) -> np.ndarray:
+        """The last query's raw response w with its component in the span of
+        the queries so far removed.  The query is B^T c on the basis B for
+        its coefficients c, so that component is B^T (H c), read from the
+        compression in one pass over the basis; a second pass runs only
+        where 2 |r|^2 < |w|^2, or where the query added no direction
+        (degenerate, or the basis full).  RuntimeError before any query."""
+        if not self._steps:
+            raise RuntimeError("no query made yet: residual() reads the last response")
+        return self._basis.residual()
 
     # ------------------------------------------------------------- operations
 

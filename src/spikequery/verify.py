@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -50,6 +49,7 @@ from .instances import (
     Seed,
     _fill_goe,
     _membership_of_spectrum,
+    _require_fits,
     as_rng,
     available_cores,
     make_lazy_spiked,
@@ -136,25 +136,6 @@ def _binom_se(phat: float, n: int) -> float:
     return math.sqrt(max(phat * (1.0 - phat), 0.0) / n)
 
 
-def _require_fits(
-    what: str, d: int, matrices: int, rows: int = 0, floats: int = 0
-) -> None:
-    """Raise ValueError when ``matrices`` d x d float64 arrays plus ``rows``
-    more float64 rows of length d and ``floats`` more float64s are larger
-    than the machine's physical memory, so that the check could never hold
-    them; ``what`` names them in the message.  Platforms without
-    ``os.sysconf`` are not checked."""
-    if not hasattr(os, "sysconf"):
-        return
-    need = 8 * (d * (matrices * d + rows) + floats)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"{what} needs {need} bytes, more than the {have} bytes of "
-            f"physical memory"
-        )
-
-
 #: Arrays of min(T, d) rows of length d that a trial of overlap-growth,
 #: detection-gap or simulate holds per instance: the lazy instance's revealed
 #: directions, which are also the session's basis, and their images under
@@ -172,13 +153,17 @@ def _require_lazy_trials_fit(
     the min(T, d) x min(T, d) compression H, on as many threads as
     map_trials starts with ``workers`` (default: every available core).
 
-    A ``scored`` instance (simulate's) holds min(T, d) + 2 NORM_SOLVE_ROWS
-    rows of length d more: its norm solve regrows the instance's two row
-    arrays once, by NORM_SOLVE_ROWS rows, while the step records keep views
-    of the old directions.  It regrows H to min(T, d) + NORM_SOLVE_ROWS rows
-    too, and keeps the Lanczos coefficients of its expansion in one more
-    square of that size.  That bounds the solve on spiked instances; on null
-    ones it reveals more rows than it reserves."""
+    A ``scored`` instance (simulate's) is counted with min(T, d) +
+    2 NORM_SOLVE_ROWS rows of length d more: a norm solve whose first check
+    fails regrows the instance's two row arrays once, by NORM_SOLVE_ROWS
+    rows, while the step records keep views of the old directions.  It
+    regrows H to min(T, d) + NORM_SOLVE_ROWS rows too, and keeps the Lanczos
+    coefficients of its expansion in one more square of that size.  A solve
+    that passes its first check, as a converged Lanczos session's does,
+    reserves none of this.  That bounds the solve on spiked instances; on
+    null ones it can reveal more rows than it reserves, and the instance
+    refuses (``MemoryLimitError``) a regrowth past physical memory when it
+    is made (``LazySpikedInstance._reserve``)."""
     threads = min(n, available_cores() if workers is None else workers)
     rows = min(T, d)
     what = f"{LAZY_TRIAL_ARRAYS} {rows} x {d} arrays"

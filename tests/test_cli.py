@@ -371,7 +371,7 @@ def test_instance_larger_than_memory_is_a_usage_error(check, capsys):
 def _physical_memory(monkeypatch, pages):
     """Make the process see ``pages`` pages of 4096 bytes of physical memory."""
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
-    monkeypatch.setattr(verify.os, "sysconf", lambda name: sizes[name])
+    monkeypatch.setattr(instances.os, "sysconf", lambda name: sizes[name])
 
 
 @pytest.mark.parametrize("jobs, threads", [([], 2), (["--jobs", "1"], 1), (["--jobs", "5"], 3)])
@@ -395,6 +395,35 @@ def test_simulate_larger_than_memory_is_a_usage_error(jobs, threads, monkeypatch
     assert f"needs {need} bytes, more than the 4096000 bytes of physical memory" in err
     assert (f"and {T + 2 * instances.NORM_SOLVE_ROWS} rows of length {d} and two "
             f"{square} x {square} arrays for the norm solve") in err
+
+
+def test_simulate_regrowth_past_memory_is_refused_without_a_traceback(monkeypatch, capsys):
+    # the up-front count holds the session and the solve's first reserve;
+    # a null instance's solve reveals more than that reserve and doubles
+    # the instance's arrays, which a machine of 400 pages (1.6 MB) refuses
+    # before allocating them
+    _physical_memory(monkeypatch, 400)
+    d, T = 2000, 6
+    code, out, err = run_main(
+        ["simulate", "--alg", "power", "--d", str(d), "--lambda", "0", "--T", str(T),
+         "--trials", "1", "--jobs", "1"], capsys)
+    rows = 2 * (T + instances.NORM_SOLVE_ROWS) + 1
+    need = 8 * (2 * rows * d + rows * rows + rows)
+    assert code == 2 and out == ""
+    assert err == (f"error: simulate at d={d}: a lazy instance of dimension {d} grown to "
+                   f"{rows} revealed directions needs {need} bytes, more than the "
+                   f"1638400 bytes of physical memory\n")
+
+
+def test_simulate_lets_other_errors_through(monkeypatch):
+    # only the memory refusal becomes an exit code
+    def failing(*args, **kwargs):
+        raise ValueError("not a memory refusal")
+
+    monkeypatch.setattr("spikequery.cli.score", failing)
+    with pytest.raises(ValueError, match="not a memory refusal"):
+        main(["simulate", "--alg", "power", "--d", "50", "--lambda", "3", "--T", "2",
+              "--trials", "1", "--jobs", "1"])
 
 
 @pytest.mark.parametrize("jobs, threads", [([], 2), (["--jobs", "1"], 1)])

@@ -400,6 +400,21 @@ def test_lazy_instance_answers_are_linear_in_the_query():
     assert np.array_equal(inst @ np.zeros(d), np.zeros(d))
 
 
+def test_lazy_instance_refuses_to_grow_past_physical_memory(monkeypatch):
+    # by _require_fits's rule, on Q, U, H and Q theta of the grown size,
+    # before anything is allocated; d = 10^6 is never allocated here
+    d = 10**6
+    inst = LazySpikedInstance(np.eye(1, d, 0)[0], 3.0, seed=1)
+    pages = 8 * (2 * 100 * d + 100 * 100 + 100) // 4096  # short of 100 rows
+    monkeypatch.setattr(instances.os, "sysconf",
+                        lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name])
+    inst._reserve(2)
+    with pytest.raises(instances.MemoryLimitError, match="grown to 100 revealed") as exc:
+        inst._reserve(100)
+    assert isinstance(exc.value, ValueError)
+    assert inst._Q.shape == inst._U.shape == (2, d) and inst._H.shape == (2, 2)
+
+
 def test_lazy_instance_rejects_bad_spikes_and_shapes():
     with pytest.raises(ValueError, match="spike strength"):
         make_lazy_spiked(5, -1.0, seed=0)

@@ -15,6 +15,7 @@ from scipy.stats import norm as normal
 from spikequery import (
     AlgorithmConfig,
     LazySpikedInstance,
+    iterate_candidates,
     make_lazy_spiked,
     make_spiked,
     run,
@@ -161,12 +162,15 @@ def test_query_rejects_non_unit_and_nonfinite():
     ([0.0, 0.0, 0.0], "unit norm"),
 ])
 def test_query_check_names_what_is_wrong(v, message):
-    # the squares of 1e200 overflow, with NumPy's warning, as in np.linalg.norm
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match=f"query (has|must be) {message}"):
-            oracle._check_query_vector(np.array(v), 3)
-        with pytest.raises(ValueError, match=f"final output (has|must be) {message}"):
-            oracle._check_query_vector(np.array(v), 3, what="final output")
+    # the squares of 1e200 overflow: the check raises its ValueError, with no
+    # NumPy RuntimeWarning, which the suite's filterwarnings makes an error
+    with pytest.raises(ValueError, match=f"query (has|must be) {message}"):
+        oracle._check_query_vector(np.array(v), 3)
+    with pytest.raises(ValueError, match=f"final output (has|must be) {message}"):
+        oracle._check_query_vector(np.array(v), 3, what="final output")
+    sess = open_session(np.eye(3), budget=1)
+    with pytest.raises(ValueError, match=message):
+        sess.query(np.array(v))
 
 
 def test_query_check_takes_the_unit_norm_as_np_linalg_norm_does():
@@ -645,15 +649,16 @@ def test_lazy_compression_is_that_of_its_completed_matrix(kind, d, budget):
     # the compression and projected responses a session reads from the
     # instance are those of the dense matrix the instance answers for,
     # completed afterwards along e_1..e_d; scoring, which regrows the
-    # instance's arrays, leaves them as they were
+    # instance's arrays when it reveals a direction, leaves them as they were
     inst = make_lazy_spiked(d, 2.5, seed=d + budget)
     session = open_session(inst, budget=budget)
     run(session, AlgorithmConfig(kind=kind, seed=7))
     t = session.transcript
     H = session.compression()
     before = [st.projected_response for st in t.steps]
+    queried = inst._size
     score(t, inst)
-    assert len(inst._Q) > min(budget, d) or inst._size == d
+    assert inst._size > queried or len(inst._Q) == min(budget, d)
     assert np.array_equal(session.compression(), H)
     for st, y in zip(t.steps, before):
         assert np.array_equal(st.projected_response, y)
@@ -732,9 +737,13 @@ def test_lazy_score_charges_no_query_and_reveals_only_its_solve(kind, d, T, monk
     # their span; a Ritz vector of the queried span never does
     extra = len(reveals) - T
     assert len(solve) <= extra <= len(solve) + (kind == "power")
-    # the instance grew once, by the solve's reservation
+    # the instance grew at most once: by the solve's reservation when the
+    # solve expanded the span, else only for v_hat's direction, by doubling
     assert extra <= instances.NORM_SOLVE_ROWS
-    assert inst._Q.shape == (T + instances.NORM_SOLVE_ROWS, d)
+    if solve:
+        assert inst._Q.shape == (T + instances.NORM_SOLVE_ROWS, d)
+    else:
+        assert inst._Q.shape == (2 * T + 1 if extra else T, d)
     if T == 64:
         assert extra == 0  # a converged Lanczos session is scored with no reveal
     # the queries' directions stay revealed: reading back draws nothing
@@ -742,6 +751,159 @@ def test_lazy_score_charges_no_query_and_reveals_only_its_solve(kind, d, T, monk
     for st in transcript.steps:
         st.projected_response
     assert inst._rng.bit_generator.state == state
+
+
+def test_converged_lanczos_trial_is_scored_with_one_eigensolve_and_no_reserve(monkeypatch):
+    # the session's Ritz pair and the norm solve's first check read one
+    # eigendecomposition of H; a span that passes that check reserves no
+    # rows and makes no Lanczos-coefficient array
+    eighs, reserves, spans = [], [], []
+    eigh, reserve, span_init = (np.linalg.eigh, LazySpikedInstance._reserve,
+                                instances._RevealedSpan.__init__)
+
+    def counting_eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def counting_reserve(self, rows):
+        reserves.append(rows)
+        return reserve(self, rows)
+
+    def keeping_span(self, inst):
+        spans.append(self)
+        span_init(self, inst)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(LazySpikedInstance, "_reserve", counting_reserve)
+    monkeypatch.setattr(instances._RevealedSpan, "__init__", keeping_span)
+    d, T = 1000, 64
+    inst = make_lazy_spiked(d, 3.0, seed=9)
+    session = open_session(inst, budget=T)
+    v_hat, value = run(session, AlgorithmConfig(kind="lanczos", seed=10))
+    assert reserves == [T]  # the session's, at open
+    queried = inst._size
+    s = score(session.transcript, inst)
+    assert inst._size == queried  # converged: nothing revealed
+    assert eighs == [(T, T)]
+    assert reserves == [T] and inst._Q.shape == (T, d)
+    assert len(spans) == 1 and spans[0]._lanczos is None
+    assert s.rayleigh_ratio == pytest.approx(value / spectral_norm(inst), rel=1e-12)
+
+
+def test_norm_solve_that_expands_reserves_once_and_drops_the_shared_eigensolve():
+    # a power session's span fails the first check: the solve reserves its
+    # rows at the restart, and each reveal drops the cached eigensolve
+    d, T = 400, 6
+    inst = make_lazy_spiked(d, 3.0, seed=9)
+    session = open_session(inst, budget=T)
+    run(session, AlgorithmConfig(kind="power", seed=10))
+    first = inst._eigh()
+    assert inst._eigh() is first  # one per size of H
+    norm = spectral_norm(inst)
+    assert inst._size > T
+    assert inst._Q.shape == (T + instances.NORM_SOLVE_ROWS, d)
+    vals, vecs = inst._eigh()
+    assert vals.shape == (inst._size,) and vals is not first[0]
+    assert not vals.flags.writeable and not vecs.flags.writeable
+    H = inst._H[: inst._size, : inst._size]
+    assert np.array_equal(vals, np.linalg.eigh(H)[0])
+    assert abs(norm - max(abs(vals[0]), abs(vals[-1]))) <= 1e-12 * norm
+
+
+def _cgs2_residual_error(session, w):
+    """max |session.residual() - the CGS2 residual of w against the basis|."""
+    reference = instances._orthogonalize(session.basis().T, w)[0]
+    return float(np.max(np.abs(session.residual() - reference)))
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+@pytest.mark.parametrize(
+    "kind, d, lam, T",
+    [("power", 300, 3.0, 20), ("lanczos", 300, 3.0, 40), ("random", 300, 3.0, 20),
+     ("power", 60, 1e4, 40), ("random", 8, 3.0, 14), ("lanczos", 30, 3.0, 40)],
+    ids=["power", "lanczos", "random", "power-degenerate", "random-full",
+         "lanczos-breakdown"],
+)
+def test_residual_is_the_cgs2_residual_of_the_last_response(kind, d, lam, T, lazy):
+    # after every query: near-dependent power queries that turn degenerate,
+    # random queries past a full basis of R^d, Lanczos to its breakdown
+    inst = (make_lazy_spiked if lazy else make_spiked)(d, lam, seed=d + T)
+    session = open_session(inst, budget=T)
+    errors = []
+    for _ in iterate_candidates(session, AlgorithmConfig(kind=kind, seed=3)):
+        w = session.projected_view(session.queries_made).raw_response
+        errors.append(_cgs2_residual_error(session, w))
+    steps = session.transcript.steps if session.finalized else [
+        session.projected_view(i) for i in range(1, session.queries_made + 1)]
+    if lam > 100:  # power converges to within DEGENERATE_TOL of its span
+        assert any(st.degenerate for st in steps)
+    if d < T:
+        assert session.basis_size == d
+    norm = spectral_norm(inst)
+    assert max(errors) <= 1e-12 * norm
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+def test_residual_of_a_repeated_query_is_the_cgs2_residual(lazy):
+    d = 50
+    inst = (make_lazy_spiked if lazy else make_spiked)(d, 3.0, seed=21)
+    session = open_session(inst, budget=4)
+    u, v = sample_uniform_sphere(d, seed=22), sample_uniform_sphere(d, seed=23)
+    errors = []
+    for q in (u, v, u, (u + v) / np.linalg.norm(u + v)):
+        w = session.query(q)
+        errors.append(_cgs2_residual_error(session, w))
+    assert [st.degenerate for st in (session.projected_view(i) for i in range(1, 5))] == [
+        False, False, True, True]
+    assert max(errors) <= 1e-12 * spectral_norm(inst)
+
+
+def test_residual_needs_a_query():
+    with pytest.raises(RuntimeError, match="no query"):
+        open_session(np.eye(3), budget=1).residual()
+
+
+class _CountingRows(np.ndarray):
+    """A view of basis rows that counts the block products made with it."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingRows.products += 1
+        plain = lambda x: x.view(np.ndarray) if isinstance(x, _CountingRows) else x
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(x) for x in kwargs["out"])
+        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+def test_lanczos_residual_makes_one_block_product_fewer(lazy, monkeypatch):
+    # each Lanczos query's next direction: one pass over the basis fewer than
+    # orthogonalizing the response against it, second passes included
+    d, T = 400, 32
+    inst = (make_lazy_spiked if lazy else make_spiked)(d, 3.0, seed=41)
+    session = open_session(inst, budget=T)
+    owner = inst if lazy else session._basis
+    owner._Q = owner._Q.view(_CountingRows)
+    counts = []
+    residual = session.residual
+
+    def counted():
+        w = session.projected_view(session.queries_made).raw_response
+        _CountingRows.products = 0
+        instances._orthogonalize(session._basis.rows, w)
+        kernel = _CountingRows.products
+        _CountingRows.products = 0
+        r = residual()
+        counts.append((kernel, _CountingRows.products))
+        return r
+
+    monkeypatch.setattr(session, "residual", counted)
+    run(session, AlgorithmConfig(kind="lanczos", seed=42))
+    assert len(counts) == T - 1  # none after the last query
+    assert all(new == kernel - 1 for kernel, new in counts)
+    assert {kernel for kernel, _ in counts} == {2, 4}  # second passes are taken
 
 
 @pytest.mark.parametrize("kind", ["power", "lanczos", "random"])
