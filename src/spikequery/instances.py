@@ -224,41 +224,45 @@ def _orthogonalize(Q: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _packed_layout(d: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(index, diagonal) of the d(d+1)/2 packed free entries of a d x d GOE
-    draw: index[r, c] is the position of entry (min(r, c), max(r, c)) of the
-    upper triangle in row-major order, and diagonal the positions of the
-    diagonal entries.  Both are read-only.  They are cached because the GOE
-    checks fill a slab at a time: recomputing them per slab took quick
-    gauss-quadratic from 0.30 to 0.38 s and conditional-law from 0.21 to
-    0.26 s (median of 9, two trial threads, one BLAS thread)."""
-    r = np.arange(d)
-    lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+def _packed_layout(d: int, s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(index, diagonal) of the leading s columns of a d x d GOE draw in its
+    packed free entries: index[r, c] is the position of entry
+    (min(r, c), max(r, c)) of the upper triangle in row-major order, and
+    diagonal the positions of the first s diagonal entries; all lie in the
+    triangle's first s rows.  Both are read-only.  They are cached because
+    the GOE checks fill a slab at a time: recomputing the d x d index per
+    slab of full draws took quick gauss-quadratic from 0.30 to 0.38 s and
+    conditional-law from 0.21 to 0.26 s (median of 9, two trial threads,
+    one BLAS thread)."""
+    r, c = np.arange(d)[:, None], np.arange(s)
+    lo, hi = np.minimum(r, c), np.maximum(r, c)
     index = lo * d - lo * (lo - 1) // 2 + hi - lo
-    diagonal = r * d - r * (r - 1) // 2
+    diagonal = c * d - c * (c - 1) // 2
     index.setflags(write=False)
     diagonal.setflags(write=False)
     return index, diagonal
 
 
 def _fill_goe(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Fill x, a stack of m d x d matrices, with m successive sample_goe
-    draws from rng, and return it.
+    """Fill x, a stack of m d x s arrays, with the leading s columns of m
+    successive GOE draws from rng, and return it.
 
-    When one block of TILE rows holds a whole matrix, the packed draw of all
-    m matrices is made at once, its diagonal entries scaled by sqrt(2), and
-    every entry of x gathered from it by one ``np.take``, which runs without
-    the GIL, so trial threads filling their own draws overlap.  Above TILE
-    the draw is made a block of TILE rows at a time, scattered into the
-    block's upper triangle through a (TILE, d) mask and mirrored tile by
-    tile.  Successive generator draws concatenate, so the result does not
-    depend on TILE.
+    A draw takes from rng only its first p = s d - s(s - 1)/2 free entries,
+    the rows of its packed upper triangle that its s columns read, so at
+    s = d x holds m successive sample_goe draws.  When s < d or one block of
+    TILE rows holds a whole matrix, the p entries of all m draws are made at
+    once, the diagonal ones scaled by sqrt(2), and x gathered from them by
+    one ``np.take``, which runs without the GIL, so trial threads filling
+    their own draws overlap.  A whole matrix above TILE is made a block of
+    TILE rows at a time, scattered into the block's upper triangle through a
+    (TILE, d) mask and mirrored tile by tile.  Successive generator draws
+    concatenate, so the result does not depend on TILE.
     """
-    m, d = x.shape[0], x.shape[-1]
+    m, d, s = x.shape
     root2 = np.sqrt(2.0)
-    if d <= TILE:
-        index, diagonal = _packed_layout(d)
-        z = rng.standard_normal((m, d * (d + 1) // 2))
+    if d <= TILE or s < d:
+        index, diagonal = _packed_layout(d, s)
+        z = rng.standard_normal((m, s * d - s * (s - 1) // 2))
         z[:, diagonal] *= root2
         # mode="clip" writes straight into x; the default would buffer
         np.take(z, index, axis=1, out=x, mode="clip")

@@ -203,26 +203,24 @@ def _concrete_seed(seed: Seed) -> int:
 
 
 #: Elements in one slab of Monte-Carlo draws: the GOE checks draw and apply
-#: max(1, SLAB // d^2) matrices at a time, and a chunk of them holds at
-#: least SLAB // d draws (_chunk_draws); verify_sphere_tail draws
-#: max(1, SLAB // d) Gaussian rows at a time.  The passes over a slab run in
-#: cache.  Measured at the quick parameters (best of 5, one BLAS thread, one
-#: and two trial threads on a 2-core host), gauss-quadratic takes 0.56/0.34,
-#: 0.58/0.28, 0.50/0.30 and 0.51/0.28 s at 2^14, 2^15, 2^16 and 2^17, and
-#: conditional-law 0.42/0.21, 0.34/0.18, 0.40/0.19 and 0.32/0.17 s: level
-#: within the host's noise.  2^15 (256 KiB; 13 draws a slab at d = 50) is
-#: kept because every trial thread holds a slab and a chunk's temporaries,
-#: and on two and on eight threads the tracemalloc peak of quick
-#: conditional-law is 10.3/11.4, 10.0/12.4, 10.8/15.4 and 12.3/16.8 MiB at
-#: the four sizes (its two response arrays take 9.2 MiB).
+#: max(1, SLAB // (d s)) d x s column draws at a time (_goe_matvecs), and a
+#: chunk of them holds at least SLAB // d draws (_chunk_draws).  The passes
+#: over a slab run in cache.  Measured at the quick parameters (best of 5,
+#: one BLAS thread, one and two trial threads on a 2-core host),
+#: gauss-quadratic takes 35/20, 34/19, 34/19 and 34/19 ms at 2^14, 2^15,
+#: 2^16 and 2^17, and conditional-law 33/26, 32/22, 32/22 and 31/23 ms:
+#: level within the host's noise.  2^15 (256 KiB) is kept because every
+#: trial thread holds a slab and a chunk's temporaries, and on eight threads
+#: the tracemalloc peak of quick gauss-quadratic is 5.0, 8.3, 15.2 and
+#: 19.1 MiB at the four sizes (conditional-law's, 11.1 to 15.2 MiB, is mostly
+#: its two 4.6 MiB response arrays).
 SLAB = 2**15
 
 #: Most threads that gauss-quadratic and conditional-law run their chunks
-#: on.  Each thread holds a slab of draws, its packed draw and, in
-#: gauss-quadratic, its chunk's two matvec arrays (at d = 50 about 0.4 and
-#: 0.9 MiB), so the cap keeps a check's memory peak the same on any host
-#: with at least this many cores: 7.6 and 12.4 MiB for quick gauss-quadratic
-#: and conditional-law.
+#: on.  Each thread holds a slab of column draws, its packed draw and, in
+#: gauss-quadratic, its chunk's two matvec arrays (at d = 50, 0.25 MiB
+#: each), so the cap keeps a check's memory peak the same on any host with
+#: at least this many cores.
 SLAB_WORKERS = 8
 
 #: Most chunks the n draws of a GOE check are split into; gauss-quadratic
@@ -245,16 +243,6 @@ def _chunk_draws(n: int, d: int) -> int:
     return max(SLAB // d, d, -(-n // MAX_CHUNKS))
 
 
-def _goe_batch(
-    rng: np.random.Generator, m: int, d: int, slab: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """m GOE draws stacked as an (m, d, d) array, made in the first m
-    matrices of slab when it is given; matrix j equals the j-th of m
-    successive ``sample_goe(d, rng)`` calls.  Meant for slab-sized batches
-    (see _goe_matvecs)."""
-    return _fill_goe(np.empty((m, d, d)) if slab is None else slab[:m], rng)
-
-
 def _goe_matvecs(
     rng: np.random.Generator,
     m: int,
@@ -265,37 +253,39 @@ def _goe_matvecs(
     """W_j @ v for m GOE draws W_j and each v in vectors, one (m, d) array
     per vector, written into the arrays of out when it is given.
 
-    The draws are made a slab of max(1, SLAB // d^2) matrices at a time
-    through _goe_batch, from the same generator in the same order, so every
-    W_j and every W_j @ v is bit-identical to _goe_batch(rng, m, d) @ v;
-    each slab is applied to each vector in one stacked matvec while it is in
-    cache, and no chunk-sized matrix array is formed.  Every slab is made in
-    one buffer, so one slab is held at a time.
+    Only the columns the vectors read are drawn: W_j[:, :s], where s is one
+    more than the last nonzero index over vectors, made by _fill_goe from
+    the first s d - s(s - 1)/2 free entries of each draw, so the entries are
+    exact GOE entries (2d - 1 normals a draw for the default e_1, e_2 in
+    place of d(d + 1)/2), and W_j @ v = W_j[:, :s] @ v[:s].  At s = d, as for
+    any vector of full support, the draws are m successive sample_goe calls
+    and the products W_j @ v, bit for bit.  The draws are made a slab of
+    max(1, SLAB // (d s)) at a time in one buffer, and each slab is applied
+    to each vector in one stacked matvec while it is in cache.
     """
     if out is None:
         out = [np.empty((m, d)) for _ in vectors]
-    step = max(1, SLAB // (d * d))
-    slab = np.empty((min(step, m), d, d))
+    s = 1 + max((int(np.flatnonzero(v).max(initial=0)) for v in vectors), default=0)
+    step = max(1, SLAB // (d * s))
+    slab = np.empty((min(step, m), d, s))
     for k in range(0, m, step):
-        w = _goe_batch(rng, min(step, m - k), d, slab)
+        w = _fill_goe(slab[: min(step, m - k)], rng)
         for y, v in zip(out, vectors):
-            np.matmul(w, v, out=y[k : k + len(w)])
+            np.matmul(w, v[:s], out=y[k : k + len(w)])
     return out
 
 
 def _sphere_overlaps(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """|<e_1, theta_i>| for n uniform unit vectors theta_i = g_i / ||g_i||.
 
-    The (n, d) Gaussian draw is made max(1, SLAB // d) rows at a time, from
-    the same generator in the same order, and only the n overlaps are kept;
-    they are bit-identical to those of one (n, d) draw.
+    Only what the overlap reads is drawn: g_i0 ~ N(0, 1) for all i, then
+    S_i = ||g_i||^2 - g_i0^2 ~ chi^2_{d-1}, independent of g_i0, so a
+    sample takes 2 variates in place of d, and the overlap is
+    |g_i0| / sqrt(g_i0^2 + S_i).
     """
-    overlaps = np.empty(n)
-    step = max(1, SLAB // d)
-    for k in range(0, n, step):
-        g = rng.standard_normal((min(step, n - k), d))
-        overlaps[k : k + len(g)] = np.abs(g[:, 0]) / np.linalg.norm(g, axis=1)
-    return overlaps
+    g0 = rng.standard_normal(n)
+    rest = rng.chisquare(d - 1, n) if d > 1 else 0.0
+    return np.abs(g0) / np.sqrt(g0 * g0 + rest)
 
 
 # ---------------------------------------------------------------- the checks
@@ -347,7 +337,10 @@ def verify_conditional_law(
     responses at different steps should be uncorrelated.  The cross-covariance
     row allows the expected extreme of d^2 null z-scores on top of the 3-sigma
     slack; a literal 3-sigma cap on the max of d^2 entries would false-fail
-    with probability approaching one as d grows.
+    with probability approaching one as d grows.  Each noise draw is only
+    the columns W[:, :s] the queries read (_goe_matvecs): two for the
+    default e_1, e_2, and at s = d, for queries of full support, all of W,
+    bit for bit.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 for sample covariances, got {n}")
@@ -475,7 +468,9 @@ def verify_gauss_quadratic(
 
     Chunk j of the n draws (see _chunk_draws) draws from trial_seed(seed, j)
     and sums its own W v1 (W v2)^T; the chunks run through map_trials and
-    their sums are added in chunk order."""
+    their sums are added in chunk order.  Each draw is only the columns
+    W[:, :s] that v1 and v2 read (_goe_matvecs): two for the default e_1,
+    e_2, and at s = d, for vectors of full support, all of W, bit for bit."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     size = _chunk_draws(n, d)

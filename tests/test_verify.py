@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import beta, ks_2samp, kstest
 
 from spikequery.algorithms import ALGORITHM_KINDS, AlgorithmConfig, run
 from spikequery.bounds import chi_tau_schedule
@@ -200,16 +200,16 @@ class TestGaussQuadratic:
         assert np.max(np.abs(empirical / sd - 1.0)) < 0.03
 
     def test_quick_size_still_fails_a_mutated_sampler(self, monkeypatch):
-        goe_batch = verify._goe_batch
+        fill_goe = verify._fill_goe
 
-        def inflated(*args):
-            w = goe_batch(*args)
-            diagonal = np.einsum("mii->mi", w).copy()
+        def inflated(x, rng):
+            w = fill_goe(x, rng)  # the leading s columns of each draw
+            diagonal = np.einsum("mii->mi", w[:, : w.shape[2]]).copy()
             w *= 1.1
-            np.einsum("mii->mi", w)[...] = diagonal
+            np.einsum("mii->mi", w[:, : w.shape[2]])[...] = diagonal
             return w
 
-        monkeypatch.setattr(verify, "_goe_batch", inflated)
+        monkeypatch.setattr(verify, "_fill_goe", inflated)
         for seed in (0, 1):
             assert not run_check("gauss-quadratic", quick=True, seed=seed).passed
 
@@ -406,8 +406,9 @@ class TestStreamedDrawsBitIdentical:
 
     @pytest.mark.parametrize("m, d, tile", [(13, 50, 128), (3, 50, 37), (2, 129, 64), (1, 300, 128)])
     def test_goe_batch_is_successive_sample_goe(self, m, d, tile, monkeypatch):
+        # the column draw at s = d
         monkeypatch.setattr(instances, "TILE", tile)
-        batch = verify._goe_batch(as_rng(56), m, d)
+        batch = verify._fill_goe(np.empty((m, d, d)), as_rng(56))
         rng = as_rng(56)
         for w in batch:
             assert np.array_equal(w, sample_goe(d, rng))
@@ -472,28 +473,65 @@ class TestStreamedDrawsBitIdentical:
         assert len(expected) > 1
         assert sorted(calls) == sorted(expected)
 
-    # a slab smaller than a row (150 < 200) holds one row
-    @pytest.mark.parametrize(
-        "d, n, slab",
-        [(200, 10_007, None), (60, 10_000, None), (200, 500, 150), (200, 1, None)],
-    )
-    def test_sphere_overlaps(self, d, n, slab, monkeypatch):
-        if slab is not None:
-            monkeypatch.setattr(verify, "SLAB", slab)
-        g = as_rng(54).standard_normal((n, d))
-        reference = np.abs(g[:, 0]) / np.linalg.norm(g, axis=1)
+    @pytest.mark.parametrize("d, n", [(200, 10_007), (60, 10_000), (200, 1), (1, 3)])
+    def test_sphere_overlaps(self, d, n):
+        rng = as_rng(54)
+        g0 = rng.standard_normal(n)
+        norm2 = g0 * g0 + (rng.chisquare(d - 1, n) if d > 1 else 0.0)
+        reference = np.abs(g0) / np.sqrt(norm2)
         assert np.array_equal(verify._sphere_overlaps(as_rng(54), n, d), reference)
 
     def test_sphere_tail_report(self):
         d, n = 200, 10_007
-        g = as_rng(55).standard_normal((n, d))
-        overlaps = np.abs(g[:, 0]) / np.linalg.norm(g, axis=1)
+        rng = as_rng(55)
+        g0 = rng.standard_normal(n)
+        overlaps = np.abs(g0) / np.sqrt(g0 * g0 + rng.chisquare(d - 1, n))
         scaled = math.sqrt(d) * overlaps
         t_grid = (0.5, 1.0, 1.5, 2.0)
         expected = [float(np.mean(scaled >= math.sqrt(2.0) + t)) for t in t_grid]
         expected.append(float(np.mean(overlaps >= math.sqrt(2.0 / d))))
         rep = verify_sphere_tail(d, n, t_grid, seed=55)
         assert [r.empirical for r in rep.rows] == expected
+
+
+class TestColumnDraws:
+    """The GOE checks draw only the leading s columns their vectors read."""
+
+    @pytest.mark.parametrize("d, s", [(1, 1), (50, 1), (50, 2), (50, 49), (130, 3), (300, 299)])
+    def test_packed_layout_is_the_leading_columns(self, d, s):
+        index, diagonal = instances._packed_layout(d, s)
+        full_index, full_diagonal = instances._packed_layout(d, d)
+        assert np.array_equal(index, full_index[:, :s])
+        assert np.array_equal(diagonal, full_diagonal[:s])
+
+    @pytest.mark.parametrize("m, d, s", [(3, 50, 2), (4, 7, 1), (2, 130, 5), (1, 300, 299)])
+    def test_column_draw_is_the_scattered_prefix(self, m, d, s):
+        rng = as_rng(61)
+        z = rng.standard_normal((m, s * d - s * (s - 1) // 2))
+        reference = np.zeros((m, d, s))
+        for j in range(m):
+            pos = 0
+            for r in range(s):  # packed row r holds entries (r, r), ..., (r, d - 1)
+                for c in range(r, d):
+                    value = z[j, pos] * (math.sqrt(2.0) if c == r else 1.0)
+                    reference[j, c, r] = value
+                    if c < s:
+                        reference[j, r, c] = value
+                    pos += 1
+        w = verify._fill_goe(np.empty((m, d, s)), as_rng(61))
+        assert np.array_equal(w, reference)
+        if s > 1:
+            assert np.array_equal(w[:, 1, 0], w[:, 0, 1])
+        # the matvecs of vectors supported on the first s coordinates read them
+        v = [np.eye(d)[0], np.eye(d)[s - 1]]
+        y = verify._goe_matvecs(as_rng(61), m, d, v)
+        assert np.array_equal(y[0], w[:, :, 0]) and np.array_equal(y[1], w[:, :, s - 1])
+
+    @pytest.mark.parametrize("d", [2, 200])
+    def test_sphere_overlap_is_beta_distributed(self, d):
+        # theta_1^2 ~ Beta(1/2, (d - 1)/2) for theta uniform on the sphere
+        overlaps = verify._sphere_overlaps(as_rng(62), 20_000, d)
+        assert kstest(overlaps**2, beta(0.5, (d - 1) / 2.0).cdf).pvalue > 0.01
 
 
 def _quick_peak(name):
