@@ -697,41 +697,59 @@ def _top_index(vals: np.ndarray) -> int:
 
 class _Checks:
     """The convergence checks of a norm solve (``_lanczos_norm``,
-    ``_revealed_span_norm``): the stopping rule, and the basis size ``at``
-    of the next check.
+    ``_revealed_span_extremes``): the stopping rule, and the basis size
+    ``at`` of the next check.
 
     A check reads the Ritz values ``vals`` of the solve's compression
-    (ascending, at least two) and the residual norms ``residual(i)`` of the
-    Ritz vectors at the two ends.  With theta the Ritz value of largest
-    magnitude, r its residual, gap the distance from theta to the nearest
-    other Ritz value, theta' the Ritz value at the other end and r' its
-    residual, the check passes once both
-      - r^2 / gap <= eps |theta|, the quadratic bound on theta's error, with
-        eps the float epsilon, and
+    (ascending, at least two) and the residual norms ``residual(i)`` of
+    their Ritz vectors.  With theta the Ritz value of largest magnitude, r
+    its residual, gap the distance from theta to the nearest other Ritz
+    value, theta' the Ritz value at the other end and r' its residual, the
+    check passes once both
+      - r^2 / gap <= tol |M|, the quadratic bound on theta's error, with |M|
+        the largest Ritz magnitude and tol the float epsilon or ``rtol``, and
       - |theta'| + r' <= |theta|, so theta' cannot overtake theta.
     A failed check sets the next one where the residuals' rates predict the
-    two bounds to hold (``_next_check``).
+    two bounds to hold (``_next_check``), or with ``rtol`` 8 steps on:
+    ``_next_check``'s jumps of up to k overshoot where a residual stalls
+    before it falls, as on null instances.  With ``top`` = 2 the largest
+    Ritz value must also have r^2 / gap <= tol |M| with its own r and gap,
+    and the rule above is applied to the others.
     """
 
-    def __init__(self, first: int):
+    def __init__(self, first: int, rtol: Optional[float] = None, top: int = 1):
         self.at = first
         self._last: Optional[Tuple[int, Tuple[float, float]]] = None
+        self.rtol, self.top = rtol, top
 
-    def passed(
-        self, k: int, vals: np.ndarray, residual: Callable[[int], float]
-    ) -> Optional[float]:
-        """|theta| if the check at basis size k passes, else None."""
-        eps = np.finfo(float).eps
-        top = _top_index(vals)
-        end = len(vals) - 1 - top
-        theta, other = abs(vals[top]), abs(vals[end])
-        gap = float(np.min(np.abs(np.delete(vals, top) - vals[top])))
+    def ends(self, k: int) -> List[int]:
+        """Indices of the ``top`` largest of k ascending values, then the smallest."""
+        return [max(k - 1 - i, 0) for i in range(self.top)] + [0]
+
+    def passed(self, k: int, vals: np.ndarray, residual: Callable[[int], float]) -> bool:
+        """Whether the check at basis size k passes."""
+        tol = np.finfo(float).eps if self.rtol is None else self.rtol
+        scale = max(abs(vals[0]), abs(vals[-1]))
+
+        def gap(i: int) -> float:  # from vals[i] to the nearest other Ritz value
+            return float(np.min(np.abs(np.delete(vals, i) - vals[i])))
+
+        rest = len(vals) - self.top  # the largest value the rule above reads
+        if any(residual(i) ** 2 > tol * scale * gap(i) for i in range(rest + 1, len(vals))):
+            self.at = k + 8
+            return False
+        top = _top_index(vals[: rest + 1])
+        end = rest - top
+        theta, other, g = abs(vals[top]), abs(vals[end]), gap(top)
         now = (residual(top), residual(end))
-        if now[0] ** 2 <= eps * theta * gap and other + now[1] <= theta:
-            return float(theta)
-        goals = (math.sqrt(eps * theta * gap), theta - other)
-        self.at, self._last = _next_check(k, now, goals, self._last), (k, now)
-        return None
+        if now[0] ** 2 <= tol * scale * g and other + now[1] <= theta:
+            return True
+        if self.rtol is None:
+            goals = (math.sqrt(tol * scale * g), theta - other)
+            self.at, self._last = _next_check(k, now, goals, self._last), (k, now)
+        else:
+            self.at = k + 8
+        return False
 
 
 def _lanczos_norm(apply: Callable[[np.ndarray], np.ndarray], d: int) -> float:
@@ -780,9 +798,8 @@ def _lanczos_norm(apply: Callable[[np.ndarray], np.ndarray], d: int) -> float:
         if k < checks.at:
             continue
         vals, vecs = np.linalg.eigh(_tridiagonal(diag, off[:-1]))
-        norm = checks.passed(k, vals, lambda i: beta * abs(vecs[-1, i]))
-        if norm is not None:
-            return norm
+        if checks.passed(k, vals, lambda i: beta * abs(vecs[-1, i])):
+            return float(max(abs(vals[0]), abs(vals[-1])))
     vals = np.linalg.eigvalsh(_tridiagonal(diag, off))
     return float(max(abs(vals[0]), abs(vals[-1])))
 
@@ -885,38 +902,43 @@ class _RevealedSpan:
         self._j = j + 1
 
 
-def _revealed_span_norm(inst: LazySpikedInstance) -> float:
-    """Largest eigenvalue magnitude of a lazy instance's matrix, by
-    Rayleigh-Ritz on the span of the directions it has revealed.
+def _revealed_span_extremes(
+    inst: LazySpikedInstance, rtol: Optional[float] = None, top: int = 1
+) -> np.ndarray:
+    """[lam_1, ..., lam_top, lam_d] of a lazy instance's matrix, by
+    Rayleigh-Ritz on the span of the directions it has revealed, at the
+    first check (``_Checks``) that passes: at top = 1 the norm's stopping
+    rule, which certifies the largest magnitude, and at top = 2 also lam_1
+    and rest = max(lam_2, -lam_d), to eps or to ``rtol`` |M|.
 
-    The first check (``_Checks``) is made on the span as it stands, so a
-    span that already meets the stopping rule, such as a converged Lanczos
-    session's, is scored with no reveal.  After each check that fails, the
-    expansion (``_RevealedSpan.expand``) restarts from the span's top Ritz
-    vector, as thick-restart Lanczos does (Wu and Simon, SIAM J. Matrix
-    Anal. Appl. 2000).  A power or Lanczos session's span is a Krylov space
-    and this restart keeps it one, so there the solve is Lanczos continued
-    from the session's steps.  Each check reads the instance's
-    eigendecomposition of H (``LazySpikedInstance._eigh``), so the first
-    shares the session's Ritz solve.  Once the span is all of R^d (k = d),
-    the norm is that of H.
+    The first check is made on the span as it stands, so a span that
+    already meets it, such as a converged Lanczos session's, is solved with
+    no reveal.  After each check that fails, the expansion
+    (``_RevealedSpan.expand``) restarts from the span's top Ritz vector, as
+    thick-restart Lanczos does (Wu and Simon, SIAM J. Matrix Anal. Appl.
+    2000), or with ``rtol`` from the last revealed direction: once lam_1
+    has converged, M adds almost nothing new to its Ritz vector, and
+    expanding from it stalled lam_2 and lam_d until k = d.  A power or
+    Lanczos session's span is a Krylov space and both restarts keep it one,
+    so there the solve is Lanczos continued from the session's steps.  Each
+    check reads the instance's eigendecomposition of H
+    (``LazySpikedInstance._eigh``), so the first shares the session's Ritz
+    solve.  At k = d the values are those of H.
     """
     span = _RevealedSpan(inst)
     d = inst.dim
-    checks = _Checks(span.k)
+    checks = _Checks(span.k, rtol, top)
     while span.k < d:
         if span.k >= checks.at:
             vals, vecs = inst._eigh()
-            if span.k > 1:  # one Ritz value has no gap to test
-                norm = checks.passed(
-                    span.k, vals, lambda i: span.residual(vecs[:, i], vals[i])
-                )
-                if norm is not None:
-                    return norm
-            span.restart(vecs[:, _top_index(vals)])
+            if span.k > 1 and checks.passed(  # one Ritz value has no gap to test
+                span.k, vals, lambda i: span.residual(vecs[:, i], vals[i])
+            ):
+                return vals[checks.ends(span.k)]
+            span.restart(vecs[:, _top_index(vals)] if rtol is None
+                         else np.eye(1, span.k, span.k - 1)[0])
         span.expand()
-    vals = np.linalg.eigvalsh(span.H)
-    return float(max(abs(vals[0]), abs(vals[-1])))
+    return np.linalg.eigvalsh(span.H)[checks.ends(d)]
 
 
 def spectral_norm(M: Union[SpikedInstance, LazySpikedInstance, np.ndarray]) -> float:
@@ -929,7 +951,7 @@ def spectral_norm(M: Union[SpikedInstance, LazySpikedInstance, np.ndarray]) -> f
     eigenvalue, which is the operator norm by definition; the two agree to
     about 1e-14 relative on symmetric input.
 
-    A lazy instance is solved at every d by ``_revealed_span_norm``:
+    A lazy instance is solved at every d by ``_revealed_span_extremes``:
     Rayleigh-Ritz on the directions it has revealed, a session's queries
     among them, grown one revealed direction at a time along a Krylov
     space, with ``_lanczos_norm``'s stopping rule.  So the norm is that of
@@ -938,7 +960,7 @@ def spectral_norm(M: Union[SpikedInstance, LazySpikedInstance, np.ndarray]) -> f
     instance's generator.
     """
     if isinstance(M, LazySpikedInstance):
-        return _revealed_span_norm(M)
+        return float(np.max(np.abs(_revealed_span_extremes(M))))
     M = M.matrix if isinstance(M, SpikedInstance) else _require_symmetric(M)
     d = M.shape[0]
     if d <= DENSE_NORM_MAX_DIM:

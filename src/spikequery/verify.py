@@ -19,10 +19,12 @@ Trial or chunk j draws from its own trial_seed(seed, j) stream, and the
 results are combined in index order, so a report is byte-identical for any
 number of threads.  sphere-tail and kd run in the calling thread.
 
-overlap-growth and detection-gap read only a run's transcript, theta and
-Ritz value, so their trials query matrix-free instances
-(``make_lazy_spiked``): a trial holds O(T d) floats and no d x d array, and
---d reaches 10^6.  reduction-events reads dense spectra and stays dense.
+The per-instance checks and kd query matrix-free instances
+(``make_lazy_spiked``): a trial holds O(k d) floats for the k directions
+its instance reveals, and no d x d array.  overlap-growth and detection-gap
+read only a run's transcript, theta and Ritz value, so k is the budget T
+and --d reaches 10^6; reduction-events and kd read extreme eigenvalues,
+certified to SPECTRUM_RTOL |M| on a few dozen Krylov directions.
 """
 
 from __future__ import annotations
@@ -45,19 +47,15 @@ from .bounds import (
 from .divergences import TruncationEvent
 from .instances import (
     NORM_SOLVE_ROWS,
-    SPECTRUM_DIM_CAP,
     Seed,
     _fill_goe,
     _membership_of_spectrum,
     _require_fits,
+    _revealed_span_extremes,
     as_rng,
     available_cores,
     make_lazy_spiked,
-    make_spiked,
     map_trials,
-    sample_goe,
-    sample_uniform_sphere,
-    spectral_norm,
     trial_seed,
 )
 from .oracle import open_session
@@ -137,10 +135,10 @@ def _binom_se(phat: float, n: int) -> float:
 
 
 #: Arrays of min(T, d) rows of length d that a trial of overlap-growth,
-#: detection-gap or simulate holds per instance: the lazy instance's revealed
-#: directions, which are also the session's basis, and their images under
-#: the noise, from which the session reads its basis images, and the
-#: session's step records' queries and raw responses.
+#: detection-gap, reduction-events or simulate holds per instance: the lazy
+#: instance's revealed directions, which are also the session's basis, and
+#: their images under the noise, from which the session reads its basis
+#: images, and the session's step records' queries and raw responses.
 LAZY_TRIAL_ARRAYS = 4
 
 
@@ -153,17 +151,18 @@ def _require_lazy_trials_fit(
     the min(T, d) x min(T, d) compression H, on as many threads as
     map_trials starts with ``workers`` (default: every available core).
 
-    A ``scored`` instance (simulate's) is counted with min(T, d) +
-    2 NORM_SOLVE_ROWS rows of length d more: a norm solve whose first check
-    fails regrows the instance's two row arrays once, by NORM_SOLVE_ROWS
-    rows, while the step records keep views of the old directions.  It
-    regrows H to min(T, d) + NORM_SOLVE_ROWS rows too, and keeps the Lanczos
-    coefficients of its expansion in one more square of that size.  A solve
-    that passes its first check, as a converged Lanczos session's does,
-    reserves none of this.  That bounds the solve on spiked instances; on
-    null ones it can reveal more rows than it reserves, and the instance
-    refuses (``MemoryLimitError``) a regrowth past physical memory when it
-    is made (``LazySpikedInstance._reserve``)."""
+    A ``scored`` instance (simulate's, reduction-events') is counted with
+    min(T, d) + 2 NORM_SOLVE_ROWS rows of length d more: a norm solve whose
+    first check fails regrows the instance's two row arrays once, by
+    NORM_SOLVE_ROWS rows, while the step records keep views of the old
+    directions.  It regrows H to min(T, d) + NORM_SOLVE_ROWS rows too, and
+    keeps the Lanczos coefficients of its expansion in one more square of
+    that size.  A solve that passes its first check, as a converged Lanczos
+    session's does, reserves none of this.  That bounds simulate's norm
+    solve on spiked instances; on null ones, and to SPECTRUM_RTOL, a solve
+    can reveal more rows than it reserves, and the instance refuses
+    (``MemoryLimitError``) a regrowth past physical memory when it is made
+    (``LazySpikedInstance._reserve``)."""
     threads = min(n, available_cores() if workers is None else workers)
     rows = min(T, d)
     what = f"{LAZY_TRIAL_ARRAYS} {rows} x {d} arrays"
@@ -181,6 +180,19 @@ def _require_lazy_trials_fit(
         d, 0, threads * per_trial * (LAZY_TRIAL_ARRAYS * rows + solve),
         threads * per_trial * floats,
     )
+
+
+#: Tolerance, relative to |M|, to which reduction-events and kd certify the
+#: extreme eigenvalues they read: four orders of magnitude below the
+#: Tracy-Widom scale d^(-2/3) of the spectral edge at the checks' sizes.
+SPECTRUM_RTOL = 1e-6
+
+
+def _null_norms(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """||W|| / sqrt(d) of n lazy null instances drawn in turn from rng, each
+    certified to SPECTRUM_RTOL."""
+    return np.array([np.max(np.abs(_revealed_span_extremes(
+        make_lazy_spiked(d, 0.0, rng), SPECTRUM_RTOL))) for _ in range(n)])
 
 
 def _unit_vector(d: int, i: int) -> np.ndarray:
@@ -554,20 +566,25 @@ def verify_reduction_events(
     frequency >= 1 - 2 delta0 - 3 stderr.  A deterministic grid sub-check of
     the overlap lemma at d=3 runs alongside.
 
+    A trial's Lanczos run queries a matrix-free instance (make_lazy_spiked),
+    whose Krylov space the trial continues until lam_1 and
+    rest = max(lam_2, -lam_d), all that (1) and (2) read, are certified to
+    SPECTRUM_RTOL |M|.  K_d is the mean of 10 null norms (_null_norms).
+
     Trial i draws from trial_seed(seed, i); the K_d estimate draws from the
     base stream as_rng(seed) and the d=3 grid from trial_seed(seed, n), the
     first spawn child no trial uses, so no two of them share a stream.
     """
     if not (0 < delta0 < 1):
         raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
-    if d > SPECTRUM_DIM_CAP:  # the dense spectrum oracle's cap
-        raise ValueError(f"spectrum oracle capped at d <= {SPECTRUM_DIM_CAP}, got {d}")
+    if d < 2:  # events (1) and (2) read lam_2
+        raise ValueError(f"reduction-events needs d >= 2, got {d}")
+    _require_lazy_trials_fit(d, lanczos_budget, n, 1, scored=True)
     seed = _concrete_seed(seed)
     rng = as_rng(seed)
     dev = 2.0 * math.sqrt(math.log(1.0 / delta0) / d)
 
-    kd_draws = [spectral_norm(sample_goe(d, rng)) / math.sqrt(d) for _ in range(10)]
-    kd_hat = float(np.mean(kd_draws))
+    kd_hat = float(np.mean(_null_norms(d, 10, rng)))
     if lam <= kd_hat + dev:
         raise ValueError(
             f"regime violation: need lam > K_d + deviation = {kd_hat + dev:.4f}, "
@@ -577,19 +594,19 @@ def verify_reduction_events(
 
     def trial(i: int) -> Tuple[bool, bool, bool]:
         t_rng = as_rng(trial_seed(seed, i))
-        inst = make_spiked(d, lam, seed=t_rng)
-        # both spectral items read only eigenvalues, so one eigvalsh (no
-        # eigenvectors) serves them; reversed to descending order
-        vals = np.linalg.eigvalsh(inst.matrix)[::-1]
+        inst = make_lazy_spiked(d, lam, seed=t_rng)
+        session = open_session(inst, budget=min(lanczos_budget, d))
+        v_hat, _ = run(session, AlgorithmConfig(kind="lanczos", seed=t_rng))
+        # [lam_1, lam_2, lam_d]: the spectral items read only lam_1 and
+        # rest = max(lam_2, -lam_d), since the others lie between them
+        vals = _revealed_span_extremes(inst, SPECTRUM_RTOL, top=2)
         top = float(vals[0])
         rest = float(np.max(np.abs(vals[1:])))
         item1 = top >= lam - dev and rest <= kd_hat + dev
         item2 = _membership_of_spectrum(vals, gamma).is_member
 
-        session = open_session(inst, budget=min(lanczos_budget, d))
-        v_hat, _ = run(session, AlgorithmConfig(kind="lanczos", seed=t_rng))
-        quad = float(inst.theta @ inst.matrix @ inst.theta)
-        eps_hat = max(0.0, 1.0 - float(v_hat @ inst.matrix @ v_hat) / quad)
+        quad = inst._rayleigh(inst.theta)
+        eps_hat = max(0.0, 1.0 - inst._rayleigh(v_hat) / quad)
         if eps_hat > gamma:
             item3 = True  # outside the overlap lemma's regime
         else:
@@ -765,6 +782,9 @@ def verify_kd(
     Gaussian-Lipschitz cap sqrt(2/d) with a 1.6x allowance for estimating a
     standard deviation from few samples.  The trend toward 2 is reported in
     the notes, not asserted.
+
+    The norms are those of matrix-free null instances (_null_norms), solved
+    by Lanczos from 1/sqrt(d) and drawn in turn from the base stream.
     """
     if n < 10:
         raise ValueError(f"need n >= 10, got {n}")
@@ -773,9 +793,7 @@ def verify_kd(
     rows = []
     means = []
     for d in d_grid:
-        norms = np.array(
-            [spectral_norm(sample_goe(d, rng)) / math.sqrt(d) for _ in range(n)]
-        )
+        norms = _null_norms(d, n, rng)
         mean = float(norms.mean())
         se = float(norms.std(ddof=1) / math.sqrt(n))
         means.append((d, mean))

@@ -333,10 +333,10 @@ _EXTREME_ARGV = [
     for check in sorted(CHECKS)
 ] + [
     ["verify", "--check", check, "--d", "1000000000000", "--quick", "--n", "1"]
-    for check in ("overlap-growth", "detection-gap")
+    for check in ("overlap-growth", "detection-gap", "reduction-events")
 ] + [
     ["verify", "--check", check, "--d", "200000", "--quick"]
-    for check in ("gauss-quadratic", "conditional-law", "reduction-events")
+    for check in ("gauss-quadratic", "conditional-law")
 ] + [
     ["simulate", "--alg", "power", "--d", "1000000000000", "--lambda", "3", "--T", "6",
      "--trials", "1"],
@@ -478,15 +478,34 @@ def test_check_arrays_larger_than_memory_are_a_usage_error(check, d, capsys):
     assert f" {d} x {d} arrays " in err and "bytes of physical memory" in err
 
 
-@pytest.mark.parametrize("d", ["8193", "200000", "1000000000000"])
-def test_reduction_events_above_the_spectrum_cap_is_a_usage_error(d, capsys):
+def test_reduction_events_larger_than_memory_is_a_usage_error(capsys):
+    # refused before the K_d estimate's first instance draws its theta; a
+    # trial is counted as simulate's are, with its solve's first reserve
     code, out, err = run_main(
-        ["verify", "--check", "reduction-events", "--d", d, "--quick"], capsys
-    )
+        ["verify", "--check", "reduction-events", "--d", "1000000000000", "--quick",
+         "--n", "1"], capsys)
+    T, square = 12, 12 + instances.NORM_SOLVE_ROWS
+    need = 8 * (10**12 * (LAZY_TRIAL_ARRAYS * T + T + 2 * instances.NORM_SOLVE_ROWS)
+                + 2 * square**2)
     assert (code, out) == (2, "")
-    assert err == (
-        f"error: check 'reduction-events': spectrum oracle capped at d <= 8192, got {d}\n"
-    )
+    assert err.startswith("error: check 'reduction-events': 1 trial threads of 1 lazy")
+    assert f"needs {need} bytes" in err and "bytes of physical memory" in err
+
+
+@pytest.mark.parametrize("check", ["reduction-events", "kd"])
+def test_spectra_solve_regrowth_past_memory_is_refused_without_a_traceback(
+    check, monkeypatch, capsys
+):
+    # on one core, reduction-events' up-front count (80.2 pages at d = 300)
+    # passes; the first quick null solve reveals more than its first reserve
+    # of NORM_SOLVE_ROWS rows and doubles the instance's arrays, which a
+    # machine of 85 pages refuses before allocating them
+    monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: {0})
+    _physical_memory(monkeypatch, 85)
+    code, out, err = run_main(["verify", "--check", check, "--quick"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: check '{check}': a lazy instance of dimension 300 grown to ")
+    assert err.endswith(" bytes of physical memory\n")
 
 
 def test_override_a_check_does_not_take_is_a_usage_error(capsys):

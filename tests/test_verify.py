@@ -224,6 +224,11 @@ class TestReductionEvents:
             with pytest.raises(ValueError, match="delta0"):
                 verify_reduction_events(200, 4.0, bad, 5, seed=10)
 
+    def test_dimension_domain(self):
+        # a 1 x 1 matrix has no lam_2 for events (1) and (2) to read
+        with pytest.raises(ValueError, match="d >= 2"):
+            verify_reduction_events(1, 10.0, 0.1, 5, seed=10)
+
     def test_modest_conjunction_passes(self):
         rep = verify_reduction_events(200, 4.0, 0.1, 30, seed=11)
         assert rep.passed
@@ -599,6 +604,58 @@ def test_trial_checks_hold_few_instances_under_the_pool(name, per_trial, monkeyp
     assert _quick_peak(name) <= (3 * per_trial + 2) * 8 * d * d
 
 
+class TestCertifiedSpectra:
+    """The extreme eigenvalues reduction-events and kd read off a lazy
+    instance are those of its matrix to SPECTRUM_RTOL |M|, and have the law
+    of a dense instance's."""
+
+    @staticmethod
+    def _certified(d, lam, rng):
+        """(instance, [lam_1, rest]) as a reduction-events trial reads them,
+        after its budget-12 Lanczos session, with rest = max(lam_2, -lam_d);
+        at lam = 0 (instance, [||M||]) as kd reads it."""
+        inst = make_lazy_spiked(d, lam, seed=rng)
+        if not lam:
+            vals = instances._revealed_span_extremes(inst, verify.SPECTRUM_RTOL)
+            return inst, [np.max(np.abs(vals))]
+        run(open_session(inst, budget=12), AlgorithmConfig(kind="lanczos", seed=rng))
+        vals = instances._revealed_span_extremes(inst, verify.SPECTRUM_RTOL, top=2)
+        return inst, [vals[0], np.max(np.abs(vals[1:]))]
+
+    @pytest.mark.parametrize("lam", [0.0, 4.0])
+    @pytest.mark.parametrize("d", [40, 150])
+    def test_certified_values_are_those_of_the_completed_span(self, d, lam):
+        # the span continued to k = d holds the whole spectrum of the matrix
+        for seed in range(5):
+            inst, vals = self._certified(d, lam, as_rng(trial_seed(d, seed)))
+            span = instances._RevealedSpan(inst)
+            span.restart(np.eye(1, span.k, span.k - 1)[0])
+            while span.k < d:
+                span.expand()
+            exact = np.linalg.eigvalsh(span.H)
+            scale = np.max(np.abs(exact))
+            reference = [exact[-1], np.max(np.abs(exact[:-1]))] if lam else [scale]
+            assert np.max(np.abs(np.subtract(vals, reference))) <= verify.SPECTRUM_RTOL * scale
+
+    def test_rest_and_null_norm_match_dense_in_law(self):
+        # 400 draws a side at d = 100: lam_1 and rest = max(lam_2, -lam_d)
+        # after the reduction-events session at lam = 4, and ||W|| / sqrt(d);
+        # three two-sample KS tests at family-wise level 0.01
+        d, n = 100, 400
+        lazy, dense = np.empty((n, 3)), np.empty((n, 3))
+        for i in range(n):
+            lazy[i, :2] = self._certified(d, 4.0, as_rng(trial_seed(300, i)))[1]
+            vals = np.linalg.eigvalsh(make_spiked(d, 4.0, seed=trial_seed(301, i)).matrix)
+            dense[i, :2] = vals[-1], np.max(np.abs(vals[:-1]))
+        lazy[:, 2] = verify._null_norms(d, n, as_rng(302))
+        rng = as_rng(303)
+        dense[:, 2] = [np.max(np.abs(np.linalg.eigvalsh(sample_goe(d, rng)))) / math.sqrt(d)
+                       for _ in range(n)]
+        for column, name in enumerate(["lam_1", "rest", "null norm"]):
+            p = ks_2samp(lazy[:, column], dense[:, column]).pvalue
+            assert p > 0.01 / 3, f"{name}: KS p = {p:.2g}"
+
+
 class TestLazyInstanceLaw:
     """Runs on matrix-free instances have the law of runs on dense ones, and
     their projected responses the conditional law."""
@@ -686,7 +743,7 @@ class TestThreadCountInvariance:
         # 5 and 8 chunks
         "gauss-quadratic": lambda: verify_gauss_quadratic(30, 5000, seed=23, tol=0.1),
         "conditional-law": lambda: verify_conditional_law(40, 6000, lam=1.5, seed=24),
-        # four trials fail here, the first of them trial 4
+        # three trials fail here, the first of them trial 0
         "reduction-events": lambda: verify_reduction_events(80, 3.0, 0.95, 16, seed=22),
         "overlap-growth": lambda: verify_overlap_growth("lanczos", 200, 3.0, 0.05, 4, 12, seed=5),
         "detection-gap": lambda: verify_detection_gap(120, 8.0, 2, 12, seed=6),
@@ -706,7 +763,7 @@ class TestThreadCountInvariance:
             texts.append(reports_to_csv([rep]) + reports_summary([rep]))
         assert texts[0] == texts[1]
         if name == "reduction-events":
-            assert "note: trial 4: item1=False" in texts[0]
+            assert "note: trial 0: item1=False" in texts[0]
 
 
 class TestLipschitzTailInvariant:
