@@ -21,11 +21,14 @@ W as an init-only argument, is checked in full.
 ``make_lazy_spiked`` draws an instance of the same law that never forms M:
 a ``LazySpikedInstance`` draws W only along the directions it is applied
 to, by the GOE's orthogonal invariance, and after k of them holds
-(2k + 1) d floats and the k x k compression of M to their span.  It
-answers matrix-vector products, and so serves a query session, and
-``spectral_norm`` solves its operator norm by Rayleigh-Ritz on the
-directions it has revealed, revealing more only where their span falls
-short; it has no dense spectrum.
+(2k + 1) d floats and the k x k compression of M to their span.
+
+Query sessions and norm solves read every matrix as a ``_RevealedOperator``:
+the directions revealed so far, their images and the compression of M to
+their span.  A lazy instance is one; a dense matrix is wrapped in one
+without a copy (``_operator``).  ``spectral_norm`` solves on that span
+(``_revealed_span_extremes``) for lazy instances and above
+DENSE_NORM_MAX_DIM, revealing more only where the span falls short.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ SPECTRUM_DIM_CAP = 8192
 TILE = 128
 
 #: Largest dimension at which spectral_norm runs the dense eigensolver.  Above
-#: it the Lanczos solve of ``_lanczos_norm`` is as fast or faster, also on
-#: null instances, whose extreme eigenvalues nearly tie.
+#: it the Lanczos solve of ``_revealed_span_extremes`` is as fast or faster,
+#: also on null instances, whose extreme eigenvalues nearly tie.
 DENSE_NORM_MAX_DIM = 256
 
 #: Rows a lazy instance reserves at once, beyond those it has revealed, for
@@ -71,7 +74,7 @@ NORM_SOLVE_ROWS = 32
 
 #: Residual norm, relative to the vector's, below which a vector adds no new
 #: basis direction: a degenerate oracle query, or a Krylov breakdown of
-#: Lanczos (``algorithms``) and of ``_lanczos_norm``.
+#: Lanczos (``algorithms``) and of the norm solve (``_RevealedSpan``).
 DEGENERATE_TOL = 1e-10
 
 #: Conservative value of E||W||/sqrt(d) for GOE noise, used by threshold
@@ -418,7 +421,95 @@ def make_spiked(d: int, lam: float, seed: Seed = None) -> SpikedInstance:
     return SpikedInstance._trusted(theta, float(lam), matrix)
 
 
-class LazySpikedInstance:
+class _RevealedOperator:
+    """A symmetric d x d matrix M as sessions and norm solves read it: the
+    directions it has revealed as the orthonormal rows of Q, their images as
+    the rows of U, and H = Q M Q^T, in arrays whose first ``_size`` rows are
+    in use.  A subclass reveals a unit b orthogonal to Q with its row of H
+    (``_reveal``), applies M to v and reveals v's direction off Q unless v
+    lies within DEGENERATE_TOL of their span (``_apply``: M v and v's
+    coefficients on Q), and forms M Q^T s (``_image``) and v^T M v
+    (``_rayleigh``) with no reveal.  ``_eigh`` is made once per size of H,
+    shared by a session's Ritz pair and its norm solve.  ``_reserve`` refuses
+    a growth past physical memory (``MemoryLimitError``).  One thread uses
+    an operator at a time.
+    """
+
+    #: How the refusal of a growth names the operator.
+    _NAME = "an operator"
+    #: Arrays of one float per revealed direction, grown with Q.
+    _ROW_VALUES: Tuple[str, ...] = ()
+
+    def __init__(self, d: int):
+        self._Q = np.empty((0, d))
+        self._U = np.empty_like(self._Q)
+        self._H = np.empty((0, 0))
+        self._size = 0
+        self._eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    @property
+    def dim(self) -> int:
+        return self._Q.shape[1]
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.dim, self.dim
+
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` revealed directions (at most d) in Q, U, H
+        and the ``_ROW_VALUES``.  Only the rows in use are copied, so the
+        pages of the rest are not touched before a reveal writes them.  A
+        growth whose arrays are larger than physical memory is refused with
+        MemoryLimitError (``_require_fits``), before anything is allocated."""
+        rows = min(rows, self.dim)
+        if rows > len(self._Q):
+            _require_fits(
+                f"{self._NAME} of dimension {self.dim} grown to {rows} revealed "
+                f"directions", self.dim, 0, 2 * rows,
+                rows * rows + len(self._ROW_VALUES) * rows,
+            )
+            k = self._size
+            for name, shape, in_use in (
+                ("_Q", (rows, self.dim), np.s_[:k]),
+                ("_U", (rows, self.dim), np.s_[:k]),
+                ("_H", (rows, rows), np.s_[:k, :k]),
+            ) + tuple((name, (rows,), np.s_[:k]) for name in self._ROW_VALUES):
+                grown = np.empty(shape)
+                grown[in_use] = getattr(self, name)[in_use]
+                setattr(self, name, grown)
+
+    def _eigh(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of the compression H on the revealed rows, made
+        once per size of H and shared by its readers (read-only)."""
+        if self._eig is None:
+            vals, vecs = np.linalg.eigh(self._H[: self._size, : self._size])
+            vals.setflags(write=False)
+            vecs.setflags(write=False)
+            self._eig = vals, vecs
+        return self._eig
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """M v by ``_apply``, or M applied to each column of a (d, m) block in
+        order."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[0] != self.dim:
+            raise ValueError(
+                f"M is {self.dim} x {self.dim}; cannot apply it to shape {v.shape}"
+            )
+        if v.ndim == 1:
+            return self._apply(v)[0]
+        out = np.empty(v.shape)
+        for j in range(v.shape[1]):
+            out[:, j] = self._apply(v[:, j])[0]
+        return out
+
+    def _norm(self) -> float:
+        """The operator norm, by Rayleigh-Ritz on the revealed span
+        (``_revealed_span_extremes``)."""
+        return float(np.max(np.abs(_revealed_span_extremes(self))))
+
+
+class LazySpikedInstance(_RevealedOperator):
     """A planted-spike matrix M = lam * theta theta^T + W / sqrt(d) whose GOE
     noise W is drawn only along the directions M is applied to.
 
@@ -437,9 +528,10 @@ class LazySpikedInstance:
 
     which ``_reveal`` forms in three passes over the revealed rows.  The
     instance keeps the q_j as the orthonormal rows of Q and the W q_j as the
-    rows of U.  Applying M to v = Q^T c + |r| b, with r the residual of v
-    against Q and c its coefficients (``_orthogonalize``), reveals W b,
-    appends b to Q and W b to U, and returns
+    rows of U (``_RevealedOperator``).  Applying M to v = Q^T c + |r| b,
+    with r the residual of v against Q and c its coefficients
+    (``_orthogonalize``), reveals W b, appends b to Q and W b to U, and
+    returns
 
         lam theta <theta, v> + (U^T c + |r| W b) / sqrt(d).
 
@@ -453,68 +545,26 @@ class LazySpikedInstance:
     + U^T s / sqrt(d) (``_image``).  So each reveal also writes the new row
     and column of the compression H = Q M Q^T, lam <q_j, theta> <b, theta> +
     <q_j, W b> / sqrt(d), from the coefficients <q_j, W b> it draws W b from,
-    and keeps Q theta.  The eigendecomposition of H is made once per size of
-    H (``_eigh``): a session's Ritz pair and the first check of its norm
-    solve read the same one, and a reveal, which grows H, drops it.
+    and keeps Q theta.
 
-    The instance offers what a ``QuerySession`` reads of a matrix: ``shape``
-    and ``@`` on a vector or a (d, m) block, whose columns are applied in
-    order.  After k reveals it holds theta, Q and U, (2k + 1) d floats, H,
-    k^2 floats, and no d x d array.  A session opened on it before its first
-    reveal preallocates min(budget, d) rows and takes Q, U and H as its
-    basis, images and compression, read through the instance: the
-    decomposition above is the session's Gram-Schmidt step.
-    ``spectral_norm`` solves on span(Q) from H (``_RevealedSpan``); a solve
-    that expands the span reserves NORM_SOLVE_ROWS more rows at once for the
-    directions it reveals, so the arrays are regrown then, and a regrowth
-    past physical memory is refused (``MemoryLimitError``).  xi and g are
-    drawn from the instance's generator in the order of the reveals.  The
-    instance changes as it is applied, so one thread uses it at a time.
+    After k reveals the instance holds theta, Q and U, (2k + 1) d floats, H,
+    k^2 floats, and no d x d array.  ``spectral_norm`` solves on span(Q)
+    from H (``_RevealedSpan``); a solve that expands the span reserves
+    NORM_SOLVE_ROWS more rows at once for the directions it reveals.  xi and
+    g are drawn from the instance's generator in the order of the reveals.
     """
+
+    _NAME = "a lazy instance"
+    _ROW_VALUES = ("_qtheta",)
 
     def __init__(self, theta: np.ndarray, lam: float, seed: Seed = None):
         theta = _frozen(theta)
         _check_spike(theta, lam)
+        super().__init__(theta.shape[0])
         self.theta = theta
         self.lam = float(lam)
         self._rng = as_rng(seed)
-        self._Q = np.empty((0, theta.shape[0]))
-        self._U = np.empty_like(self._Q)
-        self._H = np.empty((0, 0))
         self._qtheta = np.empty(0)
-        self._size = 0
-        self._eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    @property
-    def dim(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.dim, self.dim
-
-    def _reserve(self, rows: int) -> None:
-        """Make room for ``rows`` revealed directions (at most d) in Q, U, H
-        and Q theta.  Only the rows in use are copied, so the pages of the
-        rest are not touched before a reveal writes them.  A growth whose
-        arrays are larger than physical memory is refused with
-        MemoryLimitError (``_require_fits``), before anything is allocated."""
-        rows = min(rows, self.dim)
-        if rows > len(self._Q):
-            _require_fits(
-                f"a lazy instance of dimension {self.dim} grown to {rows} "
-                f"revealed directions", self.dim, 0, 2 * rows, rows * rows + rows,
-            )
-            k = self._size
-            for name, shape, in_use in (
-                ("_Q", (rows, self.dim), np.s_[:k]),
-                ("_U", (rows, self.dim), np.s_[:k]),
-                ("_H", (rows, rows), np.s_[:k, :k]),
-                ("_qtheta", (rows,), np.s_[:k]),
-            ):
-                grown = np.empty(shape)
-                grown[in_use] = getattr(self, name)[in_use]
-                setattr(self, name, grown)
 
     def _reveal(self, b: np.ndarray) -> np.ndarray:
         """Draw W b for a unit b orthogonal to the rows of Q, append b to Q,
@@ -550,16 +600,6 @@ class LazySpikedInstance:
         self._eig = None
         return wb
 
-    def _eigh(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh`` of the compression H on the revealed rows, made
-        once per size of H and shared by its readers (read-only)."""
-        if self._eig is None:
-            vals, vecs = np.linalg.eigh(self._H[: self._size, : self._size])
-            vals.setflags(write=False)
-            vecs.setflags(write=False)
-            self._eig = vals, vecs
-        return self._eig
-
     def _image(self, s: np.ndarray) -> np.ndarray:
         """M Q^T s, for coefficients s on the first len(s) rows of Q, with no
         reveal."""
@@ -584,19 +624,6 @@ class LazySpikedInstance:
         wv += self.lam * float(self.theta @ v) * self.theta
         return wv, c
 
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.ndim not in (1, 2) or v.shape[0] != self.dim:
-            raise ValueError(
-                f"M is {self.dim} x {self.dim}; cannot apply it to shape {v.shape}"
-            )
-        if v.ndim == 1:
-            return self._apply(v)[0]
-        out = np.empty(v.shape)
-        for j in range(v.shape[1]):
-            out[:, j] = self._apply(v[:, j])[0]
-        return out
-
     def _rayleigh(self, v: np.ndarray) -> float:
         """v^T M v, with M applied to v by ``@``, which reveals v's direction
         off the revealed span.  ``@`` answers a v within DEGENERATE_TOL of
@@ -609,6 +636,78 @@ class LazySpikedInstance:
         Q = self._Q[:k]
         r = _orthogonalize(Q, v)[0]
         return float(v @ w) + float((Q @ v) @ (self._U[:k] @ r)) / math.sqrt(self.dim)
+
+
+class _DenseOperator(_RevealedOperator):
+    """A d x d symmetric array as a ``_RevealedOperator``, not copied: U's
+    rows are the images M b, applied as ``matrix @ b``, so a counting view
+    of the array counts them.  ``_apply`` applies M to v once; the image of
+    v's direction r / |r| is carried as (M v - c U) / |r| for v's
+    coefficients c, or applied where r keeps less than 1/sqrt(2) of v and
+    carrying would lose digits.  A residual below DEGENERATE_TOL, or a full
+    Q, adds no direction.  b's row of H is (U b + Q M b) / 2.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        super().__init__(matrix.shape[0])
+        self._matrix = matrix
+
+    def _reveal(self, b: np.ndarray, image: Optional[np.ndarray] = None) -> None:
+        """Append the unit b, orthogonal to Q, to Q, its image (M b applied,
+        unless carried in as ``image``) to U, and its row and column to H."""
+        k = self._size
+        if k == len(self._Q):
+            self._reserve(2 * k + 1)
+        Q, U = self._Q[: k + 1], self._U[: k + 1]
+        Q[k] = b
+        U[k] = self._matrix @ Q[k] if image is None else image
+        h = (U @ Q[k] + Q @ U[k]) / 2.0
+        self._H[k, : k + 1] = h
+        self._H[: k + 1, k] = h
+        self._size = k + 1
+        self._eig = None
+
+    def _apply(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        k = self._size
+        w = self._matrix @ v
+        r, c = _orthogonalize(self._Q[:k], v)
+        rnorm = math.sqrt(r.dot(r))
+        if rnorm >= DEGENERATE_TOL and k < len(self._Q):
+            # M r = M v - c U, carried while r keeps its digits
+            carried = (w - c @ self._U[:k]) / rnorm if 2.0 * rnorm**2 >= 1.0 else None
+            self._reveal(r / rnorm, carried)
+            c = np.append(c, rnorm)
+        return w, c
+
+    def _image(self, s: np.ndarray) -> np.ndarray:
+        return s @ self._U[: len(s)]
+
+    def _rayleigh(self, v: np.ndarray) -> float:
+        return float(v @ (self._matrix @ v))
+
+    def _norm(self) -> float:
+        """The dense eigensolver's up to DENSE_NORM_MAX_DIM, else the
+        revealed-span solve's."""
+        if self.dim > DENSE_NORM_MAX_DIM:
+            return super()._norm()
+        vals = np.linalg.eigvalsh(self._matrix)
+        return float(max(abs(vals[0]), abs(vals[-1])))
+
+
+Operand = Union[SpikedInstance, LazySpikedInstance, np.ndarray]
+
+
+def _operator(
+    M: Operand, bare: Callable[[np.ndarray], np.ndarray] = lambda M: M
+) -> _RevealedOperator:
+    """M as an operator: a lazy instance (any ``_RevealedOperator``) as it
+    is; an instance's matrix, trusted, or a bare array after ``bare`` (which
+    may check it), in a fresh ``_DenseOperator``."""
+    if isinstance(M, _RevealedOperator):
+        return M
+    if isinstance(M, SpikedInstance):
+        return _DenseOperator(M.matrix)
+    return _DenseOperator(bare(M))
 
 
 def make_lazy_spiked(d: int, lam: float, seed: Seed = None) -> LazySpikedInstance:
@@ -660,12 +759,6 @@ def spectrum(M: np.ndarray, dim_cap: int = SPECTRUM_DIM_CAP) -> SpectrumSummary:
     )
 
 
-def _tridiagonal(diag: List[float], off: List[float]) -> np.ndarray:
-    """The symmetric tridiagonal matrix with the given diagonal and
-    off-diagonal (one entry shorter)."""
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
 def _next_check(k: int, now: Tuple[float, float], goals: Tuple[float, float],
                 last: Optional[Tuple[int, Tuple[float, float]]]) -> int:
     """Step of the next convergence check of a norm solve, made at basis
@@ -696,9 +789,8 @@ def _top_index(vals: np.ndarray) -> int:
 
 
 class _Checks:
-    """The convergence checks of a norm solve (``_lanczos_norm``,
-    ``_revealed_span_extremes``): the stopping rule, and the basis size
-    ``at`` of the next check.
+    """The convergence checks of a norm solve (``_revealed_span_extremes``):
+    the stopping rule, and the basis size ``at`` of the next check.
 
     A check reads the Ritz values ``vals`` of the solve's compression
     (ascending, at least two) and the residual norms ``residual(i)`` of
@@ -752,72 +844,20 @@ class _Checks:
         return False
 
 
-def _lanczos_norm(apply: Callable[[np.ndarray], np.ndarray], d: int) -> float:
-    """Largest eigenvalue magnitude of the symmetric linear map ``apply`` on
-    R^d, by Lanczos from the start vector 1/sqrt(d), one ``apply`` per step.
-
-    Every new direction is orthogonalized against the whole basis by
-    ``_orthogonalize`` (full reorthogonalization), so the tridiagonal T_k of
-    alpha_j = <q_j, A q_j> and beta_j = |A q_j - its projection on the
-    basis| is the compression of A to the Krylov basis, and the residual of
-    its Ritz pair (theta_i, s_i) is beta_k |s_i[-1]|.  T_k is solved only at
-    the checks of ``_Checks``, the first at k = 8, and the solve stops at the
-    first that passes.
-
-    When A q_k lies in the basis (a Krylov breakdown, beta_k <= DEGENERATE_TOL
-    |A q_k|), the basis spans an invariant subspace; as ARPACK does, the
-    solve couples it to nothing (beta_k = 0) and continues from a fresh
-    direction, a fixed-seed Gaussian vector orthogonalized against the basis.
-    It makes no check at a breakdown and ends at k = d at the latest, with
-    the largest magnitude among all eigenvalues of T_d.  The zero map gives
-    0.0.
-    """
-    Q = np.empty((min(d, 64), d))
-    diag: List[float] = []
-    off: List[float] = []  # off[j] couples q_j and q_{j+1}; 0 after a breakdown
-    q = np.full(d, 1.0 / np.sqrt(d))
-    checks = _Checks(8)
-    for k in range(1, d + 1):  # k: basis size once q is in
-        if k > len(Q):
-            Q = np.concatenate([Q, np.empty((min(d, 2 * len(Q)) - len(Q), d))])
-        Q[k - 1] = q
-        w = apply(q)
-        diag.append(float(q @ w))
-        if k == d:
-            break
-        r = _orthogonalize(Q[:k], w)[0]
-        beta = float(np.linalg.norm(r))
-        if beta <= DEGENERATE_TOL * np.linalg.norm(w):  # <=: A q = 0 closes too
-            off.append(0.0)
-            fresh = np.random.default_rng(k).standard_normal(d)
-            r = _orthogonalize(Q[:k], fresh)[0]
-            q = r / np.linalg.norm(r)
-            continue
-        off.append(beta)
-        q = r / beta
-        if k < checks.at:
-            continue
-        vals, vecs = np.linalg.eigh(_tridiagonal(diag, off[:-1]))
-        if checks.passed(k, vals, lambda i: beta * abs(vecs[-1, i])):
-            return float(max(abs(vals[0]), abs(vals[-1])))
-    vals = np.linalg.eigvalsh(_tridiagonal(diag, off))
-    return float(max(abs(vals[0]), abs(vals[-1])))
-
-
 class _RevealedSpan:
-    """Rayleigh-Ritz on the directions a lazy instance has revealed, and a
-    Krylov expansion of them that reveals at most one direction per step.
+    """Rayleigh-Ritz on the directions an operator (``_RevealedOperator``)
+    has revealed, and a Krylov expansion of them that reveals at most one
+    direction per step.
 
-    M is known on span(Q) without a reveal (``LazySpikedInstance._image``),
-    so the instance's compression H = Q M Q^T and the residual of every
-    Ritz vector Q^T s are known too.  Each direction the expansion reveals
-    adds its row to H, written by the instance's reveal; the instance's Q
-    and H are the only basis and compression, read through the instance
-    since the solve regrows them.  On an instance that has revealed nothing,
-    the span starts from 1/sqrt(d), revealed.  The first ``restart`` reserves
-    NORM_SOLVE_ROWS rows of the instance and makes the array of Lanczos
-    coefficients, so a span that passes the first check allocates and
-    copies nothing.
+    M is known on span(Q) without a reveal (``_image``), so the operator's
+    compression H = Q M Q^T and the residual of every Ritz vector Q^T s are
+    known too.  Each direction the expansion reveals adds its row to H,
+    written by the operator's reveal; the operator's Q and H are the only
+    basis and compression, read through it since the solve regrows them.
+    On an operator that has revealed nothing, the span starts from
+    1/sqrt(d), revealed.  The first ``restart`` reserves NORM_SOLVE_ROWS
+    rows of the operator and makes the array of Lanczos coefficients, so a
+    span that passes the first check allocates and copies nothing.
 
     ``expand`` makes one step of Lanczos on K(M, x) from the start vector x
     of ``restart``, with the Lanczos vectors u_j kept as coefficients on the
@@ -826,11 +866,10 @@ class _RevealedSpan:
     orthogonalized against u_1 ... u_j.  A u_j whose image lies in the span
     (residual at most DEGENERATE_TOL |M u_j|) reveals nothing; when K(M, x)
     closes in the span, the expansion continues from a fresh direction, a
-    fixed-seed Gaussian vector orthogonalized against Q, as
-    ``_lanczos_norm`` does.
+    fixed-seed Gaussian vector orthogonalized against Q, as ARPACK does.
     """
 
-    def __init__(self, inst: LazySpikedInstance):
+    def __init__(self, inst: _RevealedOperator):
         self._inst = inst
         if inst._size == 0:
             inst._reveal(np.full(inst.dim, 1.0 / math.sqrt(inst.dim)))
@@ -903,9 +942,9 @@ class _RevealedSpan:
 
 
 def _revealed_span_extremes(
-    inst: LazySpikedInstance, rtol: Optional[float] = None, top: int = 1
+    inst: _RevealedOperator, rtol: Optional[float] = None, top: int = 1
 ) -> np.ndarray:
-    """[lam_1, ..., lam_top, lam_d] of a lazy instance's matrix, by
+    """[lam_1, ..., lam_top, lam_d] of an operator's matrix, by
     Rayleigh-Ritz on the span of the directions it has revealed, at the
     first check (``_Checks``) that passes: at top = 1 the norm's stopping
     rule, which certifies the largest magnitude, and at top = 2 also lam_1
@@ -920,10 +959,11 @@ def _revealed_span_extremes(
     has converged, M adds almost nothing new to its Ritz vector, and
     expanding from it stalled lam_2 and lam_d until k = d.  A power or
     Lanczos session's span is a Krylov space and both restarts keep it one,
-    so there the solve is Lanczos continued from the session's steps.  Each
-    check reads the instance's eigendecomposition of H
-    (``LazySpikedInstance._eigh``), so the first shares the session's Ritz
-    solve.  At k = d the values are those of H.
+    so there the solve is Lanczos continued from the session's steps; on an
+    operator that has revealed nothing it is Lanczos from 1/sqrt(d).  Each
+    check reads the operator's eigendecomposition of H (``_eigh``), so the
+    first shares the session's Ritz solve.  At k = d the values are those
+    of H.
     """
     span = _RevealedSpan(inst)
     d = inst.dim
@@ -941,32 +981,21 @@ def _revealed_span_extremes(
     return np.linalg.eigvalsh(span.H)[checks.ends(d)]
 
 
-def spectral_norm(M: Union[SpikedInstance, LazySpikedInstance, np.ndarray]) -> float:
+def spectral_norm(M: Operand) -> float:
     """Operator norm of a symmetric matrix, or of an instance's matrix.
 
     An instance's matrix is read as it is, since it is finite and exactly
-    symmetric by construction; a bare matrix is checked in full first.
-    Uses the dense solver up to d = DENSE_NORM_MAX_DIM (256) and, above it,
-    the Lanczos solve of ``_lanczos_norm`` for the largest-magnitude
-    eigenvalue, which is the operator norm by definition; the two agree to
-    about 1e-14 relative on symmetric input.
-
-    A lazy instance is solved at every d by ``_revealed_span_extremes``:
-    Rayleigh-Ritz on the directions it has revealed, a session's queries
-    among them, grown one revealed direction at a time along a Krylov
-    space, with ``_lanczos_norm``'s stopping rule.  So the norm is that of
-    the matrix its answers belong to, not an asymptotic value.  Directions
-    revealed before stay as they are; the new ones are drawn from the
-    instance's generator.
+    symmetric by construction; a bare matrix is checked in full first.  Up
+    to d = DENSE_NORM_MAX_DIM (256) a dense matrix takes the dense
+    eigensolver; above it, and on a lazy instance at every d,
+    ``_revealed_span_extremes`` solves for the largest-magnitude eigenvalue
+    by Rayleigh-Ritz on the revealed directions (a dense matrix's fresh
+    operator from 1/sqrt(d); a lazy instance's from a session's queries),
+    grown along a Krylov space.  So a lazy norm is that of the matrix its
+    answers belong to; the directions it reveals are drawn from its
+    generator.
     """
-    if isinstance(M, LazySpikedInstance):
-        return float(np.max(np.abs(_revealed_span_extremes(M))))
-    M = M.matrix if isinstance(M, SpikedInstance) else _require_symmetric(M)
-    d = M.shape[0]
-    if d <= DENSE_NORM_MAX_DIM:
-        vals = np.linalg.eigvalsh(M)
-        return float(max(abs(vals[0]), abs(vals[-1])))
-    return _lanczos_norm(M.__matmul__, d)
+    return _operator(M, _require_symmetric)._norm()
 
 
 class Membership(NamedTuple):

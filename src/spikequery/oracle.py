@@ -5,32 +5,29 @@ An algorithm interacts with a hidden symmetric matrix M only through
 then commits to a final unit vector via ``session.finalize(v_hat)``.  Each
 charged query applies M once, to v, and leaves one record, a
 ``TranscriptStep``: the query, its raw response, and the equivalent reduced
-view.  Queries are orthonormalized on the fly by one kernel,
-``instances._orthogonalize``: classical Gram-Schmidt as block products
-against a preallocated basis array, with a second pass only where the first
-cancels most of the query, returning the residual and the coefficients it
-took off (on a matrix-free instance, the instance's own decomposition of
-the query, whose revealed directions are the basis).  The session keeps one
-compression of M, H = B M B^T on the basis B, grown by one row per query
-that adds a direction, and the image M b_i of each direction: carried from
-the query's response through those coefficients (or, where carrying would
-lose digits, applied to b_i), or on a matrix-free instance read from the
-noise it drew for b_i.  H is a
-function of the queries and responses alone, so an algorithm may read it:
-``session.ritz()`` is the Rayleigh-Ritz pair of the span of the queries,
-from one eigendecomposition of H per basis size on a matrix-free instance,
-which its norm solve shares, and ``session.residual()`` the last response
-off that span, w - B^T (H c) for the last query B^T c, with one pass over
-the basis where the query's response alone would take two.
+view.
+
+A session reads every matrix as an ``instances._RevealedOperator``: a lazy
+instance itself, a dense matrix wrapped without a copy.  Applying it to a
+query decomposes the query against the directions revealed so far
+(``instances._orthogonalize``) and reveals its direction off them.  Those
+directions are the session's basis B; the operator keeps each one's image
+M b_i (on a dense matrix carried from the query's response, or applied
+where carrying would lose digits; on a lazy instance read from the noise
+it drew) and the compression H = B M B^T.  H is a function of the queries
+and responses alone, so an algorithm may read it: ``session.ritz()`` is the
+Rayleigh-Ritz pair of the span of the queries, from the operator's one
+eigendecomposition of H per basis size, and ``session.residual()`` the last
+response off that span, w - B^T (H c) for the last query B^T c, with one
+pass over the basis where the query's response alone would take two.
 
 Each step i that adds a basis direction b_i has a projected response
 P_{i-1} M b_i, where P_{i-1} projects onto the orthogonal complement of the
 earlier basis.  It is computed when read (``TranscriptStep.
 projected_response``, on a step from ``session.projected_view(i)`` or from
-the sealed transcript), from the carried image and H's column i, with no
-apply of M.  Raw responses are exactly recoverable from the projected
-records, so the two views carry the same information;
-``reconstruct_raw_responses`` realizes that round trip.
+the sealed transcript), from the image and H's column i, with no apply of
+M.  Raw responses are exactly recoverable from the projected records, so
+the two views carry the same information.
 
 The session object deliberately exposes no handle to M or to the planted
 spike: scoring against ground truth takes the instance as an explicit
@@ -41,19 +38,19 @@ instance (``make_lazy_spiked``) as it scores a dense one.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .instances import (
-    DEGENERATE_TOL,
     LazySpikedInstance,
+    Operand,
     SpikedInstance,
+    _RevealedOperator,
     _frozen,
-    _orthogonalize,
+    _operator,
     _require_symmetric,
     spectral_norm,
 )
@@ -71,25 +68,13 @@ class SessionFinalizedError(RuntimeError):
 
 
 class _Basis:
-    """The orthonormal basis B of a session's queries, as the rows of a
-    (capacity, d) array, their images M b_j, and the compression
-    H = B M B^T, each grown by one row (and H by one column) per query that
-    adds a direction.
-
-    Against a matrix the three are preallocated here.  A query's direction
-    is its residual against the rows (``_orthogonalize``), normalized, and
-    its image is carried from the query's response w as w - c @ images,
-    with c the coefficients the kernel took off the query.  Where the
-    residual keeps less than 1/sqrt(2) of the query, carrying would lose
-    the digits that cancel, so M is applied to the direction itself (an
-    apply no query is charged for).
-    Against a lazy instance they are the instance's own: applying it to a
-    query decomposes the query against its revealed directions and reveals
-    its new direction as the next row, or none for a degenerate query,
-    writing that row of H; the images are read from its noise images
-    (``LazySpikedInstance._image``).  They are read through the instance
-    at every use, since its norm solve regrows them.  The instance must
-    have revealed nothing before the session, and be applied to fresh
+    """The orthonormal basis B of a session's queries, as rows, their images
+    M b_j, and the compression H = B M B^T: the first rows of those of the
+    operator the session queries (``instances._RevealedOperator``), read
+    through it at every use, since its norm solve regrows them.  A query
+    reveals its direction off the rows as the next row, or none for a
+    degenerate query.  The operator must have revealed nothing before the
+    session, in which it reserves min(budget, d) rows, and reveal fresh
     directions only through it while it takes queries.
 
     Row j's projected response P_{j-1} M b_j is its image less its
@@ -97,30 +82,18 @@ class _Basis:
     no apply of M.
 
     Each query keeps its response w and its coefficients c on the rows (the
-    kernel's, with the new row's |r| appended), so that the response's
-    residual against the rows is read from H (``residual``).
+    decomposition's, with the new row's |r| appended), so that the
+    response's residual against the rows is read from H (``residual``).
     """
 
-    def __init__(
-        self,
-        apply: Callable[[np.ndarray], np.ndarray],
-        capacity: int,
-        d: int,
-        lazy: Optional[LazySpikedInstance] = None,
-    ):
-        self._apply = apply
-        self._lazy = lazy
-        if lazy is None:
-            self._Q = np.empty((capacity, d))
-            self._MQ = np.empty((capacity, d))
-            self._H = np.empty((capacity, capacity))
-        else:
-            if lazy._size:
-                raise ValueError(
-                    "a lazy instance opens a session only before it reveals any "
-                    "direction; draw a fresh one with make_lazy_spiked"
-                )
-            lazy._reserve(capacity)
+    def __init__(self, op: _RevealedOperator, capacity: int):
+        if op._size:
+            raise ValueError(
+                "a lazy instance opens a session only before it reveals any "
+                "direction; draw a fresh one with make_lazy_spiked"
+            )
+        op._reserve(capacity)
+        self._op = op
         self._size = 0
         # the last query's response, its coefficients on the rows, and
         # whether it added a row
@@ -132,44 +105,22 @@ class _Basis:
     @property
     def rows(self) -> np.ndarray:
         """The rows in use, as a view."""
-        Q = self._Q if self._lazy is None else self._lazy._Q
-        return Q[: self._size]
+        return self._op._Q[: self._size]
 
     @property
     def H(self) -> np.ndarray:
         """The compression on the rows in use, as a view."""
-        H = self._H if self._lazy is None else self._lazy._H
-        return H[: self._size, : self._size]
+        return self._op._H[: self._size, : self._size]
 
     def query(self, v: np.ndarray) -> Tuple[np.ndarray, Optional[int]]:
         """M v, and the index of the row that v's direction off the rows
         adds; None when v adds none, being numerically in their span (its
         residual below DEGENERATE_TOL) or the basis full."""
         k = self._size
-        if self._lazy is not None:
-            if self._lazy._size != k:
-                raise RuntimeError(
-                    "the lazy instance revealed directions outside its session"
-                )
-            w, c = self._lazy._apply(v)
-            added = self._lazy._size > k
-        else:
-            w = self._apply(v)
-            r, c = _orthogonalize(self._Q[:k], v)
-            rnorm = math.sqrt(r.dot(r))
-            added = rnorm >= DEGENERATE_TOL and k < len(self._Q)
-            if added:
-                b = self._Q[k]
-                np.divide(r, rnorm, out=b)
-                # M r = M v - c (M Q), carried while r keeps its digits
-                self._MQ[k] = (
-                    (w - c @ self._MQ[:k]) / rnorm if 2.0 * rnorm**2 >= 1.0
-                    else self._apply(b)
-                )
-                h = (self._MQ[: k + 1] @ b + self._Q[: k + 1] @ self._MQ[k]) / 2.0
-                self._H[k, : k + 1] = h
-                self._H[: k + 1, k] = h
-                c = np.append(c, rnorm)
+        if self._op._size != k:
+            raise RuntimeError("the instance revealed directions outside its session")
+        w, c = self._op._apply(v)
+        added = self._op._size > k
         self._last = w, c, added
         if not added:
             return w, None
@@ -177,10 +128,11 @@ class _Basis:
         return w, k
 
     def eigh(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh`` of H: on a lazy instance its own, made once per
-        size of H and shared with its norm solve (read-only)."""
-        if self._lazy is not None:
-            return self._lazy._eigh()
+        """``np.linalg.eigh`` of H: the operator's own, made once per size of
+        H and shared with its norm solve (read-only), unless a norm solve
+        has revealed more rows since the session."""
+        if self._op._size == self._size:
+            return self._op._eigh()
         return np.linalg.eigh(self.H)
 
     def residual(self) -> np.ndarray:
@@ -194,10 +146,7 @@ class _Basis:
         return r
 
     def projected(self, j: int) -> np.ndarray:
-        if self._lazy is None:
-            image = self._MQ[j]
-        else:
-            image = self._lazy._image(np.eye(1, j + 1, j)[0])  # M Q^T e_j
+        image = self._op._image(np.eye(1, j + 1, j)[0])  # M Q^T e_j
         return image - self.H[:j, j] @ self.rows[:j]
 
 
@@ -275,21 +224,16 @@ class QuerySession:
     seals the same step records into the transcript.
     """
 
-    def __init__(self, matrix: Union[np.ndarray, LazySpikedInstance], budget: int):
+    def __init__(self, matrix: Operand, budget: int):
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
-        # The only handle to the hidden matrix is this bound matvec; the
+        # The only handle to the hidden matrix is the basis's operator; the
         # session has no attribute that stores or returns the matrix itself.
-        self._apply = matrix.__matmul__
-        self._dim = int(matrix.shape[0])
+        op = _operator(matrix)
+        self._dim = op.dim
         self._budget = int(budget)
         # the basis of R^d never holds more than d vectors, whatever the budget
-        self._basis = _Basis(
-            self._apply,
-            min(self._budget, self._dim),
-            self._dim,
-            matrix if isinstance(matrix, LazySpikedInstance) else None,
-        )
+        self._basis = _Basis(op, min(self._budget, self._dim))
         self._steps: List[TranscriptStep] = []
         self._transcript: Optional[Transcript] = None
 
@@ -401,53 +345,18 @@ class QuerySession:
         return self._transcript
 
 
-def open_session(
-    inst: Union[SpikedInstance, LazySpikedInstance, np.ndarray], budget: int
-) -> QuerySession:
+def open_session(inst: Operand, budget: int) -> QuerySession:
     """Start a budgeted query session against an instance or a bare matrix.
 
-    A bare float matrix is made read-only in place, as an instance's matrix
-    is, so that every response and carried image of the session is one
-    matrix's.  A lazy instance is queried itself, and must not have revealed
-    a direction yet (ValueError otherwise): its revealed directions, their
-    images and its compression become the session's, in min(budget, d) rows
-    of its storage made up front, and reading projected responses back
-    draws nothing from it.
+    A bare matrix is checked in full and made read-only in place, as an
+    instance's matrix is, so that every response and carried image of the
+    session is one matrix's.  A lazy instance is queried itself, and must
+    not have revealed a direction yet (ValueError otherwise): its revealed
+    directions, their images and its compression become the session's, in
+    min(budget, d) rows of its storage made up front, and reading projected
+    responses back draws nothing from it.
     """
-    if isinstance(inst, SpikedInstance):
-        matrix = inst.matrix
-    elif isinstance(inst, LazySpikedInstance):
-        matrix = inst
-    else:
-        matrix = _frozen(_require_symmetric(inst))
-    return QuerySession(matrix, budget)
-
-
-def reconstruct_raw_responses(transcript: Transcript) -> List[np.ndarray]:
-    """Rebuild every raw response from the projected records alone.
-
-    Inductively, M b_i = y_i + sum_{j<i} b_j (Mb_j . b_i) with y_i the
-    projected response, and each raw query expands in the accumulated basis,
-    so M v^(i) follows by linearity.  Round-trip accuracy is limited only by
-    the orthonormalization floating-point error.
-    """
-    basis: List[np.ndarray] = []
-    images: List[np.ndarray] = []
-    out: List[np.ndarray] = []
-    for st in transcript.steps:
-        if not st.degenerate:
-            mb = st.projected_response.copy()
-            for b, img in zip(basis, images):
-                mb += b * (img @ st.basis_vector)
-            basis.append(st.basis_vector)
-            images.append(mb)
-        if basis:
-            B = np.column_stack(basis)
-            coeffs = B.T @ st.query
-            out.append(np.column_stack(images) @ coeffs)
-        else:
-            out.append(np.zeros(transcript.dim))
-    return out
+    return QuerySession(_operator(inst, lambda M: _frozen(_require_symmetric(M))), budget)
 
 
 @dataclass(frozen=True)
@@ -471,29 +380,22 @@ def _step_overlaps(steps: Sequence[TranscriptStep], theta: np.ndarray) -> np.nda
     )
 
 
-def score(
-    transcript: Transcript, inst: Union[SpikedInstance, LazySpikedInstance]
-) -> Score:
+def score(transcript: Transcript, inst: Union[SpikedInstance, LazySpikedInstance]) -> Score:
     """Rayleigh ratio of the output, spike overlap, and per-step overlaps.
 
     The Rayleigh ratio v_hat^T M v_hat / ||M|| reads M through applies that
     no session charges, made after the session is finalized, so the
     transcript is unchanged: ||M|| from ``spectral_norm``, then v_hat^T M
-    v_hat from one apply of v_hat (on a lazy instance through
-    ``LazySpikedInstance._rayleigh``, which also reads a v_hat within
-    DEGENERATE_TOL of the revealed span to second order).  On a lazy
-    instance, which the session must have queried, the norm solve starts
-    from the span of the queries and reveals only the directions it expands
-    that span by, and the apply of v_hat at most one more; reading the
-    transcript's projected responses afterwards still draws nothing, since
-    their directions were revealed by the queries.
+    v_hat from the operator (``_rayleigh``: one apply of v_hat, which on a
+    lazy instance also reads a v_hat within DEGENERATE_TOL of the revealed
+    span to second order).  On a lazy instance, which the session must have
+    queried, the norm solve starts from the span of the queries and reveals
+    only the directions it expands that span by, and the apply of v_hat at
+    most one more; reading the transcript's projected responses afterwards
+    still draws nothing, since their directions were revealed by the
+    queries.
     """
-    if isinstance(inst, SpikedInstance):
-        def quadratic(v: np.ndarray) -> float:
-            return float(v @ (inst.matrix @ v))
-    elif isinstance(inst, LazySpikedInstance):
-        quadratic = inst._rayleigh
-    else:
+    if getattr(inst, "theta", None) is None:
         raise ValueError("score needs a SpikedInstance or a LazySpikedInstance")
     if transcript.dim != inst.dim:
         raise ValueError(
@@ -501,43 +403,10 @@ def score(
         )
     v_hat = transcript.final_output
     norm = spectral_norm(inst)
-    ratio = quadratic(v_hat) / norm
+    ratio = _operator(inst)._rayleigh(v_hat) / norm
     overlap = float(v_hat @ inst.theta) ** 2
     return Score(
         rayleigh_ratio=ratio,
         spike_overlap=overlap,
         step_overlaps=_step_overlaps(transcript.steps, inst.theta),
     )
-
-
-def _vector_hash(v: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()[:12]
-
-
-def transcript_rows(
-    transcript: Transcript, inst: Optional[SpikedInstance] = None
-) -> List[Tuple]:
-    """Line-oriented transcript record: (step, query hash, overlap, proj norm).
-
-    The overlap column is d * <b_k, theta>^2 when the instance is supplied
-    (the quantity the tau-schedules bound), empty otherwise; the final
-    output appears as step T+1 with its own hash and overlap <v_hat, theta>^2.
-    """
-    rows: List[Tuple] = []
-    if inst is None:
-        overlaps = [""] * len(transcript.steps)
-    else:
-        overlaps = _step_overlaps(transcript.steps, inst.theta).tolist()
-    for st, ov in zip(transcript.steps, overlaps):
-        rows.append(
-            (
-                st.step,
-                _vector_hash(st.query),
-                ov,
-                float(np.linalg.norm(st.projected_response)),
-            )
-        )
-    v_hat = transcript.final_output
-    ov = "" if inst is None else float(v_hat @ inst.theta) ** 2
-    rows.append((len(transcript.steps) + 1, _vector_hash(v_hat), ov, ""))
-    return rows

@@ -30,14 +30,37 @@ from spikequery.oracle import (
     QuerySession,
     SessionFinalizedError,
     open_session,
-    reconstruct_raw_responses,
     score,
-    transcript_rows,
 )
 
 
 def _unit(v):
     return v / np.linalg.norm(v)
+
+
+def reconstruct_raw_responses(transcript):
+    """Every raw response rebuilt from the projected records alone, which
+    checks the images the session carries for its basis directions.
+
+    Inductively, M b_i = y_i + sum_{j<i} b_j (Mb_j . b_i) with y_i the
+    projected response, and each raw query expands in the accumulated basis,
+    so M v^(i) follows by linearity.  Round-trip accuracy is limited only by
+    the orthonormalization floating-point error.
+    """
+    basis, images, out = [], [], []
+    for st in transcript.steps:
+        if not st.degenerate:
+            mb = st.projected_response.copy()
+            for b, img in zip(basis, images):
+                mb += b * (img @ st.basis_vector)
+            basis.append(st.basis_vector)
+            images.append(mb)
+        if basis:
+            B = np.column_stack(basis)
+            out.append(np.column_stack(images) @ (B.T @ st.query))
+        else:
+            out.append(np.zeros(transcript.dim))
+    return out
 
 
 # -------------------------------------------------------------- open_session
@@ -132,7 +155,7 @@ def test_each_query_leaves_one_record():
         if k != 2:  # step 3 repeats step 2: a degenerate record
             v = _unit(rng.standard_normal(6))
         sess.query(v)
-    assert set(vars(sess)) == {"_apply", "_dim", "_budget", "_basis", "_steps", "_transcript"}
+    assert set(vars(sess)) == {"_dim", "_budget", "_basis", "_steps", "_transcript"}
     open_views = [sess.projected_view(i) for i in range(1, 5)]
     t = sess.finalize(v)
     assert [st.degenerate for st in t.steps] == [False, False, True, False]
@@ -420,6 +443,25 @@ def test_images_computed_once_across_a_mid_session_read():
     _assert_projected_match_reference(np.asarray(M), t)
 
 
+def test_dense_session_and_score_copy_no_matrix():
+    # the operator of a dense instance wraps its matrix as it is: a session,
+    # its finalize and score, whose norm solve runs on another operator of
+    # the same matrix, allocate nothing of the matrix's size
+    d = 2000
+    inst = make_spiked(d, 3.0, seed=33)
+    tracemalloc.start()
+    try:
+        session = open_session(inst, budget=6)
+        run(session, AlgorithmConfig(kind="power", seed=34))
+        s = score(session.transcript, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert session.queries_made == 6 and session.finalized
+    assert 0.0 < s.rayleigh_ratio <= 1.0
+    assert peak < 8 * d * d
+
+
 def test_bare_matrix_is_read_only_under_a_sealed_transcript():
     M = sample_goe(6, seed=25)
     sess = open_session(M, budget=2)
@@ -593,7 +635,6 @@ def test_lazy_session_decomposes_each_query_once(kind, monkeypatch):
         return kernel(Q, v, *args)
 
     monkeypatch.setattr(instances, "_orthogonalize", counting)
-    monkeypatch.setattr(oracle, "_orthogonalize", counting)
     d, T = 200, 8
     inst = make_lazy_spiked(d, 3.0, seed=19)
     session = open_session(inst, budget=T)
@@ -790,6 +831,20 @@ def test_converged_lanczos_trial_is_scored_with_one_eigensolve_and_no_reserve(mo
     assert s.rayleigh_ratio == pytest.approx(value / spectral_norm(inst), rel=1e-12)
 
 
+def test_ritz_after_an_expanding_norm_solve_is_that_of_the_session_span():
+    # score's norm solve reveals more rows of the lazy instance; the
+    # session's Ritz pair stays that of the span of its queries
+    d, T = 400, 6
+    inst = make_lazy_spiked(d, 3.0, seed=9)
+    session = open_session(inst, budget=T)
+    run(session, AlgorithmConfig(kind="power", seed=10))
+    vec, value = session.ritz()
+    score(session.transcript, inst)
+    assert inst._size > T
+    again, value_again = session.ritz()
+    assert np.array_equal(again, vec) and value_again == value
+
+
 def test_norm_solve_that_expands_reserves_once_and_drops_the_shared_eigensolve():
     # a power session's span fails the first check: the solve reserves its
     # rows at the restart, and each reveal drops the cached eigensolve
@@ -884,8 +939,8 @@ def test_lanczos_residual_makes_one_block_product_fewer(lazy, monkeypatch):
     d, T = 400, 32
     inst = (make_lazy_spiked if lazy else make_spiked)(d, 3.0, seed=41)
     session = open_session(inst, budget=T)
-    owner = inst if lazy else session._basis
-    owner._Q = owner._Q.view(_CountingRows)
+    op = session._basis._op  # the lazy instance itself, or the matrix's operator
+    op._Q = op._Q.view(_CountingRows)
     counts = []
     residual = session.residual
 
@@ -1072,18 +1127,3 @@ def test_score_dimension_mismatch():
     t = sess.finalize(np.eye(8)[0])
     with pytest.raises(ValueError):
         score(t, other)
-
-
-def test_transcript_rows_shape():
-    inst = make_spiked(10, 2.0, seed=3)
-    sess = open_session(inst, budget=2)
-    rng = np.random.default_rng(0)
-    sess.query(_unit(rng.standard_normal(10)))
-    sess.query(_unit(rng.standard_normal(10)))
-    t = sess.finalize(_unit(rng.standard_normal(10)))
-    rows = transcript_rows(t, inst)
-    assert len(rows) == 3
-    assert [r[0] for r in rows] == [1, 2, 3]
-    assert all(isinstance(r[1], str) and len(r[1]) == 12 for r in rows)
-    # same transcript, same rows (deterministic hashing)
-    assert rows == transcript_rows(t, inst)
