@@ -1,36 +1,34 @@
 """Query algorithms run against the oracle: power iteration, Lanczos, random.
 
-All three see the hidden matrix only through unit-vector queries.  Power
-iteration re-normalizes responses; Lanczos builds an orthonormal Krylov
-basis (full orthogonalization against all prior directions) and outputs the
-Rayleigh-Ritz maximizer; the non-adaptive baseline queries independent
-random directions and extracts the same Ritz maximizer from whatever
-subspace it happened to observe.  The Ritz pair is the session's
-(``QuerySession.ritz``): the top eigenpair of the compression H = B^T M B
-that the session grows by one row and column per query from the query and
-its response alone, so the algorithms keep no basis of their own.
-Lanczos's next direction is its last response off the session's basis
-(``QuerySession.residual``), read from H and the query's coefficients on
-the basis with one pass over it, and a second only where the first cancels
-most of the response.  ``run`` is the one entry
-point for all three kinds: it spends the session's budget and solves the
-Ritz problem once, after the last query, where ``iterate_candidates``
-solves it after every query.
+All three see the hidden matrix only through unit-vector queries, and
+``run`` is the one loop for all three.  Power iteration re-normalizes
+responses.  Lanczos takes each next direction from the session's
+``residual()``, its last response off the span of all prior queries (full
+orthogonalization), and outputs the Rayleigh-Ritz maximizer of that span;
+the non-adaptive baseline queries independent random directions and outputs
+the same maximizer of what it observed.  The Ritz pair is the session's
+(``QuerySession.ritz``), solved once, after the last query, from the
+compression H = B^T M B that the session grows from the queries and their
+responses alone.  ``queries_to_target`` reads every step's candidate
+quotient from the finished session.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .instances import (
     DEGENERATE_TOL,
+    LazySpikedInstance,
     Seed,
+    SpikedInstance,
+    _operator,
     as_rng,
-    make_spiked,
+    make_lazy_spiked,
     sample_uniform_sphere,
     spectral_norm,
 )
@@ -64,70 +62,6 @@ class AlgorithmConfig:
             object.__setattr__(self, "init", init)
 
 
-def _initial_vector(config: AlgorithmConfig, d: int, rng: np.random.Generator) -> np.ndarray:
-    if config.init is not None:
-        if config.init.shape != (d,):
-            raise ValueError(
-                f"init has dimension {config.init.shape}, session needs ({d},)"
-            )
-        return config.init.astype(float, copy=True)
-    return sample_uniform_sphere(d, rng)
-
-
-def iterate_candidates(
-    session: QuerySession, config: AlgorithmConfig
-) -> Iterator[np.ndarray]:
-    """Run the configured algorithm one query at a time.
-
-    Yields the algorithm's current output candidate after each query (the
-    vector it would finalize with if stopped there).  Stops when the
-    session's budget is spent, or earlier on Krylov breakdown.
-    """
-    for candidate in _steps(session, config, session.remaining):
-        yield candidate()[0]
-
-
-def _steps(
-    session: QuerySession, config: AlgorithmConfig, T: int
-) -> Iterator[Callable[[], Tuple[np.ndarray, Optional[float]]]]:
-    """Make up to T queries, yielding after each one a callable that
-    computes the current candidate and its Ritz value (None for power
-    iteration, which has no Ritz problem).  The callable reads the
-    algorithm's state, so it is valid only until the generator resumes."""
-    d = session.dim
-    rng = as_rng(config.seed)
-    v = _initial_vector(config, d, rng)
-
-    if config.kind == "power":
-        for _ in range(T):
-            w = session.query(v)
-            norm = math.sqrt(w.dot(w))
-            v = w / norm if norm > 0 else v
-            yield lambda v=v: (v.copy(), None)
-        return
-
-    if config.kind == "lanczos":
-        direction = v
-        for t in range(T):
-            w = session.query(direction)
-            yield session.ritz
-            if t == T - 1:
-                return  # no query follows to take a next direction
-            # next direction: the response off all prior queries' span (full
-            # reorthogonalization), unit-normalized
-            r = session.residual()
-            rnorm = math.sqrt(r.dot(r))
-            if rnorm <= DEGENERATE_TOL * math.sqrt(w.dot(w)):  # <=: w = 0 closes too
-                return  # Krylov space closed
-            direction = r / rnorm
-        return
-
-    # random-nonadaptive: i.i.d. sphere queries, Ritz over the observed span
-    for _ in range(T):
-        session.query(sample_uniform_sphere(d, rng))
-        yield session.ritz
-
-
 def run(
     session: QuerySession, config: AlgorithmConfig
 ) -> Tuple[np.ndarray, Optional[float]]:
@@ -141,16 +75,51 @@ def run(
     norm) the run stops before the session's budget is spent and the
     finalized transcript is flagged early_termination.
     """
-    budget = session.remaining
-    candidate = None
-    made = 0
-    for candidate in _steps(session, config, budget):
-        made += 1
-    v_hat, value = (None, None) if candidate is None else candidate()
-    if v_hat is None:
+    T, d = session.remaining, session.dim
+    if T < 1:
         raise ValueError("algorithm produced no candidate (empty budget?)")
-    session.finalize(v_hat, early_termination=made < budget)
+    if config.init is not None and config.init.shape != (d,):
+        raise ValueError(f"init has dimension {config.init.shape}, session needs ({d},)")
+    rng = as_rng(config.seed)
+    v = sample_uniform_sphere(d, rng) if config.init is None else config.init.copy()
+    for t in range(T):
+        if config.kind == "random":  # i.i.d. sphere queries
+            session.query(sample_uniform_sphere(d, rng))
+            continue
+        w = session.query(v)
+        if config.kind == "power":
+            norm = math.sqrt(w.dot(w))
+            v = w / norm if norm > 0 else v
+        elif t < T - 1:  # Lanczos, with a query still to make
+            # next direction: the response off all prior queries' span (full
+            # reorthogonalization), unit-normalized
+            r = session.residual()
+            rnorm = math.sqrt(r.dot(r))
+            if rnorm <= DEGENERATE_TOL * math.sqrt(w.dot(w)):  # <=: w = 0 closes too
+                break  # Krylov space closed
+            v = r / rnorm
+    v_hat, value = (v, None) if config.kind == "power" else session.ritz()
+    session.finalize(v_hat, early_termination=session.remaining > 0)
     return v_hat, value
+
+
+def _candidate_quotients(
+    session: QuerySession, kind: str, inst: Union[SpikedInstance, LazySpikedInstance]
+) -> np.ndarray:
+    """v^T M v of each step's candidate output v in a finished ``run`` of
+    the given kind, read from its session.  A power candidate is the next
+    step's query, so its quotient is that query's product with its
+    response; the final output's takes one apply no session charges
+    (``_rayleigh``, as ``score`` reads it).  A Lanczos or random candidate's
+    is its Ritz value, the top eigenvalue of H's leading k x k block for the
+    basis size k after the step."""
+    steps = session.transcript.steps
+    if kind == "power":
+        last = _operator(inst)._rayleigh(session.transcript.final_output)
+        return np.array([float(st.query @ st.raw_response) for st in steps[1:]] + [last])
+    H = session.compression()
+    sizes = np.cumsum([not st.degenerate for st in steps])
+    return np.array([np.linalg.eigvalsh(H[:k, :k])[-1] for k in sizes])
 
 
 def queries_to_target(
@@ -162,11 +131,14 @@ def queries_to_target(
     max_T: int = 64,
 ) -> int:
     """Smallest query count at which the algorithm's candidate output reaches
-    a Rayleigh quotient of target_ratio * ||M|| on a fresh instance.
+    a Rayleigh quotient of target_ratio * ||M|| on a fresh instance, or
+    max_T + 1 when no candidate within the budget does.
 
-    One instance and one growing session per call; returns max_T + 1 when the
-    target is never met within the budget.  Evaluation uses ground truth (the
-    caller-side instance), the algorithm itself still sees only the oracle.
+    A ``simulate`` trial with a stopping rule applied afterwards: one
+    ``run`` of budget max_T on a matrix-free instance (``make_lazy_spiked``),
+    then each step's candidate quotient (``_candidate_quotients``) against
+    ||M||, which ``spectral_norm`` solves for after the run.  The algorithm
+    sees only the oracle; the reads after the run are charged to no session.
     """
     if not (0 <= target_ratio < 1):
         raise ValueError(f"target_ratio must lie in [0, 1), got {target_ratio}")
@@ -175,12 +147,11 @@ def queries_to_target(
     # one generator for both the instance and the algorithm's own randomness,
     # so the two never replay the same stream
     rng = as_rng(seed)
-    # validated before the d x d instance is built; it draws nothing from rng
+    # validated before the instance draws its theta from rng
     config = AlgorithmConfig(kind=kind, seed=rng)
-    inst = make_spiked(d, lam, seed=rng)
-    norm = spectral_norm(inst)
+    inst = make_lazy_spiked(d, lam, seed=rng)
     session = open_session(inst, budget=max_T)
-    for T, candidate in enumerate(iterate_candidates(session, config), start=1):
-        if float(candidate @ inst.matrix @ candidate) >= target_ratio * norm:
-            return T
-    return max_T + 1
+    run(session, config)
+    norm = spectral_norm(inst)
+    met = np.flatnonzero(_candidate_quotients(session, kind, inst) >= target_ratio * norm)
+    return int(met[0]) + 1 if met.size else max_T + 1

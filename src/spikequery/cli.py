@@ -9,8 +9,8 @@ Four subcommands:
              d <b_k, theta>^2, plus a median row.
   bounds     tabulates the closed-form bounds and tau schedules over T.
   verify     drives the Monte-Carlo verification checks; exit 0 iff all pass.
-  scaling    empirical median queries-to-target next to the theoretical
-             minimum query count at the matched eigenratio.
+  scaling    median queries-to-target of simulate trials next to the
+             theoretical minimum query count at the matched eigenratio.
 
 Every run writes a single '#' header line echoing the full configuration and
 seed; re-running the same command line reproduces the output byte for byte
@@ -52,9 +52,7 @@ from .bounds import (
 )
 from .instances import (
     MemoryLimitError,
-    _require_fits,
     as_rng,
-    available_cores,
     make_lazy_spiked,
     map_trials,
     trial_seed,
@@ -328,12 +326,10 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
                 f"target must exceed the matched eigenratio gamma = {gamma:.6g} "
                 f"at d={d} so the main bound applies, got {c.target}",
             )
-        # every trial thread holds one d x d instance
-        threads = min(len(c.d_grid) * c.trials, c.jobs or available_cores())
         d = max(c.d_grid)
-        try:
-            _require_fits(f"{threads} trial threads, each with one {d} x {d} instance,",
-                          d, threads)
+        try:  # a trial is simulate's, at the largest d and a budget of max-T
+            _require_lazy_trials_fit(d, c.max_T, len(c.d_grid) * c.trials, 1,
+                                     workers=c.jobs, scored=True)
         except ValueError as exc:
             raise UsageError(f"scaling at d={d}: {exc}")
 
@@ -512,7 +508,10 @@ def cmd_verify(config: RunConfig) -> Tuple[str, str, int]:
 def cmd_scaling(config: RunConfig) -> str:
     c = config
     kd = c.kd if c.kd is not None else KD_ASYMPTOTIC
-    results = map_trials(partial(_scaling_trial, c), len(c.d_grid) * c.trials, c.jobs)
+    try:  # a norm solve that outgrows the up-front count refuses to grow
+        results = map_trials(partial(_scaling_trial, c), len(c.d_grid) * c.trials, c.jobs)
+    except MemoryLimitError as exc:
+        raise UsageError(f"scaling: {exc}")
 
     lines = [config_header(config), "d,median_queries,theory_min_queries,gamma"]
     for j, d in enumerate(c.d_grid):

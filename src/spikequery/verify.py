@@ -151,9 +151,9 @@ def _require_lazy_trials_fit(
     the min(T, d) x min(T, d) compression H, on as many threads as
     map_trials starts with ``workers`` (default: every available core).
 
-    A ``scored`` instance (simulate's, reduction-events') is counted with
-    min(T, d) + 2 NORM_SOLVE_ROWS rows of length d more: a norm solve whose
-    first check fails regrows the instance's two row arrays once, by
+    A ``scored`` instance (simulate's, scaling's, reduction-events') is
+    counted with min(T, d) + 2 NORM_SOLVE_ROWS rows of length d more: a norm
+    solve whose first check fails regrows the instance's two row arrays once, by
     NORM_SOLVE_ROWS rows, while the step records keep views of the old
     directions.  It regrows H to min(T, d) + NORM_SOLVE_ROWS rows too, and
     keeps the Lanczos coefficients of its expansion in one more square of

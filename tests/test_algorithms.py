@@ -7,7 +7,7 @@ import pytest
 from spikequery.algorithms import (
     ALGORITHM_KINDS,
     AlgorithmConfig,
-    iterate_candidates,
+    _candidate_quotients,
     queries_to_target,
     run,
 )
@@ -16,6 +16,7 @@ from spikequery.instances import (
     make_lazy_spiked,
     make_spiked,
     rayleigh,
+    sample_uniform_sphere,
     spectral_norm,
 )
 from spikequery.oracle import open_session
@@ -227,50 +228,72 @@ class TestRandomNonadaptive:
         assert np.median(overlaps) <= 0.05
 
 
-class TestIterateCandidates:
-    def test_yields_one_candidate_per_query(self):
-        inst = make_spiked(30, 2.0, seed=47)
-        session = open_session(inst, budget=5)
-        config = AlgorithmConfig(kind="power", seed=7)
-        candidates = list(iterate_candidates(session, config))
-        assert len(candidates) == 5
-        assert session.queries_made == 5
-        for c in candidates:
-            assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-10)
-
+class TestRun:
     def test_prefix_property_matches_full_run(self):
+        # a shorter budget runs the same first queries, for every kind
         inst = make_spiked(30, 2.0, seed=47)
-        session_a = open_session(inst, budget=3)
-        partial = list(iterate_candidates(session_a, AlgorithmConfig(kind="power", seed=7)))
-        session_b = open_session(inst, budget=5)
-        full = list(iterate_candidates(session_b, AlgorithmConfig(kind="power", seed=7)))
-        for a, b in zip(partial, full):
-            assert np.array_equal(a, b)
+        for kind in ALGORITHM_KINDS:
+            transcripts = []
+            for budget in (3, 5):
+                session = open_session(inst, budget=budget)
+                run(session, AlgorithmConfig(kind=kind, seed=7))
+                transcripts.append(session.transcript)
+            short, full = transcripts
+            assert short.queries_made == 3 and full.queries_made == 5
+            for a, b in zip(short.steps, full.steps[:3]):
+                assert np.array_equal(a.query, b.query)
 
 
-class TestIncrementalRitz:
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("kind", ["lanczos", "random"])
-    def test_candidates_match_from_scratch_ritz(self, kind, seed):
-        d, T = 200, 64
-        inst = make_spiked(d, 3.0, seed=seed)
+def _candidates_from_scratch(m, kind, seed, queries):
+    """Each step's candidate output, recomputed with the dense matrix m:
+    power iterates from the run's starting vector, or the top Ritz vector
+    of the span of the queries so far."""
+    if kind == "power":
+        v = sample_uniform_sphere(m.shape[0], np.random.default_rng(seed))
+        out = []
+        for _ in queries:
+            w = m @ v
+            v = w / np.linalg.norm(w)
+            out.append(v)
+        return out
+    out = []
+    for t in range(1, len(queries) + 1):
+        basis, _ = np.linalg.qr(np.column_stack(queries[:t]))
+        basis = basis[:, : min(t, m.shape[0])]
+        _, vecs = np.linalg.eigh(basis.T @ m @ basis)
+        out.append(basis @ vecs[:, -1])
+    return out
+
+
+class TestCandidateQuotients:
+    @pytest.mark.parametrize(
+        "kind, d, lam, T",
+        [("power", 200, 3.0, 20), ("lanczos", 200, 3.0, 64), ("random", 200, 3.0, 64),
+         ("power", 60, 1e4, 40), ("lanczos", 30, 3.0, 40)],
+        ids=["power", "lanczos", "random", "power-degenerate", "lanczos-breakdown"],
+    )
+    def test_match_candidates_from_scratch(self, kind, d, lam, T):
+        # the quotient read from the finished session after each step equals
+        # v^T M v of that step's candidate v, recomputed from scratch
+        inst = make_spiked(d, lam, seed=d + T)
         m = inst.matrix
         norm = spectral_norm(m)
         session = open_session(inst, budget=T)
-        config = AlgorithmConfig(kind=kind, seed=seed + 100)
-        candidates = list(iterate_candidates(session, config))
-        assert len(candidates) == T
-        steps = session.finalize(candidates[-1]).steps
-        queries = np.column_stack([st.query for st in steps])
-        for t, cand in enumerate(candidates, start=1):
-            basis, _ = np.linalg.qr(queries[:, :t])
-            vals, vecs = np.linalg.eigh(basis.T @ m @ basis)
-            assert overlap(cand, basis @ vecs[:, -1]) >= 1.0 - 1e-10
-            assert abs(rayleigh(m, cand) - vals[-1]) <= 1e-10 * norm
-        # a fresh session fed the same queries, one Ritz solve at the end
-        vec, val = session_ritz(m, [st.query for st in steps])
-        assert overlap(vec, candidates[-1]) >= 1.0 - 1e-10
-        assert abs(val - vals[-1]) <= 1e-10 * norm
+        run(session, AlgorithmConfig(kind=kind, seed=5))
+        steps = session.transcript.steps
+        quotients = _candidate_quotients(session, kind, inst)
+        assert quotients.shape == (len(steps),)
+        candidates = _candidates_from_scratch(m, kind, 5, [st.query for st in steps])
+        expected = [float(v @ m @ v) / float(v @ v) for v in candidates]
+        assert np.max(np.abs(quotients - expected)) <= 1e-12 * norm
+        if kind == "power":
+            # the candidate after step t is the query of step t + 1
+            for v, st in zip(candidates, steps[1:]):
+                assert np.max(np.abs(v - st.query)) <= 1e-12
+        if lam > 100:  # power converges to within DEGENERATE_TOL of its span
+            assert any(st.degenerate for st in steps)
+        if d < T:  # the Krylov space of R^d closes before the budget is spent
+            assert len(steps) < T and session.transcript.early_termination
 
 
 class TestQueriesToTarget:
@@ -296,11 +319,14 @@ class TestQueriesToTarget:
         assert queries_to_target("random", 400, 1.5, 0.999, seed=5, max_T=3) == 4
 
     def test_strong_spike_found_quickly(self):
+        # over seeds 1000-1599 the count was 3, 4, 5 and 6 in 76%, 21%, 2%
+        # and 0.2% of trials
         counts = [
             queries_to_target("lanczos", 128, 10.0, 0.9, seed=s, max_T=32)
             for s in range(5)
         ]
-        assert max(counts) <= 4
+        assert np.median(counts) <= 3
+        assert max(counts) <= 5
 
     def test_deterministic_under_seed(self):
         a = queries_to_target("power", 64, 4.0, 0.8, seed=19, max_T=16)
@@ -314,7 +340,7 @@ class TestQueriesToTarget:
         def no_build(*args, **kwargs):
             raise AssertionError("instance built before the kind was validated")
 
-        monkeypatch.setattr("spikequery.algorithms.make_spiked", no_build)
+        monkeypatch.setattr("spikequery.algorithms.make_lazy_spiked", no_build)
         with pytest.raises(ValueError, match="kind"):
             queries_to_target("subspace", 16, 2.0, 0.5)
 
@@ -342,20 +368,22 @@ class TestOneRitzSolve:
         ids=["power", "lanczos", "random", "lanczos-breakdown"],
     )
     def test_run_output_is_last_candidate(self, kind, d, T):
+        # the output is power's last normalized response, or the Ritz
+        # maximizer of a fresh session fed the run's queries
         inst = make_spiked(d, 3.0, seed=67)
-        session_a = open_session(inst, budget=T)
-        out, ritz = run(session_a, AlgorithmConfig(kind=kind, seed=9))
-        session_b = open_session(inst, budget=T)
-        candidates = list(iterate_candidates(session_b, AlgorithmConfig(kind=kind, seed=9)))
-        assert session_a.queries_made == len(candidates)
-        assert np.array_equal(out, candidates[-1])
+        session = open_session(inst, budget=T)
+        out, ritz = run(session, AlgorithmConfig(kind=kind, seed=9))
+        steps = session.transcript.steps
         if kind == "power":
+            w = steps[-1].raw_response
+            assert np.array_equal(out, w / np.linalg.norm(w))
             assert ritz is None
         else:
-            assert isinstance(ritz, float)
+            vec, val = session_ritz(inst.matrix, [st.query for st in steps])
+            assert np.array_equal(out, vec) and ritz == val
             norm = spectral_norm(inst.matrix)
             assert abs(ritz - rayleigh(inst.matrix, out)) <= 1e-10 * norm
         if (kind, d) == ("lanczos", 30):
             # the Krylov space of R^30 closes before the budget is spent
-            assert len(candidates) < T
-            assert session_a.transcript.early_termination
+            assert len(steps) < T
+            assert session.transcript.early_termination

@@ -340,7 +340,8 @@ _EXTREME_ARGV = [
 ] + [
     ["simulate", "--alg", "power", "--d", "1000000000000", "--lambda", "3", "--T", "6",
      "--trials", "1"],
-    ["scaling", "--alg", "power", "--d-grid", "1000000", "--lambda", "8", "--trials", "1"],
+    ["scaling", "--alg", "power", "--d-grid", "1000000000000", "--lambda", "8",
+     "--trials", "1"],
 ]
 
 
@@ -401,18 +402,24 @@ def test_simulate_regrowth_past_memory_is_refused_without_a_traceback(monkeypatc
     # the up-front count holds the session and the solve's first reserve;
     # a null instance's solve reveals more than that reserve and doubles
     # the instance's arrays, which a machine of 400 pages (1.6 MB) refuses
-    # before allocating them
+    # before allocating them.  A scaling trial is a simulate trial, and at
+    # lambda = 0.2, below the BBP threshold 1 (with --kd small enough that
+    # the regime check passes), its solve regrows as on a null instance
     _physical_memory(monkeypatch, 400)
     d, T = 2000, 6
-    code, out, err = run_main(
-        ["simulate", "--alg", "power", "--d", str(d), "--lambda", "0", "--T", str(T),
-         "--trials", "1", "--jobs", "1"], capsys)
     rows = 2 * (T + instances.NORM_SOLVE_ROWS) + 1
     need = 8 * (2 * rows * d + rows * rows + rows)
-    assert code == 2 and out == ""
-    assert err == (f"error: simulate at d={d}: a lazy instance of dimension {d} grown to "
-                   f"{rows} revealed directions needs {need} bytes, more than the "
-                   f"1638400 bytes of physical memory\n")
+    for argv, prefix in (
+        (["simulate", "--alg", "power", "--d", str(d), "--lambda", "0", "--T", str(T)],
+         f"simulate at d={d}"),
+        (["scaling", "--alg", "power", "--d-grid", str(d), "--lambda", "0.2", "--kd", "0.01",
+          "--max-T", str(T)], "scaling"),
+    ):
+        code, out, err = run_main(argv + ["--trials", "1", "--jobs", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: {prefix}: a lazy instance of dimension {d} grown to "
+                       f"{rows} revealed directions needs {need} bytes, more than the "
+                       f"1638400 bytes of physical memory\n")
 
 
 def test_simulate_lets_other_errors_through(monkeypatch):
@@ -430,15 +437,23 @@ def test_simulate_lets_other_errors_through(monkeypatch):
 def test_scaling_instances_larger_than_memory_are_a_usage_error(
     jobs, threads, monkeypatch, capsys
 ):
-    # every trial thread holds one d x d instance of the largest grid d
+    # a trial thread holds a simulate trial at the largest grid d with a
+    # budget of max-T (64): LAZY_TRIAL_ARRAYS (T, d) arrays, T +
+    # 2 NORM_SOLVE_ROWS rows more and two squares of T + NORM_SOLVE_ROWS rows
     monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: set(range(2)))
     _physical_memory(monkeypatch, 1000)
+    d, T = 100_000, 64
     code, out, err = run_main(
-        ["scaling", "--alg", "power", "--d-grid", "1000,500", "--lambda", "8",
+        ["scaling", "--alg", "power", "--d-grid", f"{d},500", "--lambda", "8",
          "--trials", "3"] + jobs, capsys)
+    square = T + instances.NORM_SOLVE_ROWS
+    need = 8 * threads * (
+        d * (LAZY_TRIAL_ARRAYS * T + T + 2 * instances.NORM_SOLVE_ROWS) + 2 * square**2
+    )
     assert code == 2 and out == ""
-    assert f"with one 1000 x 1000 instance, needs {8 * 1000**2 * threads} bytes" in err
-    assert "more than the 4096000 bytes of physical memory" in err
+    assert err.startswith(f"error: scaling at d={d}: {threads} trial threads of 1 lazy "
+                          f"instances, each with {LAZY_TRIAL_ARRAYS} {T} x {d} arrays")
+    assert f"needs {need} bytes, more than the 4096000 bytes of physical memory" in err
 
 
 def test_simulate_trial_holds_no_dxd_array(monkeypatch, capsys):
@@ -447,7 +462,8 @@ def test_simulate_trial_holds_no_dxd_array(monkeypatch, capsys):
     # queries', the norm solve's and at most one more), in arrays the norm
     # solve regrows once, to NORM_SOLVE_ROWS rows beyond those in use; the
     # session and the solve a few rows more (the peak measured 5.5 revealed
-    # rows, at 24 reveals)
+    # rows, at 24 reveals).  A scaling trial is a simulate trial, with its
+    # candidates' quotients read from the finished session
     reveals = []
     reveal = LazySpikedInstance._reveal
 
@@ -457,17 +473,20 @@ def test_simulate_trial_holds_no_dxd_array(monkeypatch, capsys):
 
     monkeypatch.setattr(LazySpikedInstance, "_reveal", counting)
     d, T = 200_000, 6
-    tracemalloc.start()
-    try:
-        code, _, _ = run_main(
-            ["simulate", "--alg", "power", "--d", str(d), "--lambda", "3", "--T", str(T),
-             "--trials", "1", "--jobs", "1"], capsys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert T < len(reveals) < 64
-    assert peak < 10 * len(reveals) * d * 8
+    for argv in (["simulate", "--alg", "power", "--d", str(d), "--lambda", "3",
+                  "--T", str(T)],
+                 ["scaling", "--alg", "power", "--d-grid", str(d), "--lambda", "3",
+                  "--max-T", str(T)]):
+        reveals.clear()
+        tracemalloc.start()
+        try:
+            code, _, _ = run_main(argv + ["--trials", "1", "--jobs", "1"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert T < len(reveals) < 64
+        assert peak < 10 * len(reveals) * d * 8
 
 
 @pytest.mark.parametrize("check", ["gauss-quadratic", "conditional-law"])

@@ -1,7 +1,8 @@
 """The package's import surface: every exported name resolves, the
 removed run wrappers, oracle forwarders, second step type, second
-residual tolerance, Ritz-from-pairs function and test-only transcript
-helpers stay removed, and the runtime imports no scipy."""
+residual tolerance, Ritz-from-pairs function, test-only transcript
+helpers and step-by-step candidate iterator stay removed, and the runtime
+imports no scipy."""
 
 import os
 import subprocess
@@ -24,7 +25,8 @@ def test_every_exported_name_resolves():
     "name",
     ["run_power", "run_lanczos", "run_random_nonadaptive", "RUNNERS",
      "query", "projected_view", "finalize", "ProjectedStep", "BREAKDOWN_TOL",
-     "ritz_from_pairs", "transcript_rows", "_vector_hash", "reconstruct_raw_responses"],
+     "ritz_from_pairs", "transcript_rows", "_vector_hash", "reconstruct_raw_responses",
+     "iterate_candidates"],
 )
 def test_removed_names_are_gone(name):
     assert name not in spikequery.__all__

@@ -15,7 +15,6 @@ from scipy.stats import norm as normal
 from spikequery import (
     AlgorithmConfig,
     LazySpikedInstance,
-    iterate_candidates,
     make_lazy_spiked,
     make_spiked,
     run,
@@ -880,16 +879,20 @@ def _cgs2_residual_error(session, w):
          "lanczos-breakdown"],
 )
 def test_residual_is_the_cgs2_residual_of_the_last_response(kind, d, lam, T, lazy):
-    # after every query: near-dependent power queries that turn degenerate,
-    # random queries past a full basis of R^d, Lanczos to its breakdown
-    inst = (make_lazy_spiked if lazy else make_spiked)(d, lam, seed=d + T)
+    # after every query of a run, replayed into a fresh session on an equal
+    # instance: near-dependent power queries that turn degenerate, random
+    # queries past a full basis of R^d, Lanczos to its breakdown
+    make = make_lazy_spiked if lazy else make_spiked
+    ran = open_session(make(d, lam, seed=d + T), budget=T)
+    run(ran, AlgorithmConfig(kind=kind, seed=3))
+    steps = ran.transcript.steps
+    inst = make(d, lam, seed=d + T)
     session = open_session(inst, budget=T)
     errors = []
-    for _ in iterate_candidates(session, AlgorithmConfig(kind=kind, seed=3)):
-        w = session.projected_view(session.queries_made).raw_response
+    for st in steps:
+        w = session.query(st.query)
+        assert np.array_equal(w, st.raw_response)
         errors.append(_cgs2_residual_error(session, w))
-    steps = session.transcript.steps if session.finalized else [
-        session.projected_view(i) for i in range(1, session.queries_made + 1)]
     if lam > 100:  # power converges to within DEGENERATE_TOL of its span
         assert any(st.degenerate for st in steps)
     if d < T:
