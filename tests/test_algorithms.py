@@ -265,6 +265,34 @@ def _candidates_from_scratch(m, kind, seed, queries):
     return out
 
 
+class TestIncrementalRitz:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["lanczos", "random"])
+    def test_candidates_match_from_scratch_ritz(self, kind, seed):
+        # each step's candidate quotient is the top Ritz value of the span of
+        # the queries so far, and the output is that span's top Ritz vector
+        d, T = 200, 64
+        inst = make_spiked(d, 3.0, seed=seed)
+        m = inst.matrix
+        norm = spectral_norm(m)
+        session = open_session(inst, budget=T)
+        out, _ = run(session, AlgorithmConfig(kind=kind, seed=seed + 100))
+        steps = session.transcript.steps
+        assert len(steps) == T
+        quotients = _candidate_quotients(session, kind, inst)
+        queries = np.column_stack([st.query for st in steps])
+        for t in range(1, T + 1):
+            basis, _ = np.linalg.qr(queries[:, :t])
+            vals, vecs = np.linalg.eigh(basis.T @ m @ basis)
+            assert abs(quotients[t - 1] - vals[-1]) <= 1e-10 * norm
+        assert overlap(out, basis @ vecs[:, -1]) >= 1.0 - 1e-10
+        assert abs(rayleigh(m, out) - vals[-1]) <= 1e-10 * norm
+        # a fresh session fed the same queries, one Ritz solve at the end
+        vec, val = session_ritz(m, [st.query for st in steps])
+        assert overlap(vec, out) >= 1.0 - 1e-10
+        assert abs(val - vals[-1]) <= 1e-10 * norm
+
+
 class TestCandidateQuotients:
     @pytest.mark.parametrize(
         "kind, d, lam, T",
