@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .instances import (
     DEGENERATE_TOL,
-    LazySpikedInstance,
     Seed,
-    SpikedInstance,
-    _operator,
     as_rng,
     make_lazy_spiked,
     sample_uniform_sphere,
@@ -103,19 +100,17 @@ def run(
     return v_hat, value
 
 
-def _candidate_quotients(
-    session: QuerySession, kind: str, inst: Union[SpikedInstance, LazySpikedInstance]
-) -> np.ndarray:
+def _candidate_quotients(session: QuerySession, kind: str) -> np.ndarray:
     """v^T M v of each step's candidate output v in a finished ``run`` of
     the given kind, read from its session.  A power candidate is the next
     step's query, so its quotient is that query's product with its
-    response; the final output's takes one apply no session charges
-    (``_rayleigh``, as ``score`` reads it).  A Lanczos or random candidate's
+    response; the final output's takes one apply of the session's operator
+    that no query charges (``_rayleigh``, as ``score`` reads it).  A Lanczos or random candidate's
     is its Ritz value, the top eigenvalue of H's leading k x k block for the
     basis size k after the step."""
     steps = session.transcript.steps
     if kind == "power":
-        last = _operator(inst)._rayleigh(session.transcript.final_output)
+        last = session._basis._op._rayleigh(session.transcript.final_output)
         return np.array([float(st.query @ st.raw_response) for st in steps[1:]] + [last])
     H = session.compression()
     sizes = np.cumsum([not st.degenerate for st in steps])
@@ -153,5 +148,5 @@ def queries_to_target(
     session = open_session(inst, budget=max_T)
     run(session, config)
     norm = spectral_norm(inst)
-    met = np.flatnonzero(_candidate_quotients(session, kind, inst) >= target_ratio * norm)
+    met = np.flatnonzero(_candidate_quotients(session, kind) >= target_ratio * norm)
     return int(met[0]) + 1 if met.size else max_T + 1

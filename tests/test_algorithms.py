@@ -279,7 +279,7 @@ class TestIncrementalRitz:
         out, _ = run(session, AlgorithmConfig(kind=kind, seed=seed + 100))
         steps = session.transcript.steps
         assert len(steps) == T
-        quotients = _candidate_quotients(session, kind, inst)
+        quotients = _candidate_quotients(session, kind)
         queries = np.column_stack([st.query for st in steps])
         for t in range(1, T + 1):
             basis, _ = np.linalg.qr(queries[:, :t])
@@ -309,7 +309,7 @@ class TestCandidateQuotients:
         session = open_session(inst, budget=T)
         run(session, AlgorithmConfig(kind=kind, seed=5))
         steps = session.transcript.steps
-        quotients = _candidate_quotients(session, kind, inst)
+        quotients = _candidate_quotients(session, kind)
         assert quotients.shape == (len(steps),)
         candidates = _candidates_from_scratch(m, kind, 5, [st.query for st in steps])
         expected = [float(v @ m @ v) / float(v @ v) for v in candidates]
@@ -347,8 +347,8 @@ class TestQueriesToTarget:
         assert queries_to_target("random", 400, 1.5, 0.999, seed=5, max_T=3) == 4
 
     def test_strong_spike_found_quickly(self):
-        # over seeds 1000-1599 the count was 3, 4, 5 and 6 in 76%, 21%, 2%
-        # and 0.2% of trials
+        # over seeds 1000-1599 the count was at most 3 in 77% of trials, 4 in
+        # 21%, 5 in 2% and 6 in 0.2%
         counts = [
             queries_to_target("lanczos", 128, 10.0, 0.9, seed=s, max_T=32)
             for s in range(5)
