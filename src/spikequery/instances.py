@@ -8,15 +8,11 @@ orthogonal ensemble matrix,
 with theta uniform on the unit sphere and W symmetric Gaussian noise
 (off-diagonal variance 1, diagonal variance 2), drawn from its d(d+1)/2
 free entries: the upper triangle, diagonal included, in row-major order,
-mirrored below.  This module samples such
-instances, exposes a full-eigendecomposition oracle for ground truth, and
-checks membership in the bounded-eigenratio class (top eigenvalue positive
-and dominant, every other eigenvalue at most gamma times it in magnitude).
+mirrored below.  This module samples such instances and solves for their
+operator norm.
 
-An instance stores theta and M, one d x d array; W is not kept.
-``make_spiked`` builds M in the buffer of the GOE draw and skips the checks
-that hold by construction; a ``SpikedInstance`` built by hand, which takes
-W as an init-only argument, is checked in full.
+A ``SpikedInstance`` stores theta and M, one d x d array, and checks both;
+W is not kept.  ``make_spiked`` builds M in the buffer of the GOE draw.
 
 ``make_lazy_spiked`` draws an instance of the same law that never forms M:
 a ``LazySpikedInstance`` draws W only along the directions it is applied
@@ -35,16 +31,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar, Union
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
 Seed = Union[None, int, np.integer, np.random.Generator, np.random.SeedSequence]
-
-#: Largest dimension the dense eigendecomposition oracle accepts by default.
-SPECTRUM_DIM_CAP = 8192
 
 #: Edge of the square tiles in which the d x d passes below walk the matrix
 #: (and the height of the row blocks in which a GOE draw is made).
@@ -162,8 +155,8 @@ def _is_symmetric(M: np.ndarray) -> bool:
 
 def _require_symmetric(M: np.ndarray, name: str = "M") -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} has non-finite entries")
     if not _is_symmetric(M):
@@ -343,54 +336,27 @@ def _check_spike(theta: np.ndarray, lam: float) -> None:
 class SpikedInstance:
     """A planted-spike matrix M = lam * theta theta^T + noise / sqrt(d).
 
-    Only theta and M are stored; noise is an init-only argument and is not
-    kept.  An instance built by hand is checked in full: theta a finite 1-D
-    unit vector, lam finite and >= 0, noise and matrix finite, exactly
-    symmetric and d x d, and matrix equal to lam theta theta^T +
-    noise / sqrt(d) (tol 1e-10).  ``make_spiked`` builds its instances
-    through a trusted path that only freezes theta and M, since there these
-    facts hold by construction.
+    Only theta and M are stored, and both are checked: theta a finite 1-D
+    unit vector, lam finite and >= 0, and matrix finite, exactly symmetric
+    and d x d.  Every such M is of this form, with noise = sqrt(d) (M -
+    lam theta theta^T), so noise is neither taken nor kept.
     """
 
     theta: np.ndarray
     lam: float
-    noise: InitVar[np.ndarray]
     matrix: np.ndarray = field(repr=False)
 
-    def __post_init__(self, noise: np.ndarray):
+    def __post_init__(self):
         theta = _frozen(self.theta)
-        noise = _require_symmetric(noise, "noise")
+        _check_spike(theta, self.lam)
         matrix = _frozen(_require_symmetric(self.matrix, "matrix"))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "matrix", matrix)
-        _check_spike(theta, self.lam)
         d = theta.shape[0]
-        if noise.shape != (d, d) or matrix.shape != (d, d):
+        if matrix.shape != (d, d):
             raise ValueError(
-                f"noise {noise.shape} and matrix {matrix.shape} must be d x d "
-                f"for theta of length d = {d}"
+                f"matrix {matrix.shape} must be d x d for theta of length d = {d}"
             )
-        # max |matrix - (lam theta theta^T + noise/sqrt(d))|, a block of rows
-        # at a time; np.max keeps a NaN, as one whole-matrix pass would
-        scale = np.sqrt(d)
-        worst = []
-        for rows in _row_blocks(d):
-            diff = self.lam * np.outer(theta[rows], theta)
-            diff += noise[rows] / scale
-            diff -= matrix[rows]
-            worst.append(np.max(np.abs(diff, out=diff)))
-        if np.max(worst) > 1e-10:
-            raise ValueError("matrix does not equal lam*theta theta^T + noise/sqrt(d)")
-
-    @classmethod
-    def _trusted(cls, theta: np.ndarray, lam: float, matrix: np.ndarray) -> "SpikedInstance":
-        """An instance from parts that satisfy every invariant by
-        construction: theta and matrix are frozen, not checked."""
-        inst = object.__new__(cls)
-        object.__setattr__(inst, "theta", _frozen(theta))
-        object.__setattr__(inst, "lam", lam)
-        object.__setattr__(inst, "matrix", _frozen(matrix))
-        return inst
 
     @property
     def dim(self) -> int:
@@ -403,9 +369,7 @@ def make_spiked(d: int, lam: float, seed: Seed = None) -> SpikedInstance:
     M is built in the buffer of the GOE draw: a block of rows at a time, W
     is divided by sqrt(d) in place and lam theta theta^T added, so M is the
     only d x d array.  Both terms are exactly symmetric in floating point,
-    and so is their sum; the entries are finite, and theta is a unit
-    vector.  The instance is therefore returned without the O(d^2) checks a
-    hand-built ``SpikedInstance`` runs.
+    and so is their sum, which ``SpikedInstance`` checks.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -418,7 +382,7 @@ def make_spiked(d: int, lam: float, seed: Seed = None) -> SpikedInstance:
         block = matrix[rows]
         block /= scale
         block += lam * np.outer(theta[rows], theta)
-    return SpikedInstance._trusted(theta, float(lam), matrix)
+    return SpikedInstance(theta, float(lam), matrix)
 
 
 class _RevealedOperator:
@@ -701,8 +665,8 @@ def _operator(
     M: Operand, bare: Callable[[np.ndarray], np.ndarray] = lambda M: M
 ) -> _RevealedOperator:
     """M as an operator: a lazy instance (any ``_RevealedOperator``) as it
-    is; an instance's matrix, trusted, or a bare array after ``bare`` (which
-    may check it), in a fresh ``_DenseOperator``."""
+    is; an instance's matrix, checked when the instance was built, or a bare
+    array after ``bare`` (which may check it), in a fresh ``_DenseOperator``."""
     if isinstance(M, _RevealedOperator):
         return M
     if isinstance(M, SpikedInstance):
@@ -718,45 +682,6 @@ def make_lazy_spiked(d: int, lam: float, seed: Seed = None) -> LazySpikedInstanc
     _check_lam(lam)  # before the O(d) draw of theta
     rng = as_rng(seed)
     return LazySpikedInstance(sample_uniform_sphere(d, rng), lam, rng)
-
-
-@dataclass(frozen=True)
-class SpectrumSummary:
-    """Full eigendecomposition digest of a symmetric matrix.
-
-    eigenvalues are sorted descending; eigenratio is max_{j>=2} |lam_j|/lam_1,
-    defined only when lam_1 > 0 (None otherwise).
-    """
-
-    eigenvalues: np.ndarray
-    top_vector: np.ndarray
-    op_norm: float
-    eigenratio: Optional[float]
-
-
-def spectrum(M: np.ndarray, dim_cap: int = SPECTRUM_DIM_CAP) -> SpectrumSummary:
-    """Dense symmetric eigendecomposition, capped at desk scale."""
-    M = _require_symmetric(M)
-    d = M.shape[0]
-    if d > dim_cap:
-        raise ValueError(f"spectrum oracle capped at d <= {dim_cap}, got {d}")
-    vals, vecs = np.linalg.eigh(M)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    top = vecs[:, order[0]]
-    op_norm = float(max(abs(vals[0]), abs(vals[-1])))
-    if vals[0] > 0 and d > 1:
-        ratio = float(np.max(np.abs(vals[1:])) / vals[0])
-    elif vals[0] > 0:
-        ratio = 0.0
-    else:
-        ratio = None
-    return SpectrumSummary(
-        eigenvalues=_frozen(vals),
-        top_vector=_frozen(top),
-        op_norm=op_norm,
-        eigenratio=ratio,
-    )
 
 
 def _next_check(k: int, now: Tuple[float, float], goals: Tuple[float, float],
@@ -984,8 +909,8 @@ def _revealed_span_extremes(
 def spectral_norm(M: Operand) -> float:
     """Operator norm of a symmetric matrix, or of an instance's matrix.
 
-    An instance's matrix is read as it is, since it is finite and exactly
-    symmetric by construction; a bare matrix is checked in full first.  Up
+    An instance's matrix is read as it is, since the instance checked it
+    when built; a bare matrix is checked in full first.  Up
     to d = DENSE_NORM_MAX_DIM (256) a dense matrix takes the dense
     eigensolver; above it, and on a lazy instance at every d,
     ``_revealed_span_extremes`` solves for the largest-magnitude eigenvalue
@@ -998,45 +923,12 @@ def spectral_norm(M: Operand) -> float:
     return _operator(M, _require_symmetric)._norm()
 
 
-class Membership(NamedTuple):
-    """Result of the eigenratio-class test, with a violating index if any.
-
-    witness is a 1-based eigenvalue index: 1 means the top eigenvalue itself
-    fails (not positive, or not the largest in magnitude); j >= 2 points at
-    the first eigenvalue with |lam_j| > gamma * lam_1.
-    """
-
-    is_member: bool
-    witness: Optional[int]
-
-
-def check_membership(M: np.ndarray, gamma: float) -> Membership:
-    """Test lam_1(M) = ||M|| > 0 and |lam_j| <= gamma * lam_1 for all j >= 2."""
-    if not (0 <= gamma < 1):
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    return _membership_of_spectrum(spectrum(M).eigenvalues, gamma)
-
-
-def _membership_of_spectrum(vals: np.ndarray, gamma: float) -> Membership:
-    """The eigenratio-class test on eigenvalues sorted descending."""
+def _is_member(vals: np.ndarray, gamma: float) -> bool:
+    """Whether eigenvalues sorted descending lie in the bounded-eigenratio
+    class: lam_1 > 0 the largest in magnitude, and |lam_j| <= gamma lam_1
+    for every j >= 2."""
     lam1 = vals[0]
     if lam1 <= 0 or abs(vals[-1]) > lam1:
-        return Membership(False, 1)
-    rest = np.abs(vals[1:])
+        return False
     # a few ulps of slack so gamma = eigenratio(M) itself always passes
-    bad = np.nonzero(rest > gamma * lam1 * (1.0 + 4 * np.finfo(float).eps))[0]
-    if bad.size:
-        return Membership(False, int(bad[0]) + 2)
-    return Membership(True, None)
-
-
-def rayleigh(M: np.ndarray, v: np.ndarray) -> float:
-    """Rayleigh quotient v^T M v for a unit vector v (tol 1e-8)."""
-    M = _require_symmetric(M)
-    v = np.asarray(v, dtype=float)
-    # a NaN slips past the tolerance test, which compares with >
-    if not np.all(np.isfinite(v)):
-        raise ValueError("rayleigh requires a finite vector")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValueError("rayleigh requires a unit vector (tol 1e-8)")
-    return float(v @ M @ v)
+    return not np.any(np.abs(vals[1:]) > gamma * lam1 * (1.0 + 4 * np.finfo(float).eps))

@@ -49,7 +49,7 @@ from .instances import (
     NORM_SOLVE_ROWS,
     Seed,
     _fill_goe,
-    _membership_of_spectrum,
+    _is_member,
     _require_fits,
     _revealed_span_extremes,
     as_rng,
@@ -603,7 +603,7 @@ def verify_reduction_events(
         top = float(vals[0])
         rest = float(np.max(np.abs(vals[1:])))
         item1 = top >= lam - dev and rest <= kd_hat + dev
-        item2 = _membership_of_spectrum(vals, gamma).is_member
+        item2 = _is_member(vals, gamma)
 
         quad = inst._rayleigh(inst.theta)
         eps_hat = max(0.0, 1.0 - inst._rayleigh(v_hat) / quad)

@@ -1,8 +1,9 @@
 """The package's import surface: every exported name resolves, the
 removed run wrappers, oracle forwarders, second step type, second
 residual tolerance, Ritz-from-pairs function, test-only transcript
-helpers and step-by-step candidate iterator stay removed, and the runtime
-imports no scipy."""
+helpers, step-by-step candidate iterator, dense spectral helpers and
+second instance constructor stay removed, and the runtime imports no
+scipy."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import spikequery
-from spikequery import algorithms, oracle
+from spikequery import algorithms, instances, oracle
 
 
 def test_every_exported_name_resolves():
@@ -26,13 +27,19 @@ def test_every_exported_name_resolves():
     ["run_power", "run_lanczos", "run_random_nonadaptive", "RUNNERS",
      "query", "projected_view", "finalize", "ProjectedStep", "BREAKDOWN_TOL",
      "ritz_from_pairs", "transcript_rows", "_vector_hash", "reconstruct_raw_responses",
-     "iterate_candidates"],
+     "iterate_candidates", "spectrum", "SpectrumSummary", "rayleigh", "check_membership",
+     "Membership", "SPECTRUM_DIM_CAP"],
 )
 def test_removed_names_are_gone(name):
     assert name not in spikequery.__all__
     assert not hasattr(spikequery, name)
     assert not hasattr(algorithms, name)
     assert not hasattr(oracle, name)
+    assert not hasattr(instances, name)
+
+
+def test_spiked_instance_has_one_construction_path():
+    assert not hasattr(spikequery.SpikedInstance, "_trusted")
 
 
 def test_runtime_imports_no_scipy():

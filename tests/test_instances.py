@@ -1,10 +1,11 @@
-"""Unit tests for instance generation, the spectral ground-truth oracle and
-the trial map."""
+"""Unit tests for instance generation, the operator norm, the
+eigenratio-class rule and the trial map."""
 
 import copy
 import math
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,17 +16,14 @@ from scipy.sparse.linalg import eigsh
 from spikequery import instances
 from spikequery import (
     LazySpikedInstance,
-    Membership,
     SpikedInstance,
-    check_membership,
     make_lazy_spiked,
     make_spiked,
-    rayleigh,
     sample_goe,
     sample_uniform_sphere,
     spectral_norm,
-    spectrum,
 )
+from spikequery.oracle import open_session
 
 
 # ---------------------------------------------------------------- sample_goe
@@ -197,20 +195,29 @@ def test_spiked_invariants_enforced():
     assert abs(np.linalg.norm(inst.theta) - 1.0) <= 1e-12
     recon = inst.lam * np.outer(inst.theta, inst.theta) + noise / np.sqrt(20)
     assert np.max(np.abs(inst.matrix - recon)) <= 1e-10
-    SpikedInstance(theta=inst.theta, lam=inst.lam, noise=noise, matrix=inst.matrix)
+    SpikedInstance(theta=inst.theta, lam=inst.lam, matrix=inst.matrix)
     with pytest.raises(ValueError):
-        SpikedInstance(theta=inst.theta * 2.0, lam=inst.lam, noise=noise, matrix=inst.matrix)
-    with pytest.raises(ValueError):
-        SpikedInstance(theta=inst.theta, lam=inst.lam, noise=noise, matrix=inst.matrix + 1.0)
+        SpikedInstance(theta=inst.theta * 2.0, lam=inst.lam, matrix=inst.matrix)
 
 
-def test_spiked_noise_is_required_in_positional_order():
+def test_spiked_built_by_hand_equals_make_spiked():
     inst = make_spiked(6, 2.0, seed=0)
-    noise = _noise_of(6, 0)
-    built = SpikedInstance(inst.theta, inst.lam, noise, inst.matrix)
+    built = SpikedInstance(inst.theta, inst.lam, inst.matrix)
+    assert np.array_equal(built.theta, inst.theta) and built.lam == inst.lam
     assert np.array_equal(built.matrix, inst.matrix)
-    with pytest.raises(TypeError):
-        SpikedInstance(theta=inst.theta, lam=inst.lam, matrix=inst.matrix)
+    assert [f.name for f in fields(SpikedInstance)] == ["theta", "lam", "matrix"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "asymmetric"])
+def test_spiked_rejects_a_non_finite_or_asymmetric_matrix(bad):
+    inst = make_spiked(6, 1.0, seed=0)
+    matrix = np.array(inst.matrix)
+    if bad == "asymmetric":
+        matrix[0, 1] += 1.0  # (1, 0) keeps its value
+    else:
+        matrix[2, 3] = matrix[3, 2] = float(bad)
+    with pytest.raises(ValueError, match="non-finite" if bad != "asymmetric" else "symmetric"):
+        SpikedInstance(theta=inst.theta, lam=inst.lam, matrix=matrix)
 
 
 @pytest.mark.parametrize("lam", [0.0, 3.0])
@@ -232,32 +239,26 @@ def test_spiked_matrix_bit_identical_to_reference_formula(d, lam):
 
 def test_spiked_rejects_dimension_mismatch():
     inst = make_spiked(6, 1.0, seed=0)
-    noise = _noise_of(6, 0)
-    with pytest.raises(ValueError):
-        SpikedInstance(theta=np.array([1.0]), lam=1.0, noise=noise, matrix=inst.matrix)
+    with pytest.raises(ValueError, match="d x d"):
+        SpikedInstance(theta=np.array([1.0]), lam=1.0, matrix=inst.matrix)
 
 
 def test_spiked_rejects_nan_theta():
     inst = make_spiked(5, 1.0, seed=0)
-    noise = _noise_of(5, 0)
     with pytest.raises(ValueError, match="non-finite"):
-        SpikedInstance(theta=np.full(5, np.nan), lam=1.0, noise=noise, matrix=inst.matrix)
+        SpikedInstance(theta=np.full(5, np.nan), lam=1.0, matrix=inst.matrix)
     one_nan = inst.theta.copy()
     one_nan[2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        SpikedInstance(theta=one_nan, lam=1.0, noise=noise, matrix=inst.matrix)
+        SpikedInstance(theta=one_nan, lam=1.0, matrix=inst.matrix)
 
 
 def test_spiked_rejects_theta_not_1d():
     with pytest.raises(ValueError, match="1-D"):
-        SpikedInstance(
-            theta=np.float64(1.0), lam=1.0, noise=np.zeros((1, 1)), matrix=np.zeros((1, 1))
-        )
+        SpikedInstance(theta=np.float64(1.0), lam=1.0, matrix=np.zeros((1, 1)))
     inst = make_spiked(4, 1.0, seed=0)
     with pytest.raises(ValueError, match="1-D"):
-        SpikedInstance(
-            theta=inst.theta.reshape(4, 1), lam=1.0, noise=_noise_of(4, 0), matrix=inst.matrix
-        )
+        SpikedInstance(theta=inst.theta.reshape(4, 1), lam=1.0, matrix=inst.matrix)
 
 
 def test_spiked_holds_one_dxd_array():
@@ -468,46 +469,39 @@ def test_symmetry_kernel_rejects_one_flipped_entry(d, i, j):
         spectral_norm(M)
 
 
-# ------------------------------------------------------------------- spectrum
+# ------------------------------------------------------------ spectral_norm
+
+@pytest.mark.parametrize("M", [np.zeros((0, 0)), np.zeros(3), np.zeros((2, 3))])
+def test_spectral_norm_and_sessions_reject_an_empty_or_non_square_matrix(M):
+    # a 0 x 0 matrix has no norm and takes no query
+    with pytest.raises(ValueError, match="non-empty square matrix"):
+        spectral_norm(M)
+    with pytest.raises(ValueError, match="non-empty square matrix"):
+        open_session(M, 1)
+
 
 def test_spectrum_identity():
-    s = spectrum(np.eye(6))
-    assert np.allclose(s.eigenvalues, 1.0)
-    assert s.eigenratio == 1.0
-    assert s.op_norm == 1.0
+    assert spectral_norm(np.eye(6)) == 1.0
+    assert _is_member(np.eye(6), 0.99) is False  # eigenratio 1
+    assert _is_member(np.eye(1), 0.0) is True  # no other eigenvalue
 
 
 def test_spectrum_diag_example():
-    s = spectrum(np.diag([3.0, 1.0, -2.0]))
-    assert s.op_norm == 3.0
-    assert abs(s.eigenratio - 2.0 / 3.0) <= 1e-15
-    assert np.array_equal(s.eigenvalues, [3.0, 1.0, -2.0])
+    M = np.diag([3.0, 1.0, -2.0])
+    assert spectral_norm(M) == 3.0
+    assert _is_member(M, 2.0 / 3.0) and not _is_member(M, 0.66)
 
 
 def test_spectrum_rank_one():
     theta = sample_uniform_sphere(40, seed=2)
-    s = spectrum(5.0 * np.outer(theta, theta))
-    assert abs(s.eigenvalues[0] - 5.0) <= 1e-10
-    assert abs(abs(s.top_vector @ theta) - 1.0) <= 1e-10
-
-
-def test_spectrum_eigenpair_residual():
-    M = sample_goe(128, seed=13)
-    s = spectrum(M)
-    resid = np.linalg.norm(M @ s.top_vector - s.eigenvalues[0] * s.top_vector)
-    assert resid <= 1e-8 * s.op_norm
-
-
-def test_spectrum_dim_cap():
-    with pytest.raises(ValueError):
-        spectrum(np.eye(10), dim_cap=8)
+    assert abs(spectral_norm(5.0 * np.outer(theta, theta)) - 5.0) <= 1e-10
 
 
 def test_spectrum_rejects_nonfinite():
     M = np.eye(3)
     M[0, 1] = M[1, 0] = np.nan
-    with pytest.raises(ValueError):
-        spectrum(M)
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_norm(M)
 
 
 @settings(max_examples=25, deadline=None)
@@ -613,47 +607,28 @@ def test_spectral_norm_trusts_an_instance_and_checks_a_bare_matrix(monkeypatch):
         spectral_norm(flipped)
 
 
-# ----------------------------------------------------------- check_membership
+# ----------------------------------------------------- eigenratio membership
+
+def _is_member(M, gamma):
+    return instances._is_member(np.linalg.eigvalsh(M)[::-1], gamma)
+
 
 def test_membership_examples():
-    assert check_membership(np.diag([1.0, 0.5]), 0.6) == Membership(True, None)
-    assert check_membership(np.diag([1.0, 0.5]), 0.4) == Membership(False, 2)
-    assert check_membership(np.diag([-2.0, 1.0]), 0.9) == Membership(False, 1)
-
-
-def test_membership_rejects_bad_gamma():
-    with pytest.raises(ValueError):
-        check_membership(np.eye(2), 1.0)
+    assert _is_member(np.diag([1.0, 0.5]), 0.6)
+    assert not _is_member(np.diag([1.0, 0.5]), 0.4)
+    assert not _is_member(np.diag([-2.0, 1.0]), 0.9)  # the top is not positive
+    assert not _is_member(np.diag([1.0, -2.0]), 0.9)  # nor the largest in magnitude
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=32), st.integers(min_value=0, max_value=2**32 - 1))
 def test_membership_consistent_with_own_eigenratio(d, seed):
     M = sample_goe(d, seed=seed)
-    s = spectrum(M)
-    if s.eigenvalues[0] > 0 and s.eigenvalues[0] == s.op_norm and s.eigenratio < 1:
-        assert check_membership(M, s.eigenratio).is_member
-
-
-# ------------------------------------------------------------------- rayleigh
-
-def test_rayleigh_examples():
-    assert rayleigh(np.diag([3.0, 1.0]), np.array([1.0, 0.0])) == 3.0
-    M = sample_goe(32, seed=21)
-    s = spectrum(M)
-    assert abs(rayleigh(M, s.top_vector) - s.eigenvalues[0]) <= 1e-8
-    v = sample_uniform_sphere(17, seed=3)
-    assert abs(rayleigh(np.eye(17), v) - 1.0) <= 1e-12
-
-
-def test_rayleigh_rejects_non_unit():
-    with pytest.raises(ValueError):
-        rayleigh(np.eye(3), np.array([1.0, 1.0, 0.0]))
-
-
-def test_rayleigh_rejects_non_finite_vector():
-    with pytest.raises(ValueError, match="finite"):
-        rayleigh(np.eye(4), np.full(4, np.nan))
+    vals = np.linalg.eigvalsh(M)[::-1]
+    if vals[0] > 0 and vals[0] >= abs(vals[-1]):
+        ratio = float(np.max(np.abs(vals[1:])) / vals[0])
+        if ratio < 1:
+            assert _is_member(M, ratio)
 
 
 # ----------------------------------------------------------------- map_trials
