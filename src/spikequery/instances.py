@@ -24,7 +24,11 @@ the directions revealed so far, their images and the compression of M to
 their span.  A lazy instance is one; a dense matrix is wrapped in one
 without a copy (``_operator``).  ``spectral_norm`` solves on that span
 (``_revealed_span_extremes``) for lazy instances and above
-DENSE_NORM_MAX_DIM, revealing more only where the span falls short.
+DENSE_NORM_MAX_DIM, revealing more only where the span falls short.  On a
+lazy instance it reveals them in reduced coordinates
+(``LazySpikedInstance._reduce``): on an orthonormal basis E of the span of
+the k revealed directions, their images and theta, at most 2k + 1 more
+rows of length d, after which a reveal draws O(k) numbers instead of d.
 """
 
 from __future__ import annotations
@@ -55,10 +59,13 @@ TILE = 128
 #: also on null instances, whose extreme eigenvalues nearly tie.
 DENSE_NORM_MAX_DIM = 256
 
-#: Rows a lazy instance reserves at once, beyond those it has revealed, for
-#: the directions its norm solve reveals (``_RevealedSpan``).  The solve
-#: reserves them at its first restart, so a span that passes its first
-#: check, such as a converged Lanczos session's, grows nothing.  At lam = 3
+#: Rows a norm solve reserves at once, beyond those revealed, for the
+#: directions it reveals (``_RevealedSpan``): rows of length d on a dense
+#: operator, and on a lazy instance rows of its reduced coordinates, which
+#: take at most one axis more per row (``LazySpikedInstance._reduce``), so
+#: that they cost O(k^2) floats at any d.  The solve reserves them at its
+#: first restart, so a span that passes its first check, such as a
+#: converged Lanczos session's, grows nothing.  At lam = 3
 #: the solve revealed at most 24 over 20 seeds each of power and random at
 #: d = 2000, T = 6, 18 after power at d = 10^6, and none after Lanczos at
 #: d = 1000, T = 64; on null instances it reveals more, and the instance
@@ -397,14 +404,23 @@ class _RevealedOperator:
     shared by a session's Ritz pair and its norm solve.  ``_reserve`` refuses
     a growth past physical memory (``MemoryLimitError``).  One thread uses
     an operator at a time.
+
+    Q and U hold their rows in the first ``_width`` of their columns, d of
+    them unless the operator works in reduced coordinates
+    (``LazySpikedInstance._reduce``); a norm solve expands the operator
+    ``_reduce`` returns, which is the operator itself unless it is lazy.
     """
 
     #: How the refusal of a growth names the operator.
     _NAME = "an operator"
     #: Arrays of one float per revealed direction, grown with Q.
     _ROW_VALUES: Tuple[str, ...] = ()
+    #: The operator a norm solve expands, once one has reduced it.
+    _coords: Optional["_RevealedOperator"] = None
 
     def __init__(self, d: int):
+        self._dim = d
+        self._width = d
         self._Q = np.empty((0, d))
         self._U = np.empty_like(self._Q)
         self._H = np.empty((0, 0))
@@ -413,7 +429,7 @@ class _RevealedOperator:
 
     @property
     def dim(self) -> int:
-        return self._Q.shape[1]
+        return self._dim
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -421,26 +437,36 @@ class _RevealedOperator:
 
     def _reserve(self, rows: int) -> None:
         """Make room for ``rows`` revealed directions (at most d) in Q, U, H
-        and the ``_ROW_VALUES``.  Only the rows in use are copied, so the
-        pages of the rest are not touched before a reveal writes them.  A
-        growth whose arrays are larger than physical memory is refused with
-        MemoryLimitError (``_require_fits``), before anything is allocated."""
+        and the ``_ROW_VALUES``, and in reduced coordinates for the one axis
+        each of them may add.  Only the rows in use are copied, so the pages
+        of the rest are not touched before a reveal writes them; in reduced
+        coordinates the arrays start zeroed, as the axes not yet in use are.
+        A growth whose arrays are larger than physical memory is refused
+        with MemoryLimitError (``_require_fits``), before anything is
+        allocated."""
         rows = min(rows, self.dim)
         if rows > len(self._Q):
+            cols = min(self.dim, self._width + rows - self._size)
+            axes = "" if cols == self.dim else f" on {cols} axes"
             _require_fits(
                 f"{self._NAME} of dimension {self.dim} grown to {rows} revealed "
-                f"directions", self.dim, 0, 2 * rows,
-                rows * rows + len(self._ROW_VALUES) * rows,
+                f"directions{axes}", self.dim, 0, 0,
+                2 * rows * cols + rows * rows + len(self._ROW_VALUES) * rows,
             )
-            k = self._size
-            for name, shape, in_use in (
-                ("_Q", (rows, self.dim), np.s_[:k]),
-                ("_U", (rows, self.dim), np.s_[:k]),
-                ("_H", (rows, rows), np.s_[:k, :k]),
-            ) + tuple((name, (rows,), np.s_[:k]) for name in self._ROW_VALUES):
-                grown = np.empty(shape)
+            k, w = self._size, self._width
+            fill = np.empty if w == self.dim else np.zeros
+            for name, shape, in_use, alloc in (
+                ("_Q", (rows, cols), np.s_[:k, :w], fill),
+                ("_U", (rows, cols), np.s_[:k, :w], fill),
+                ("_H", (rows, rows), np.s_[:k, :k], np.empty),
+            ) + tuple((name, (rows,), np.s_[:k], np.empty) for name in self._ROW_VALUES):
+                grown = alloc(shape)
                 grown[in_use] = getattr(self, name)[in_use]
                 setattr(self, name, grown)
+
+    def _reduce(self) -> "_RevealedOperator":
+        """The operator a norm solve expands past its first check: this one."""
+        return self
 
     def _eigh(self) -> Tuple[np.ndarray, np.ndarray]:
         """``np.linalg.eigh`` of the compression H on the revealed rows, made
@@ -512,14 +538,18 @@ class LazySpikedInstance(_RevealedOperator):
     and keeps Q theta.
 
     After k reveals the instance holds theta, Q and U, (2k + 1) d floats, H,
-    k^2 floats, and no d x d array.  ``spectral_norm`` solves on span(Q)
-    from H (``_RevealedSpan``); a solve that expands the span reserves
-    NORM_SOLVE_ROWS more rows at once for the directions it reveals.  xi and
-    g are drawn from the instance's generator in the order of the reveals.
+    k^2 floats, and no d x d array.  xi and g are drawn from the instance's
+    generator in the order of the reveals.  ``spectral_norm`` solves on
+    span(Q) from H (``_RevealedSpan``); a solve that expands the span
+    expands the instance's reduced form (``_reduce``), whose basis E takes
+    at most 2k + 1 rows of length d, and there a reveal draws O(k) numbers,
+    not d.
     """
 
     _NAME = "a lazy instance"
     _ROW_VALUES = ("_qtheta",)
+    #: The basis E of the reduced coordinates, once made (``_reduce``).
+    _E: Optional[np.ndarray] = None
 
     def __init__(self, theta: np.ndarray, lam: float, seed: Seed = None):
         theta = _frozen(theta)
@@ -540,22 +570,43 @@ class LazySpikedInstance(_RevealedOperator):
         U b, Q g and (h - t) Q.  g's residual against Q is never formed or
         normalized, only W b, whose entries carry an absolute error of order
         eps max(|g|, |h|) however much of g the projection cancels, so one
-        pass is enough even when k nears d."""
-        k = self._size
+        pass is enough even when k nears d.
+
+        In reduced coordinates (``_reduce``) the same passes run over the
+        ``_width`` axes in use, which hold Q, U and theta, and g is drawn
+        there.  Its part on the d - _width axes not in use, which the
+        projection does not touch, is drawn as its length
+        sqrt(chi^2_{d - _width}) along the next of them, which the reveal
+        takes into use.  At _width = d, as before a reduction, g is d
+        normals.  An instance that has been reduced reveals nothing more
+        itself (ValueError)."""
+        if self._E is not None:
+            raise ValueError(
+                "this lazy instance's norm solve drew the rest of M in reduced "
+                "coordinates: M applies only to vectors in the span of the "
+                "directions it revealed before; draw a fresh instance with "
+                "make_lazy_spiked"
+            )
+        k, w, d = self._size, self._width, self.dim
         if k == len(self._Q):
             self._reserve(2 * k + 1)
-        Q = self._Q[: k + 1]
+        Q = self._Q[: k + 1, :w]
         Q[k] = b
-        g = self._rng.standard_normal(self.dim)
+        g = self._rng.standard_normal(w)
         h = np.empty(k + 1)  # <q_j, W b>, b's included
-        np.matmul(self._U[:k], b, out=h[:k])
+        np.matmul(self._U[:k, :w], b, out=h[:k])
         h[k] = math.sqrt(2.0) * self._rng.standard_normal()
-        wb = self._U[k]
+        wb = self._U[k, :w]
         t = Q @ g
         np.subtract(h, t, out=t)
         np.matmul(t, Q, out=wb)
         wb += g
-        self._qtheta[k] = tb = float(b @ self.theta)
+        if w < d:
+            self._U[k, w] = math.sqrt(self._rng.chisquare(d - w))
+            self._width = w + 1
+            wb = self._U[k, : w + 1]
+        n = len(self.theta)
+        self._qtheta[k] = tb = float(b[:n] @ self.theta)
         row = self._H[k, : k + 1]
         np.multiply(self._qtheta[: k + 1], self.lam * tb, out=row)
         row += h / math.sqrt(self.dim)
@@ -568,38 +619,119 @@ class LazySpikedInstance(_RevealedOperator):
         """M Q^T s, for coefficients s on the first len(s) rows of Q, with no
         reveal."""
         k = len(s)
-        w = s @ self._U[:k]
+        w = s @ self._U[:k, : self._width]
         w /= math.sqrt(self.dim)
-        w += (self.lam * float(self._qtheta[:k] @ s)) * self.theta
+        n = len(self.theta)
+        w[:n] += (self.lam * float(self._qtheta[:k] @ s)) * self.theta
         return w
 
     def _apply(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(M v, c), with c v's coefficients on the rows of Q after the
         apply: v = Q^T c to working precision, unless v lay within
         DEGENERATE_TOL of the span, whose residual c leaves out."""
-        k = self._size
-        r, c = _orthogonalize(self._Q[:k], v)
-        wv = c @ self._U[:k]  # W (v - r)
+        k, w = self._size, self._width
+        r, c = _orthogonalize(self._Q[:k, :w], v)
+        wv = c @ self._U[:k, :w]  # W (v - r)
         rnorm = math.sqrt(r.dot(r))
         if rnorm > DEGENERATE_TOL * math.sqrt(v.dot(v)):
-            wv += rnorm * self._reveal(r / rnorm)
+            wb = self._reveal(r / rnorm)
+            if len(wb) > w:  # the reveal took an axis into use
+                wv = np.append(wv, 0.0)
+            wv += rnorm * wb
             c = np.append(c, rnorm)
         wv /= math.sqrt(self.dim)
-        wv += self.lam * float(self.theta @ v) * self.theta
+        n = len(self.theta)
+        wv[:n] += self.lam * float(self.theta @ v[:n]) * self.theta
         return wv, c
 
     def _rayleigh(self, v: np.ndarray) -> float:
-        """v^T M v, with M applied to v by ``@``, which reveals v's direction
-        off the revealed span.  ``@`` answers a v within DEGENERATE_TOL of
-        the span as if it lay in it, and so leaves out v^T W r / sqrt(d) for
-        v's residual r, a term of first order in |r|.  Here it is added back
-        from the revealed rows, which fix the part of W r on the span
-        (<q_j, W r> = <W q_j, r>), so only r^T W r / sqrt(d) is left out."""
-        w = self @ v
-        k = self._size
-        Q = self._Q[:k]
+        """v^T M v, with M applied to v by ``_apply``, which reveals v's
+        direction off the revealed span.  ``_apply`` answers a v within
+        DEGENERATE_TOL of the span as if it lay in it, and so leaves out
+        v^T W r / sqrt(d) for v's residual r, a term of first order in |r|.
+        Here it is added back from the revealed rows, which fix the part of
+        W r on the span (<q_j, W r> = <W q_j, r>), so only r^T W r / sqrt(d)
+        is left out.
+
+        A reduced instance (``_reduce``) reads v^T M v of a v within
+        DEGENERATE_TOL of span(E) from its reduced form, at v's coordinates
+        E v, and leaves v's part off span(E) out; another v raises
+        ValueError."""
+        if self._E is not None:
+            c = self._E @ v
+            r = v - c @ self._E
+            if r.dot(r) > DEGENERATE_TOL**2 * v.dot(v):
+                raise ValueError(
+                    "this lazy instance's norm solve drew the rest of M in reduced "
+                    "coordinates on the span of its revealed directions, their "
+                    "images and theta; v^T M v is known only for v in that span"
+                )
+            red = self._coords
+            return red._rayleigh(np.pad(c, (0, red._width - len(c))))
+        wv = self._apply(v)[0]
+        k, n = self._size, len(v)
+        Q = self._Q[:k, :n]
         r = _orthogonalize(Q, v)[0]
-        return float(v @ w) + float((Q @ v) @ (self._U[:k] @ r)) / math.sqrt(self.dim)
+        return float(v @ wv[:n]) + float((Q @ v) @ (self._U[:k, :n] @ r)) / math.sqrt(self.dim)
+
+    def _reduce(self) -> "LazySpikedInstance":
+        """The instance in reduced coordinates, made at the first call, which
+        a norm solve expands in its place.
+
+        Let E be an orthonormal basis of span(Q, U, theta): Q's k rows, then
+        the directions of theta and of U's rows off the rows before them,
+        each dropped where its residual is within DEGENERATE_TOL of its
+        norm.  E has at most 2k + 1 rows, and k + 2 after a power or Lanczos
+        session, whose images but the last lie in span(Q, theta).  The
+        noise not yet revealed, W on the complement of span(Q), is a GOE
+        there, invariant under its rotations; so in the coordinates of an
+        orthonormal basis [E; Z] of R^d, for any completion Z, this is an
+        instance of the same law with Q = [I_k 0], U's rows U E^T and theta
+        E theta, and the same H.  The reduced instance has those rows on its
+        first len(E) axes, and keeps at least one axis beyond Q's in use (an
+        axis of Z, which holds nothing yet), so that a Krylov space closed
+        in its span continues on an axis in use (``_RevealedSpan.expand``).
+        Its reveals draw O(_width) numbers and make O(k _width) flops
+        (``_reveal``).
+
+        This instance keeps its own rows, so a session's reads and applies
+        in span(Q) are unchanged; it reads v^T M v in span(E) from the
+        reduced instance (``_rayleigh``), and refuses a reveal."""
+        if self._coords is None:
+            k = self._size
+            E = np.empty((2 * k + 1, self.dim))
+            E[:k] = self._Q[:k]
+            m = k
+            for x in (self.theta, *self._U[:k]):
+                r = _orthogonalize(E[:m], x)[0]
+                rnorm = math.sqrt(r.dot(r))
+                if rnorm > DEGENERATE_TOL * math.sqrt(x.dot(x)):
+                    np.divide(r, rnorm, out=E[m])
+                    m += 1
+            self._E = E[:m]
+            self._coords = _ReducedInstance(self, self._E)
+        return self._coords
+
+
+class _ReducedInstance(LazySpikedInstance):
+    """A lazy instance in reduced coordinates (``LazySpikedInstance._reduce``),
+    which a norm solve expands as it is."""
+
+    def __init__(self, inst: LazySpikedInstance, E: np.ndarray):
+        k, m, d = inst._size, len(E), inst.dim
+        _RevealedOperator.__init__(self, d)
+        self.theta = _frozen(E @ inst.theta)
+        self.lam, self._rng = inst.lam, inst._rng
+        self._width, self._size = max(m, min(d, k + 1)), k
+        self._Q = np.zeros((k, self._width))
+        np.fill_diagonal(self._Q, 1.0)
+        self._U = np.zeros((k, self._width))
+        np.matmul(inst._U[:k], E.T, out=self._U[:, :m])
+        self._H = inst._H[:k, :k].copy()
+        self._qtheta = inst._qtheta[:k].copy()
+
+    def _reduce(self) -> "_ReducedInstance":
+        return self
 
 
 class _DenseOperator(_RevealedOperator):
@@ -780,9 +912,12 @@ class _RevealedSpan:
     written by the operator's reveal; the operator's Q and H are the only
     basis and compression, read through it since the solve regrows them.
     On an operator that has revealed nothing, the span starts from
-    1/sqrt(d), revealed.  The first ``restart`` reserves NORM_SOLVE_ROWS
-    rows of the operator and makes the array of Lanczos coefficients, so a
-    span that passes the first check allocates and copies nothing.
+    1/sqrt(d), revealed.  The first ``restart`` swaps the operator for the
+    one it expands (``_reduce``: a lazy instance's reduced coordinates, in
+    which Q's rows and H are the same), reserves NORM_SOLVE_ROWS rows of it
+    and makes the array of Lanczos coefficients, so a span that passes the
+    first check allocates and copies nothing.  A span made on an operator
+    that a solve has reduced before continues on its reduced form.
 
     ``expand`` makes one step of Lanczos on K(M, x) from the start vector x
     of ``restart``, with the Lanczos vectors u_j kept as coefficients on the
@@ -791,10 +926,15 @@ class _RevealedSpan:
     orthogonalized against u_1 ... u_j.  A u_j whose image lies in the span
     (residual at most DEGENERATE_TOL |M u_j|) reveals nothing; when K(M, x)
     closes in the span, the expansion continues from a fresh direction, a
-    fixed-seed Gaussian vector orthogonalized against Q, as ARPACK does.
+    fixed-seed Gaussian vector on the operator's axes in use orthogonalized
+    against Q, as ARPACK does.  Short of k = d some axis in use lies off Q:
+    every axis of a dense operator or of an instance not reduced, and in
+    reduced coordinates the axis each reveal takes into use, or the spare
+    one the reduction keeps.
     """
 
     def __init__(self, inst: _RevealedOperator):
+        inst = inst._coords or inst
         self._inst = inst
         if inst._size == 0:
             inst._reveal(np.full(inst.dim, 1.0 / math.sqrt(inst.dim)))
@@ -810,6 +950,14 @@ class _RevealedSpan:
     def H(self) -> np.ndarray:
         return self._inst._H[: self.k, : self.k]
 
+    def eigh(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The operator's eigendecomposition of H (``_eigh``)."""
+        return self._inst._eigh()
+
+    def _rows(self) -> np.ndarray:
+        """Q's rows, on the operator's axes in use."""
+        return self._inst._Q[: self.k, : self._inst._width]
+
     def _reveal(self, b: np.ndarray) -> None:
         """Reveal the unit b, orthogonal to Q; the instance adds its row to H."""
         inst, k = self._inst, self.k
@@ -823,13 +971,13 @@ class _RevealedSpan:
     def residual(self, s: np.ndarray, value: float) -> float:
         """|M x - value x| for x = Q^T s."""
         w = self._inst._image(s)
-        w -= value * (s @ self._inst._Q[: len(s)])
+        w -= value * (s @ self._rows()[: len(s)])
         return math.sqrt(float(w @ w))
 
     def restart(self, s: np.ndarray) -> None:
         """Start the Lanczos expansion from the unit vector Q^T s."""
-        if self._lanczos is None:  # the first: reserve once for the solve
-            inst = self._inst
+        if self._lanczos is None:  # the first: reduce and reserve once for the solve
+            inst = self._inst = self._inst._reduce()
             inst._reserve(inst._size + NORM_SOLVE_ROWS)
             cap = len(inst._Q)
             self._lanczos = np.zeros((cap, cap))
@@ -839,7 +987,7 @@ class _RevealedSpan:
     def expand(self) -> None:
         """One Lanczos step; on a complete span (k = d) it does nothing."""
         k, j, d = self.k, self._j, self._inst.dim
-        Q = self._inst._Q[:k]
+        Q = self._rows()
         u = self._lanczos[j - 1, :k]
         c = self.H @ u  # M u's coefficients on the span
         w = self._inst._image(u)
@@ -857,8 +1005,9 @@ class _RevealedSpan:
             if self.k == d:
                 return
             # K(M, x) closed in the span: continue from a fresh direction
-            fresh = np.random.default_rng(self.k).standard_normal(d)
-            r = _orthogonalize(self._inst._Q[: self.k], fresh)[0]
+            Q = self._rows()
+            fresh = np.random.default_rng(self.k).standard_normal(Q.shape[1])
+            r = _orthogonalize(Q, fresh)[0]
             self._reveal(r / math.sqrt(float(r @ r)))
             c = np.zeros(self.k)
             c[-1] = beta = 1.0
@@ -885,17 +1034,18 @@ def _revealed_span_extremes(
     expanding from it stalled lam_2 and lam_d until k = d.  A power or
     Lanczos session's span is a Krylov space and both restarts keep it one,
     so there the solve is Lanczos continued from the session's steps; on an
-    operator that has revealed nothing it is Lanczos from 1/sqrt(d).  Each
-    check reads the operator's eigendecomposition of H (``_eigh``), so the
-    first shares the session's Ritz solve.  At k = d the values are those
-    of H.
+    operator that has revealed nothing it is Lanczos from 1/sqrt(d).  On a
+    lazy instance the expansion runs in its reduced coordinates
+    (``LazySpikedInstance._reduce``).  Each check reads the operator's
+    eigendecomposition of H (``_eigh``), so the first shares the session's
+    Ritz solve.  At k = d the values are those of H.
     """
     span = _RevealedSpan(inst)
     d = inst.dim
     checks = _Checks(span.k, rtol, top)
     while span.k < d:
         if span.k >= checks.at:
-            vals, vecs = inst._eigh()
+            vals, vecs = span.eigh()
             if span.k > 1 and checks.passed(  # one Ritz value has no gap to test
                 span.k, vals, lambda i: span.residual(vecs[:, i], vals[i])
             ):
@@ -918,7 +1068,12 @@ def spectral_norm(M: Operand) -> float:
     operator from 1/sqrt(d); a lazy instance's from a session's queries),
     grown along a Krylov space.  So a lazy norm is that of the matrix its
     answers belong to; the directions it reveals are drawn from its
-    generator.
+    generator, in the instance's reduced coordinates
+    (``LazySpikedInstance._reduce``), at O(k) draws and O(k^2) flops each
+    for a span of k directions.  After a solve that expands the span, the
+    instance applies M only in the span it revealed before the solve, and
+    reads v^T M v only in the span of those directions, their images and
+    theta (ValueError otherwise).
     """
     return _operator(M, _require_symmetric)._norm()
 

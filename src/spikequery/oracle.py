@@ -391,9 +391,13 @@ def score(transcript: Transcript, inst: Union[SpikedInstance, LazySpikedInstance
     span to second order).  On a lazy instance, which the session must have
     queried, the norm solve starts from the span of the queries and reveals
     only the directions it expands that span by, and the apply of v_hat at
-    most one more; reading the transcript's projected responses afterwards
-    still draws nothing, since their directions were revealed by the
-    queries.
+    most one more.  Where the solve expands the span it reveals them in the
+    instance's reduced coordinates, on the span of the queries, their
+    responses and theta (``LazySpikedInstance._reduce``), and v_hat, which
+    lies in that span (a Ritz vector of the queries, or power's normalized
+    last response), is read there.  Reading the transcript's projected
+    responses afterwards still draws nothing, since their directions were
+    revealed by the queries.
     """
     if getattr(inst, "theta", None) is None:
         raise ValueError("score needs a SpikedInstance or a LazySpikedInstance")

@@ -152,32 +152,35 @@ def _require_lazy_trials_fit(
     map_trials starts with ``workers`` (default: every available core).
 
     A ``scored`` instance (simulate's, scaling's, reduction-events') is
-    counted with min(T, d) + 2 NORM_SOLVE_ROWS rows of length d more: a norm
-    solve whose first check fails regrows the instance's two row arrays once, by
-    NORM_SOLVE_ROWS rows, while the step records keep views of the old
-    directions.  It regrows H to min(T, d) + NORM_SOLVE_ROWS rows too, and
-    keeps the Lanczos coefficients of its expansion in one more square of
-    that size.  A solve that passes its first check, as a converged Lanczos
-    session's does, reserves none of this.  That bounds simulate's norm
-    solve on spiked instances; on null ones, and to SPECTRUM_RTOL, a solve
-    can reveal more rows than it reserves, and the instance refuses
+    counted with its norm solve's arrays too.  A solve whose first check
+    fails reduces the instance (``LazySpikedInstance._reduce``): the basis E
+    of its reduced coordinates takes 2 min(T, d) + 1 rows of length d, and
+    the reduced instance, after the solve's first reserve, Q and U of
+    min(T, d) + NORM_SOLVE_ROWS rows on at most 2 min(T, d) + 1 +
+    NORM_SOLVE_ROWS axes, H, and the Lanczos coefficients of its expansion
+    in one more square of that many rows.  The instance's own rows are not
+    regrown.  A solve that passes its first check, as a converged Lanczos
+    session's does, makes none of this.  That bounds simulate's norm solve
+    on spiked instances; on null ones, and to SPECTRUM_RTOL, a solve can
+    reveal more rows than it reserves, and the reduced instance refuses
     (``MemoryLimitError``) a regrowth past physical memory when it is made
-    (``LazySpikedInstance._reserve``)."""
+    (``_RevealedOperator._reserve``)."""
     threads = min(n, available_cores() if workers is None else workers)
     rows = min(T, d)
     what = f"{LAZY_TRIAL_ARRAYS} {rows} x {d} arrays"
     if scored:
-        solve, square = rows + 2 * NORM_SOLVE_ROWS, rows + NORM_SOLVE_ROWS
-        what += (f", and {solve} rows of length {d} and two {square} x {square} "
-                 f"arrays for the norm solve")
-        floats = 2 * square**2
+        basis, square = 2 * rows + 1, rows + NORM_SOLVE_ROWS
+        axes = min(d, basis + NORM_SOLVE_ROWS)
+        what += (f", and {basis} rows of length {d}, two {square} x {axes} and two "
+                 f"{square} x {square} arrays for the norm solve")
+        floats = 2 * square * axes + 2 * square**2
     else:
-        solve = 0
+        basis = 0
         what += f" and a {rows} x {rows} compression"
         floats = rows**2
     _require_fits(
         f"{threads} trial threads of {per_trial} lazy instances, each with {what},",
-        d, 0, threads * per_trial * (LAZY_TRIAL_ARRAYS * rows + solve),
+        d, 0, threads * per_trial * (LAZY_TRIAL_ARRAYS * rows + basis),
         threads * per_trial * floats,
     )
 

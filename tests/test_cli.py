@@ -375,13 +375,22 @@ def _physical_memory(monkeypatch, pages):
     monkeypatch.setattr(instances.os, "sysconf", lambda name: sizes[name])
 
 
+def _scored_trial_bytes(d, T):
+    """Bytes one scored lazy trial of budget T <= d is counted with:
+    LAZY_TRIAL_ARRAYS (T, d) arrays, the 2 T + 1 rows of length d of the
+    basis E of the norm solve's reduced coordinates, and the reduced
+    instance's Q and U, two (T + NORM_SOLVE_ROWS) x (2 T + 1 +
+    NORM_SOLVE_ROWS) arrays, with its compression and the solve's Lanczos
+    coefficients, two squares of T + NORM_SOLVE_ROWS rows."""
+    square, axes = T + instances.NORM_SOLVE_ROWS, min(d, 2 * T + 1 + instances.NORM_SOLVE_ROWS)
+    return 8 * (d * (LAZY_TRIAL_ARRAYS * T + 2 * T + 1) + 2 * square * axes + 2 * square**2)
+
+
 @pytest.mark.parametrize("jobs, threads", [([], 2), (["--jobs", "1"], 1), (["--jobs", "5"], 3)])
 def test_simulate_larger_than_memory_is_a_usage_error(jobs, threads, monkeypatch, capsys):
-    # a trial thread holds LAZY_TRIAL_ARRAYS (T, d) arrays, and T +
-    # 2 NORM_SOLVE_ROWS rows more once the norm solve regrows the instance,
-    # with its compression and the solve's Lanczos coefficients, two squares
-    # of T + NORM_SOLVE_ROWS rows; --jobs caps the threads, which are at most
-    # the trials and by default the cores
+    # a trial thread holds a scored trial's arrays (_scored_trial_bytes);
+    # --jobs caps the threads, which are at most the trials and by default
+    # the cores
     monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: set(range(2)))
     _physical_memory(monkeypatch, 1000)
     d, T = 100_000, 6
@@ -389,37 +398,37 @@ def test_simulate_larger_than_memory_is_a_usage_error(jobs, threads, monkeypatch
         ["simulate", "--alg", "power", "--d", str(d), "--lambda", "3", "--T", str(T),
          "--trials", "3"] + jobs, capsys)
     square = T + instances.NORM_SOLVE_ROWS
-    need = 8 * threads * (
-        d * (LAZY_TRIAL_ARRAYS * T + T + 2 * instances.NORM_SOLVE_ROWS) + 2 * square**2
-    )
+    need = threads * _scored_trial_bytes(d, T)
     assert code == 2 and out == ""
     assert f"needs {need} bytes, more than the 4096000 bytes of physical memory" in err
-    assert (f"and {T + 2 * instances.NORM_SOLVE_ROWS} rows of length {d} and two "
-            f"{square} x {square} arrays for the norm solve") in err
+    assert (f"and {2 * T + 1} rows of length {d}, two {square} x {2 * T + 1 + square - T} "
+            f"and two {square} x {square} arrays for the norm solve") in err
 
 
 def test_simulate_regrowth_past_memory_is_refused_without_a_traceback(monkeypatch, capsys):
-    # the up-front count holds the session and the solve's first reserve;
-    # a null instance's solve reveals more than that reserve and doubles
-    # the instance's arrays, which a machine of 400 pages (1.6 MB) refuses
-    # before allocating them.  A scaling trial is a simulate trial, and at
-    # lambda = 0.2, below the BBP threshold 1 (with --kd small enough that
+    # the up-front count (34 pages at d = 300, T = 6) holds the session and
+    # the norm solve's first reserve; a null instance's solve reveals more
+    # than that reserve and doubles the reduced instance's arrays, to 77 rows
+    # on 79 axes (36 pages), which a machine of 35 pages refuses before
+    # allocating them.  A scaling trial is a simulate trial, and at
+    # lambda = 0.5, below the BBP threshold 1 (with --kd small enough that
     # the regime check passes), its solve regrows as on a null instance
-    _physical_memory(monkeypatch, 400)
-    d, T = 2000, 6
-    rows = 2 * (T + instances.NORM_SOLVE_ROWS) + 1
-    need = 8 * (2 * rows * d + rows * rows + rows)
+    _physical_memory(monkeypatch, 35)
+    d, T = 300, 6
+    assert _scored_trial_bytes(d, T) < 35 * 4096
+    rows, axes = 2 * (T + instances.NORM_SOLVE_ROWS) + 1, 79
+    need = 8 * (2 * rows * axes + rows * rows + rows)
     for argv, prefix in (
         (["simulate", "--alg", "power", "--d", str(d), "--lambda", "0", "--T", str(T)],
          f"simulate at d={d}"),
-        (["scaling", "--alg", "power", "--d-grid", str(d), "--lambda", "0.2", "--kd", "0.01",
+        (["scaling", "--alg", "power", "--d-grid", str(d), "--lambda", "0.5", "--kd", "0.01",
           "--max-T", str(T)], "scaling"),
     ):
         code, out, err = run_main(argv + ["--trials", "1", "--jobs", "1"], capsys)
         assert code == 2 and out == ""
         assert err == (f"error: {prefix}: a lazy instance of dimension {d} grown to "
-                       f"{rows} revealed directions needs {need} bytes, more than the "
-                       f"1638400 bytes of physical memory\n")
+                       f"{rows} revealed directions on {axes} axes needs {need} bytes, "
+                       f"more than the 143360 bytes of physical memory\n")
 
 
 def test_simulate_lets_other_errors_through(monkeypatch):
@@ -438,18 +447,14 @@ def test_scaling_instances_larger_than_memory_are_a_usage_error(
     jobs, threads, monkeypatch, capsys
 ):
     # a trial thread holds a simulate trial at the largest grid d with a
-    # budget of max-T (64): LAZY_TRIAL_ARRAYS (T, d) arrays, T +
-    # 2 NORM_SOLVE_ROWS rows more and two squares of T + NORM_SOLVE_ROWS rows
+    # budget of max-T (64), counted as simulate counts it (_scored_trial_bytes)
     monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: set(range(2)))
     _physical_memory(monkeypatch, 1000)
     d, T = 100_000, 64
     code, out, err = run_main(
         ["scaling", "--alg", "power", "--d-grid", f"{d},500", "--lambda", "8",
          "--trials", "3"] + jobs, capsys)
-    square = T + instances.NORM_SOLVE_ROWS
-    need = 8 * threads * (
-        d * (LAZY_TRIAL_ARRAYS * T + T + 2 * instances.NORM_SOLVE_ROWS) + 2 * square**2
-    )
+    need = threads * _scored_trial_bytes(d, T)
     assert code == 2 and out == ""
     assert err.startswith(f"error: scaling at d={d}: {threads} trial threads of 1 lazy "
                           f"instances, each with {LAZY_TRIAL_ARRAYS} {T} x {d} arrays")
@@ -458,17 +463,17 @@ def test_scaling_instances_larger_than_memory_are_a_usage_error(
 
 def test_simulate_trial_holds_no_dxd_array(monkeypatch, capsys):
     # one trial at d = 2e5, where a d x d array would be 320 GB: the lazy
-    # instance holds two rows of d floats per revealed direction (the T
-    # queries', the norm solve's and at most one more), in arrays the norm
-    # solve regrows once, to NORM_SOLVE_ROWS rows beyond those in use; the
-    # session and the solve a few rows more (the peak measured 5.5 revealed
-    # rows, at 24 reveals).  A scaling trial is a simulate trial, with its
-    # candidates' quotients read from the finished session
+    # instance and the session hold LAZY_TRIAL_ARRAYS rows of d floats per
+    # query, and the norm solve the 2 T + 1 rows of the basis E of the
+    # instance's reduced coordinates, in which it reveals its directions
+    # with no row of length d (the peak measured 42 rows, at 6 + 18
+    # reveals).  A scaling trial is a simulate trial, with its candidates'
+    # quotients read from the finished session
     reveals = []
     reveal = LazySpikedInstance._reveal
 
     def counting(self, b):
-        reveals.append(b)
+        reveals.append(len(b))
         return reveal(self, b)
 
     monkeypatch.setattr(LazySpikedInstance, "_reveal", counting)
@@ -486,7 +491,9 @@ def test_simulate_trial_holds_no_dxd_array(monkeypatch, capsys):
             tracemalloc.stop()
         assert code == 0
         assert T < len(reveals) < 64
-        assert peak < 10 * len(reveals) * d * 8
+        # the queries' directions have length d, the solve's their width
+        assert reveals[:T] == [d] * T and max(reveals[T:]) < 64
+        assert peak < (LAZY_TRIAL_ARRAYS * T + 2 * T + 1 + 10) * d * 8
 
 
 @pytest.mark.parametrize("check", ["gauss-quadratic", "conditional-law"])
@@ -503,28 +510,36 @@ def test_reduction_events_larger_than_memory_is_a_usage_error(capsys):
     code, out, err = run_main(
         ["verify", "--check", "reduction-events", "--d", "1000000000000", "--quick",
          "--n", "1"], capsys)
-    T, square = 12, 12 + instances.NORM_SOLVE_ROWS
-    need = 8 * (10**12 * (LAZY_TRIAL_ARRAYS * T + T + 2 * instances.NORM_SOLVE_ROWS)
-                + 2 * square**2)
+    need = _scored_trial_bytes(10**12, 12)
     assert (code, out) == (2, "")
     assert err.startswith("error: check 'reduction-events': 1 trial threads of 1 lazy")
     assert f"needs {need} bytes" in err and "bytes of physical memory" in err
 
 
-@pytest.mark.parametrize("check", ["reduction-events", "kd"])
+@pytest.mark.parametrize(
+    "check, argv, pages, rows, axes",
+    [("reduction-events", ["--d", "150"], 40, 89, 91), ("kd", [], 20, 67, 69)],
+    ids=["reduction-events", "kd"],
+)
 def test_spectra_solve_regrowth_past_memory_is_refused_without_a_traceback(
-    check, monkeypatch, capsys
+    check, argv, pages, rows, axes, monkeypatch, capsys
 ):
-    # on one core, reduction-events' up-front count (80.2 pages at d = 300)
-    # passes; the first quick null solve reveals more than its first reserve
-    # of NORM_SOLVE_ROWS rows and doubles the instance's arrays, which a
-    # machine of 85 pages refuses before allocating them
+    # on one core a null solve of kd, from one revealed direction, reserves
+    # 33 rows on 35 axes, and a reduction-events solve after its budget-12
+    # session 44 rows on 46 axes (beyond reduction-events' up-front count of
+    # 38.7 pages at d = 150); the first solve that reveals more doubles the
+    # reduced instance's arrays, which the machine refuses before allocating
+    # them.  At d = 300 the regrowth is smaller than reduction-events'
+    # up-front count, so only a smaller --d shows it
     monkeypatch.setattr(instances.os, "sched_getaffinity", lambda pid: {0})
-    _physical_memory(monkeypatch, 85)
-    code, out, err = run_main(["verify", "--check", check, "--quick"], capsys)
+    _physical_memory(monkeypatch, pages)
+    code, out, err = run_main(["verify", "--check", check, "--quick"] + argv, capsys)
+    d = 150 if argv else 300
+    need = 8 * (2 * rows * axes + rows * rows + rows)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: check '{check}': a lazy instance of dimension 300 grown to ")
-    assert err.endswith(" bytes of physical memory\n")
+    assert err == (f"error: check '{check}': a lazy instance of dimension {d} grown to "
+                   f"{rows} revealed directions on {axes} axes needs {need} bytes, more "
+                   f"than the {4096 * pages} bytes of physical memory\n")
 
 
 def test_override_a_check_does_not_take_is_a_usage_error(capsys):

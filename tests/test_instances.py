@@ -23,6 +23,7 @@ from spikequery import (
     sample_uniform_sphere,
     spectral_norm,
 )
+from spikequery.algorithms import AlgorithmConfig, run
 from spikequery.oracle import open_session
 
 
@@ -430,6 +431,115 @@ def test_lazy_instance_rejects_bad_spikes_and_shapes():
         make_lazy_spiked(0, 1.0)
     with pytest.raises(ValueError, match="cannot apply"):
         make_lazy_spiked(5, 1.0, seed=0) @ np.ones(4)
+
+
+# ------------------------------------------------- reduced coordinates
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _scored(kind, d, lam, T, seed):
+    """A lazy instance after a session of budget T and its norm solve, which
+    reduces it, and the session."""
+    inst = make_lazy_spiked(d, lam, seed=seed)
+    session = open_session(inst, budget=T)
+    run(session, AlgorithmConfig(kind=kind, seed=seed + 1))
+    spectral_norm(inst)
+    assert inst._E is not None
+    return inst, session
+
+
+@pytest.mark.parametrize("kind, rows", [("power", 8), ("lanczos", 8), ("random", 13)])
+def test_reduction_basis_spans_the_queries_their_images_and_theta(kind, rows):
+    # E: Q's rows, then theta's and the images' directions off them; k + 2
+    # rows after a Krylov session, 2 k + 1 after random queries
+    d, T = 300, 6
+    inst, _ = _scored(kind, d, 3.0, T, seed=2)
+    E, red = inst._E, inst._coords
+    assert len(E) == rows
+    assert np.array_equal(E[:T], inst._Q[:T])
+    assert np.max(np.abs(E @ E.T - np.eye(rows))) <= 1e-14
+    for x in (inst.theta, *inst._U[:T]):
+        assert np.linalg.norm(x - (E @ x) @ E) <= 1e-12 * np.linalg.norm(x)
+    # the reduced instance: Q = [I 0], U E^T, E theta and the same H
+    assert np.array_equal(red._Q[:T, :T], np.eye(T))
+    assert np.max(np.abs(red._U[:T, :rows] - inst._U[:T] @ E.T)) <= 1e-12
+    assert np.array_equal(red._H[:T, :T], inst._H[:T, :T])
+    assert np.array_equal(red.theta, E @ inst.theta)
+
+
+def test_reduced_instance_applies_only_in_its_explicit_span():
+    # after the solve the instance answers M on the span of its queries
+    # from its own rows and v^T M v on span(E) from its reduced form; a
+    # direction off those spans, whose image the solve drew only in
+    # coordinates, is refused
+    d, T = 200, 4
+    inst, session = _scored("power", d, 3.0, T, seed=3)
+    B, H = session.basis(), session.compression()
+    state = inst._rng.bit_generator.state
+    assert np.max(np.abs(B.T @ (inst @ B) - H)) <= 1e-12
+    assert inst._rng.bit_generator.state == state
+    c = _unit(np.random.default_rng(0).standard_normal(T))
+    assert abs(inst._rayleigh(B @ c) - c @ H @ c) <= 1e-12
+    quad = inst._rayleigh(inst.theta)  # reveals theta's direction, in coordinates
+    assert abs(inst._rayleigh(inst.theta) - quad) <= 1e-12
+    off = np.eye(1, d, 0)[0]
+    with pytest.raises(ValueError, match="drew the rest of M in reduced coordinates"):
+        inst @ off
+    with pytest.raises(ValueError, match="known only for v in that span"):
+        inst._rayleigh(off)
+    assert inst._size == T
+
+
+def test_reduced_reveal_draws_width_normals_xi_and_one_chi_square():
+    # g on the axes in use, xi, and the length of g's part on the d - width
+    # others along the next axis: the draws of W b in reduced coordinates
+    d, T = 500, 6
+    red = _scored("power", d, 3.0, T, seed=4)[0]._coords
+    k, w = red._size, red._width
+    Q = red._Q[:k, :w]
+    b = np.random.default_rng(5).standard_normal(w)
+    b = _unit(instances._orthogonalize(Q, b)[0])
+    h = red._U[:k, :w] @ b
+    replay = np.random.default_rng()
+    replay.bit_generator.state = red._rng.bit_generator.state
+    wb = red._reveal(b).copy()
+    g = replay.standard_normal(w)
+    xi = math.sqrt(2.0) * replay.standard_normal()
+    chi = math.sqrt(replay.chisquare(d - w))
+    assert red._rng.bit_generator.state == replay.bit_generator.state
+    Qb = np.vstack([Q, b])
+    assert np.max(np.abs(wb[:w] - (g + (np.append(h, xi) - Qb @ g) @ Qb))) <= 1e-12
+    assert wb[w] == chi and red._width == w + 1 and len(wb) == w + 1
+
+
+class _NoNoise:
+    """Stands in for a lazy instance's generator with draws that are all
+    zero, so that W = 0 and M = lam theta theta^T."""
+
+    def standard_normal(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+    def chisquare(self, df):
+        return 0.0
+
+
+@pytest.mark.parametrize("start, lam, rows", [(False, 0.0, 2), (True, 2.0, 1)])
+def test_norm_solve_continues_a_closed_krylov_space_in_reduced_coordinates(start, lam, rows):
+    # with GOE draws a Krylov space closes short of k = d with probability 0;
+    # with W = 0 it closes at once, at lam = 0 (M = 0) and when theta is the
+    # solve's start vector 1/sqrt(d).  The solve continues from a fresh
+    # direction on the reduced axes in use off Q: theta's, or the spare axis
+    # the reduction keeps when E = Q
+    d = 6
+    theta = np.full(d, 1.0 / math.sqrt(d)) if start else sample_uniform_sphere(d, 1)
+    inst = LazySpikedInstance(theta, lam)
+    inst._rng = _NoNoise()
+    assert spectral_norm(inst) == pytest.approx(lam, abs=1e-12)
+    red = inst._coords
+    assert len(inst._E) == rows
+    assert red._size == 2 and red._width == 3
 
 
 # ------------------------------------------------------ blocked symmetry check

@@ -644,6 +644,24 @@ def test_lazy_session_decomposes_each_query_once(kind, monkeypatch):
     assert np.shares_memory(session._basis.rows, inst._Q)  # one store of the basis
 
 
+def _completed_matrix(inst):
+    """The matrix a lazy instance answers for, completed afterwards: along
+    e_1..e_d, or, once a norm solve has reduced it, its reduced form
+    completed along its coordinate axes until its width is d and mapped back
+    to R^d through [E; Z] for an orthonormal completion Z of E."""
+    d = inst.dim
+    if inst._E is None:
+        return np.column_stack([inst @ e for e in np.eye(d)])
+    red, E = inst._coords, inst._E
+    for j in range(d):  # axis j is in use by the time it is applied
+        red._apply(np.eye(1, red._width, j)[0])
+    assert red._width == red._size == d
+    reduced = np.column_stack([red._apply(e)[0] for e in np.eye(d)])
+    Z = np.linalg.qr(E.T, mode="complete")[0][:, len(E):].T
+    B = np.vstack([E, Z])
+    return B.T @ reduced @ B
+
+
 def _project_off(B, x):
     """x minus its projection on the orthonormal columns of B."""
     return x - B @ (B.T @ x)
@@ -687,8 +705,9 @@ def test_dense_compression_is_that_of_the_basis(kind):
 def test_lazy_compression_is_that_of_its_completed_matrix(kind, d, budget):
     # the compression and projected responses a session reads from the
     # instance are those of the dense matrix the instance answers for,
-    # completed afterwards along e_1..e_d; scoring, which regrows the
-    # instance's arrays when it reveals a direction, leaves them as they were
+    # completed afterwards (_completed_matrix); scoring, whose norm solve
+    # reveals directions in the instance's reduced form, leaves them and the
+    # instance's own rows as they were
     inst = make_lazy_spiked(d, 2.5, seed=d + budget)
     session = open_session(inst, budget=budget)
     run(session, AlgorithmConfig(kind=kind, seed=7))
@@ -697,11 +716,12 @@ def test_lazy_compression_is_that_of_its_completed_matrix(kind, d, budget):
     before = [st.projected_response for st in t.steps]
     queried = inst._size
     score(t, inst)
-    assert inst._size > queried or len(inst._Q) == min(budget, d)
+    if inst._E is not None:
+        assert inst._size == queried and len(inst._Q) == min(budget, d)
     assert np.array_equal(session.compression(), H)
     for st, y in zip(t.steps, before):
         assert np.array_equal(st.projected_response, y)
-    M = np.column_stack([inst @ e for e in np.eye(d)])
+    M = _completed_matrix(inst)
     norm = np.max(np.abs(np.linalg.eigvalsh((M + M.T) / 2)))
     B = session.basis()
     assert np.max(np.abs(H - B.T @ M @ B)) <= 1e-12 * norm
@@ -723,7 +743,7 @@ def test_lazy_compression_is_that_of_its_completed_matrix(kind, d, budget):
 @pytest.mark.parametrize("kind", ["power", "lanczos", "random"])
 def test_lazy_score_is_that_of_its_completed_matrix(kind, d, lam, budget):
     # score reads v_hat^T M v_hat and ||M|| of the matrix the instance
-    # answers for, which completing it along e_1..e_d afterwards fixes
+    # answers for, which completing it afterwards fixes (_completed_matrix)
     rng = np.random.default_rng(100 * d + int(lam % 97))
     inst = make_lazy_spiked(d, lam, seed=rng)
     session = open_session(inst, budget=budget)
@@ -732,14 +752,60 @@ def test_lazy_score_is_that_of_its_completed_matrix(kind, d, lam, budget):
     norm_solve = spectral_norm(inst)
     if kind == "lanczos" and budget == 30:
         # a span that already meets the stopping rule: the solve reveals nothing
-        assert inst._size == queried
+        assert inst._size == queried and inst._E is None
     s = score(session.transcript, inst)
-    M = np.column_stack([inst @ e for e in np.eye(d)])
+    M = _completed_matrix(inst)
     norm = np.max(np.abs(np.linalg.eigvalsh((M + M.T) / 2)))
     assert abs(norm_solve - norm) <= 1e-12 * norm
     assert abs(s.rayleigh_ratio - float(v_hat @ M @ v_hat) / norm) <= 1e-12
     assert abs(spectral_norm(inst) - norm) <= 1e-12 * norm
     assert s.spike_overlap == float(v_hat @ inst.theta) ** 2
+
+
+class TestScoredLaw:
+    """A lazy trial's scored ||M|| and Rayleigh ratio, whose norm solve
+    reveals in the instance's reduced coordinates, have the law of a dense
+    trial's, scored by the dense eigensolver: 300 trials a side at d = 300,
+    T = 6, and 18 two-sample KS tests at family-wise level 0.01."""
+
+    ALPHA = 0.01 / 18
+    KINDS = ("power", "lanczos", "random")
+
+    @staticmethod
+    def _lazy(kind, lam, seed, i):
+        rng = instances.as_rng(instances.trial_seed(seed, i))
+        inst = make_lazy_spiked(300, lam, seed=rng)
+        session = open_session(inst, budget=6)
+        run(session, AlgorithmConfig(kind=kind, seed=rng))
+        return spectral_norm(inst), score(session.transcript, inst).rayleigh_ratio
+
+    @classmethod
+    def _dense(cls, lam, seed, i):
+        """(||M||, then each kind's ratio) of one dense instance, which the
+        three kinds query in turn with their own streams."""
+        rng = instances.as_rng(instances.trial_seed(seed, i))
+        inst = make_spiked(300, lam, seed=rng)
+        vals = np.linalg.eigvalsh(inst.matrix)
+        norm = max(abs(vals[0]), abs(vals[-1]))
+        row = [norm]
+        for kind in cls.KINDS:
+            session = open_session(inst, budget=6)
+            v_hat, _ = run(session, AlgorithmConfig(kind=kind, seed=rng))
+            row.append(float(v_hat @ inst.matrix @ v_hat) / norm)
+        return row
+
+    @pytest.mark.parametrize("case, lam", [(0, 0.0), (1, 1.5), (2, 3.0)])
+    def test_scored_norm_and_ratio_match_dense_in_law(self, case, lam):
+        n = 300
+        dense = np.array(instances.map_trials(
+            lambda i: self._dense(lam, 100 + case, i), n))
+        for j, kind in enumerate(self.KINDS):
+            lazy = np.array(instances.map_trials(
+                lambda i: self._lazy(kind, lam, 110 + 3 * case + j, i), n))
+            for column, name, reference in ((0, "norm", dense[:, 0]),
+                                            (1, "rayleigh_ratio", dense[:, 1 + j])):
+                p = ks_2samp(lazy[:, column], reference).pvalue
+                assert p > self.ALPHA, f"{kind} lam={lam} {name}: KS p = {p:.2g}"
 
 
 def _counting_solve_reveals(monkeypatch):
@@ -773,14 +839,23 @@ def test_lazy_score_charges_no_query_and_reveals_only_its_solve(kind, d, T, monk
     assert session.transcript is transcript and transcript.steps is steps
     assert np.array_equal(transcript.final_output, v_hat)
     # the solve's own expansion directions, then v_hat's when it lies off
-    # their span; a Ritz vector of the queried span never does
+    # their span; a Ritz vector of the queried span never does.  A solve
+    # that expands the span reveals them in the instance's reduced form,
+    # which grew once, by the solve's reservation, on at most NORM_SOLVE_ROWS
+    # more axes than E's; the instance's own rows grew only for v_hat's
+    # direction when the solve expanded nothing, by doubling
     extra = len(reveals) - T
     assert len(solve) <= extra <= len(solve) + (kind == "power")
-    # the instance grew at most once: by the solve's reservation when the
-    # solve expanded the span, else only for v_hat's direction, by doubling
     assert extra <= instances.NORM_SOLVE_ROWS
     if solve:
-        assert inst._Q.shape == (T + instances.NORM_SOLVE_ROWS, d)
+        red = inst._coords
+        assert inst._Q.shape == (T, d)
+        # E spans the queries, theta and the images: k + 2 rows after a
+        # Krylov session, 2 k + 1 after random queries
+        assert len(inst._E) == (2 * T + 1 if kind == "random" else T + 2)
+        assert red._size == T + extra
+        assert red._Q.shape == (T + instances.NORM_SOLVE_ROWS,
+                                len(inst._E) + instances.NORM_SOLVE_ROWS)
     else:
         assert inst._Q.shape == (2 * T + 1 if extra else T, d)
     if T == 64:
@@ -838,14 +913,15 @@ def test_ritz_after_an_expanding_norm_solve_is_that_of_the_session_span():
     run(session, AlgorithmConfig(kind="power", seed=10))
     vec, value = session.ritz()
     score(session.transcript, inst)
-    assert inst._size > T
+    assert inst._coords._size > T
     again, value_again = session.ritz()
     assert np.array_equal(again, vec) and value_again == value
 
 
 def test_norm_solve_that_expands_reserves_once_and_drops_the_shared_eigensolve():
-    # a power session's span fails the first check: the solve reserves its
-    # rows at the restart, and each reveal drops the cached eigensolve
+    # a power session's span fails the first check: the solve reduces the
+    # instance and reserves its rows at the restart, each reveal drops the
+    # reduced form's cached eigensolve, and the instance keeps its own
     d, T = 400, 6
     inst = make_lazy_spiked(d, 3.0, seed=9)
     session = open_session(inst, budget=T)
@@ -853,12 +929,15 @@ def test_norm_solve_that_expands_reserves_once_and_drops_the_shared_eigensolve()
     first = inst._eigh()
     assert inst._eigh() is first  # one per size of H
     norm = spectral_norm(inst)
-    assert inst._size > T
-    assert inst._Q.shape == (T + instances.NORM_SOLVE_ROWS, d)
-    vals, vecs = inst._eigh()
-    assert vals.shape == (inst._size,) and vals is not first[0]
+    red = inst._coords
+    assert inst._size == T and inst._Q.shape == (T, d) and inst._eigh() is first
+    assert red._size > T
+    assert red._Q.shape == (T + instances.NORM_SOLVE_ROWS, T + 2 + instances.NORM_SOLVE_ROWS)
+    vals, vecs = red._eigh()
+    assert vals.shape == (red._size,) and vals is not first[0]
     assert not vals.flags.writeable and not vecs.flags.writeable
-    H = inst._H[: inst._size, : inst._size]
+    H = red._H[: red._size, : red._size]
+    assert np.array_equal(H[:T, :T], inst._H[:T, :T])
     assert np.array_equal(vals, np.linalg.eigh(H)[0])
     assert abs(norm - max(abs(vals[0]), abs(vals[-1]))) <= 1e-12 * norm
 

@@ -625,10 +625,13 @@ class TestCertifiedSpectra:
     @pytest.mark.parametrize("lam", [0.0, 4.0])
     @pytest.mark.parametrize("d", [40, 150])
     def test_certified_values_are_those_of_the_completed_span(self, d, lam):
-        # the span continued to k = d holds the whole spectrum of the matrix
+        # the span continued to k = d holds the whole spectrum of the matrix;
+        # it continues the solve's, in the instance's reduced coordinates,
+        # which reach width d with it
         for seed in range(5):
             inst, vals = self._certified(d, lam, as_rng(trial_seed(d, seed)))
             span = instances._RevealedSpan(inst)
+            assert span._inst is inst._coords
             span.restart(np.eye(1, span.k, span.k - 1)[0])
             while span.k < d:
                 span.expand()
