@@ -438,9 +438,10 @@ class _RevealedOperator:
     def _reserve(self, rows: int) -> None:
         """Make room for ``rows`` revealed directions (at most d) in Q, U, H
         and the ``_ROW_VALUES``, and in reduced coordinates for the one axis
-        each of them may add.  Only the rows in use are copied, so the pages
-        of the rest are not touched before a reveal writes them; in reduced
-        coordinates the arrays start zeroed, as the axes not yet in use are.
+        each of them may add.  Q and U start zeroed, as the reduced axes not
+        yet in use are; only the rows in use are copied, and a large zeroed
+        array is mapped lazily, so the pages of the rest are not touched
+        before a reveal writes them.
         A growth whose arrays are larger than physical memory is refused
         with MemoryLimitError (``_require_fits``), before anything is
         allocated."""
@@ -454,10 +455,9 @@ class _RevealedOperator:
                 2 * rows * cols + rows * rows + len(self._ROW_VALUES) * rows,
             )
             k, w = self._size, self._width
-            fill = np.empty if w == self.dim else np.zeros
             for name, shape, in_use, alloc in (
-                ("_Q", (rows, cols), np.s_[:k, :w], fill),
-                ("_U", (rows, cols), np.s_[:k, :w], fill),
+                ("_Q", (rows, cols), np.s_[:k, :w], np.zeros),
+                ("_U", (rows, cols), np.s_[:k, :w], np.zeros),
                 ("_H", (rows, rows), np.s_[:k, :k], np.empty),
             ) + tuple((name, (rows,), np.s_[:k], np.empty) for name in self._ROW_VALUES):
                 grown = alloc(shape)

@@ -718,6 +718,8 @@ def test_lazy_compression_is_that_of_its_completed_matrix(kind, d, budget):
     score(t, inst)
     if inst._E is not None:
         assert inst._size == queried and len(inst._Q) == min(budget, d)
+    else:
+        assert inst._size > queried or len(inst._Q) == min(budget, d)
     assert np.array_equal(session.compression(), H)
     for st, y in zip(t.steps, before):
         assert np.array_equal(st.projected_response, y)
